@@ -19,7 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
+# not called; kept importable because perfbench/layertrace.py traces it by name
+from scipy.linalg import solve_banded  # noqa: F401
 from scipy.sparse.linalg import splu, spsolve
 
 from . import model, tcl
@@ -65,6 +67,7 @@ class CwParams:
     r_reading: str = "outer"
 
     def __post_init__(self):
+        model._require_finite(self, ("kappa1", "Omega", "N"))
         if not (self.kappa1 > 0):
             raise ParameterError(f"kappa1 must be positive, got {self.kappa1}")
         if not (self.Omega >= 0):
@@ -352,7 +355,6 @@ def _ensure_closure(params):
 
 @dataclass
 class GeneratorAt:
-    t: float
     matrix: sp.csr_matrix
     leak: np.ndarray = field(repr=False)
     gamma: float = 0.0
@@ -397,7 +399,7 @@ def build_generator(params, t=0.0, rates=None, r=0j):
             f"generator columns do not balance: worst residual {np.abs(colsum).max():.3e} "
             f"against rate scale {scale:.3e}"
         )
-    return GeneratorAt(t, G.tocsr(), leak, gamma_t, complex(r) if use_r else 0.0)
+    return GeneratorAt(G.tocsr(), leak, gamma_t, complex(r) if use_r else 0.0)
 
 
 def steady_state_markov(params):
@@ -454,10 +456,26 @@ def _banded_offsets(n1p):
     return lower, upper
 
 
-def _to_banded(mat, lower, upper, dim):
-    ab = np.zeros((lower + upper + 1, dim))
+def _band_rows(mats, lower, upper):
+    """Band-storage rows (upper + row - col) that hold a non-zero entry of
+    some matrix, plus the main diagonal; every other row of the band is zero."""
+    rows = {upper}
+    for mat in mats:
+        coo = mat.tocoo()
+        rows.update((upper + coo.row - coo.col)[coo.data != 0].tolist())
+    rows = np.array(sorted(rows))
+    if rows[0] < 0 or rows[-1] > lower + upper:
+        raise GeneratorError(f"generator entries fall outside the ({lower}, {upper}) band")
+    return rows
+
+
+def _to_banded(mat, rows, upper, dim):
+    """The given rows of mat's band storage; zero entries are left out."""
+    ab = np.zeros((len(rows), dim))
     coo = mat.tocoo()
-    np.add.at(ab, (upper + coo.row - coo.col, coo.col), coo.data)
+    nz = coo.data != 0
+    slot = np.searchsorted(rows, upper + coo.row[nz] - coo.col[nz])
+    np.add.at(ab, (slot, coo.col[nz]), coo.data[nz])
     return ab
 
 
@@ -487,6 +505,14 @@ def evolve(params, p0, t_max, dt, stepper="cn"):
 
     Boundary-clipped flux is accumulated with the same trapezoid weights the
     stepping uses, so sum(p) + clipped stays at 1 to rounding for "cn".
+
+    With a constant generator (markov) one sparse LU serves every solve. At
+    orders 2 and 4, gamma(t) and r(t) change every step, so each solve
+    factors I - h G(t) anew with LAPACK's banded gbsv. The band is
+    (n1_max - 1) diagonals below and n1_max + 1 above the main one, but only
+    the few diagonals that hold a non-zero template entry (6 at order 4) are
+    stored; they are combined each step into one reused LAPACK work array
+    whose other rows stay zero.
     """
     if stepper not in ("cn", "rk4"):
         raise ConfigError(f"unknown stepper {stepper!r}")
@@ -601,36 +627,41 @@ def evolve(params, p0, t_max, dt, stepper="cn"):
                 record(j + 1, p, clip)
         else:
             lower, upper = _banded_offsets(n1p)
-            ab_static = _to_banded(static, lower, upper, dim)
-            ab_out = _to_banded(out_csr, lower, upper, dim)
-            ab_oc = _to_banded(oc_csr, lower, upper, dim) if params.order == 4 else None
-            ab_eye = np.zeros_like(ab_static)
-            ab_eye[upper, :] = 1.0
+            mats = (static, out_csr) + ((oc_csr,) if params.order == 4 else ())
+            rows = _band_rows(mats, lower, upper)
+            b_static = _to_banded(static, rows, upper, dim)
+            b_out = _to_banded(out_csr, rows, upper, dim)
+            b_oc = _to_banded(oc_csr, rows, upper, dim) if params.order == 4 else None
+            b_eye = np.zeros_like(b_static)
+            b_eye[rows == upper] = 1.0
+            # gbsv's band layout: `lower` fill-in rows above the band itself
+            work = np.zeros((2 * lower + upper + 1, dim), order="F")
+            gbsv, = get_lapack_funcs(("gbsv",), (work,))
 
-            def implicit_factor(step, g, rr):
-                ab = ab_eye - step * (ab_static + g * ab_out)
-                if ab_oc is not None and rr != 0.0:
-                    ab -= step * rr * ab_oc
-                return ab
+            def implicit_solve(step, g, rr, b):
+                band = b_eye - step * (b_static + g * b_out)
+                if b_oc is not None and rr != 0.0:
+                    band -= step * rr * b_oc
+                work.fill(0.0)
+                work[lower + rows] = band
+                _, _, x, info = gbsv(lower, upper, work, b, overwrite_ab=True)
+                if info != 0:
+                    raise NumericalFailure(
+                        f"banded LU of the implicit step failed (LAPACK gbsv info {info})")
+                return x
 
             for j in range(n_steps):
                 g0, g1 = gamma_h[2 * j], gamma_h[2 * j + 2]
                 r0, r1 = rr_h[2 * j], rr_h[2 * j + 2]
                 if j < RANNACHER_STEPS:
                     gm_, rm_ = gamma_h[2 * j + 1], rr_h[2 * j + 1]
-                    p_new = solve_banded(
-                        (lower, upper), implicit_factor(0.5 * dt, gm_, rm_), p,
-                        overwrite_ab=True, check_finite=False)
+                    p_new = implicit_solve(0.5 * dt, gm_, rm_, p)
                     clip += 0.5 * dt * leak_dot(p_new, rm_)
-                    p_new = solve_banded(
-                        (lower, upper), implicit_factor(0.5 * dt, g1, r1), p_new,
-                        overwrite_ab=True, check_finite=False)
+                    p_new = implicit_solve(0.5 * dt, g1, r1, p_new)
                     clip += 0.5 * dt * leak_dot(p_new, r1)
                 else:
                     y = p + 0.5 * dt * rhs(p, g0, r0)
-                    p_new = solve_banded(
-                        (lower, upper), implicit_factor(0.5 * dt, g1, r1), y,
-                        overwrite_ab=True, check_finite=False)
+                    p_new = implicit_solve(0.5 * dt, g1, r1, y)
                     clip += 0.5 * dt * (leak_dot(p, r0) + leak_dot(p_new, r1))
                 p = p_new
                 record(j + 1, p, clip)

@@ -33,6 +33,14 @@ __all__ = [
 from .errors import DomainError, NumericalFailure, ParameterError
 
 
+def _require_finite(obj, names):
+    """Reject nan and +-inf in the named fields, naming the first offender."""
+    for name in names:
+        value = getattr(obj, name)
+        if not np.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class TrapParams:
     """Trap and coupling parameters, all SI.
@@ -49,6 +57,7 @@ class TrapParams:
     hbar: float = HBAR
 
     def __post_init__(self):
+        _require_finite(self, ("M", "omega0", "sigma_k", "Gamma", "hbar"))
         if not (self.M > 0):
             raise ParameterError(f"atomic mass must be positive, got {self.M}")
         if not (self.omega0 > 0):

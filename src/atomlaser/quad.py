@@ -9,7 +9,7 @@ is controlled by grid halving instead.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from .errors import GridError, ParameterError
 
@@ -99,10 +99,26 @@ def cumulative_integral(f):
     return SampledFunction(f.grid, _cumtrapz(f.values, f.grid.dt))
 
 
+def _fftconvolve(a, b):
+    """Full discrete convolution of two 1-d arrays.
+
+    Takes the branches of scipy.signal.fftconvolve for 1-d input, and so gives
+    its bits, without importing scipy.signal (the slowest import of the CLI).
+    """
+    if a.size == 1 or b.size == 1:
+        return a * b
+    n = a.size + b.size - 1
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        m = sp_fft.next_fast_len(n, False)
+        return sp_fft.ifft(sp_fft.fft(a, m) * sp_fft.fft(b, m), m)[:n]
+    m = sp_fft.next_fast_len(n, True)
+    return sp_fft.irfft(sp_fft.rfft(a, m) * sp_fft.rfft(b, m), m)[:n]
+
+
 def _convtrapz(kernel, u, dt):
     # product-trapezoid convolution: full discrete convolution with the two
     # endpoint samples downweighted to half
-    full = fftconvolve(kernel, u)[: len(kernel)]
+    full = _fftconvolve(kernel, u)[: len(kernel)]
     out = dt * (full - 0.5 * kernel[0] * u - 0.5 * kernel * u[0])
     out[0] = 0.0  # exact for an empty interval; fft noise would leave ~1e-16
     return out

@@ -73,15 +73,6 @@ class RateSeries:
             out = out + self.gamma_by_order[order]
         return SampledFunction(self.grid, out)
 
-    def total_shift(self, order_max=None):
-        top = self.order_max if order_max is None else order_max
-        if top > self.order_max or top not in (2, 4, 6):
-            raise ParameterError(f"order {top} not available (have {self.order_max})")
-        out = np.zeros(self.grid.n_points)
-        for order in range(2, top + 1, 2):
-            out = out + self.S_by_order[order]
-        return SampledFunction(self.grid, out)
-
 
 def tcl2_rates(params, grid):
     """Second-order rate and shift: running integrals of phi and psi."""
@@ -111,7 +102,6 @@ def _tcl4_from_tables(params, grid):
 def _tcl4_direct_value(phi_s, psi_s, t, dt):
     """O(n^3) nested-trapezoid value of (gamma4, S4) at one time."""
     grid = phi_s.grid
-    ts = grid.times()
 
     def interp(arr, x):
         # x is always a grid difference of grid points, so this lookup is exact
@@ -132,7 +122,6 @@ def _tcl4_direct_value(phi_s, psi_s, t, dt):
                 + interp(qv, t - t3) * interp(pv, t1 - t2)
                 + interp(pv, t - t3) * interp(qv, t1 - t2))
 
-    del ts
     return (0.5 * ordered_triple_direct(g_gamma, t, dt).real,
             0.5 * ordered_triple_direct(g_shift, t, dt).real)
 

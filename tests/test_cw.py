@@ -42,6 +42,12 @@ def test_params_validation():
     # a pump weaker than the output rate voids the elimination behind the model
     with pytest.warns(UserWarning):
         cw.CwParams(trap=t, kappa1=0.5 * gm, Omega=gm, N=1.0)
+    for name in ("kappa1", "Omega", "N"):
+        for bad in (np.nan, np.inf, -np.inf):
+            kwargs = dict(kappa1=10 * gm, Omega=gm, N=1.0)
+            kwargs[name] = bad
+            with pytest.raises(ParameterError, match=f"{name} must be finite"):
+                cw.CwParams(trap=t, **kwargs)
     p = cw.CwParams(trap=t, kappa1=10 * gm, Omega=0.0, N=1.0)  # Omega = 0 legal
     assert p.dim == 201 * 61
 
@@ -266,6 +272,46 @@ def test_steppers_agree_with_matrix_exponential():
     assert tr_rk.mean_n0[-1] == pytest.approx(n0_exact, abs=1e-12)
     assert tr_cn.mean_n0[-1] == pytest.approx(n0_exact, abs=1e-7)
     assert np.abs(tr_rk.mean_n0 - tr_cn.mean_n0).max() < 1e-7
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_time_dependent_implicit_stepper_matches_dense_recurrence(order):
+    # the banded stepper against the same Rannacher + Crank-Nicolson
+    # recurrence written out with dense matrices from build_generator
+    t5 = trap(5e4)
+    params = cw.CwParams(trap=t5, kappa1=200.0, Omega=GAMMA_M_5E4, N=0.5,
+                         n0_max=8, n1_max=6, order=order)
+    n_steps, dt = 12, 2e-3
+    traj = cw.evolve(params, cw.DiagonalState.vacuum(8, 6), n_steps * dt, dt)
+
+    half = UniformGrid(0.0, 0.5 * dt, 2 * n_steps + 1)
+    rates = al.tcl_series_rates(t5, half, order)
+    r = cw.r_function(params, half).values
+    gens = [cw.build_generator(params, k * half.dt, rates, r[k])
+            for k in range(half.n_points)]
+    eye = np.eye(params.dim)
+
+    def step(h, k, b):
+        return np.linalg.solve(eye - h * gens[k].matrix.toarray(), b)
+
+    p = cw.DiagonalState.vacuum(8, 6).flat()
+    clip = 0.0
+    n0_of, n1_of = np.arange(params.dim) // 7, np.arange(params.dim) % 7
+    for j in range(n_steps):
+        k0, k1 = 2 * j, 2 * j + 2
+        if j < cw.RANNACHER_STEPS:
+            p_mid = step(0.5 * dt, k0 + 1, p)
+            p_new = step(0.5 * dt, k1, p_mid)
+            clip += 0.5 * dt * (gens[k0 + 1].leak @ p_mid + gens[k1].leak @ p_new)
+        else:
+            p_new = step(0.5 * dt, k1, p + 0.5 * dt * (gens[k0].matrix @ p))
+            clip += 0.5 * dt * (gens[k0].leak @ p + gens[k1].leak @ p_new)
+        p = p_new
+        assert traj.mean_n0[j + 1] == pytest.approx(n0_of @ p, abs=1e-12)
+        assert traj.mean_n1[j + 1] == pytest.approx(n1_of @ p, abs=1e-12)
+        assert traj.prob_sum[j + 1] == pytest.approx(p.sum(), abs=1e-12)
+        assert traj.clipped_flux[j + 1] == pytest.approx(clip, abs=1e-12)
+    assert clip > 1e-9   # the box is tight enough for the leak to count
 
 
 def test_rk4_guard_rejects_stiff_grid():

@@ -46,6 +46,15 @@ def test_parameter_validation():
     assert trap(0.0).Gamma == 0.0
 
 
+@pytest.mark.parametrize("field", ["M", "omega0", "sigma_k", "Gamma", "hbar"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_parameter_validation_rejects_non_finite(field, bad):
+    kwargs = dict(M=2e-26, omega0=OMEGA0, sigma_k=1e6, Gamma=5e4)
+    kwargs[field] = bad
+    with pytest.raises(ParameterError, match=f"{field} must be finite"):
+        al.TrapParams(**kwargs)
+
+
 def test_coupling_amplitude():
     p = trap(5e4)
     k0 = 1e4

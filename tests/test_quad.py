@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from atomlaser import (
     GridError,
@@ -15,7 +16,7 @@ from atomlaser import (
     ordered_triple_factored,
     simplex_integral_3,
 )
-from atomlaser.quad import grid_for, sample
+from atomlaser.quad import _fftconvolve, grid_for, sample
 
 
 def test_grid_validation():
@@ -88,6 +89,24 @@ def test_convolution_exponential():
     one = SampledFunction(g, np.ones_like(t))
     v = iterated_convolution(ker, one)
     np.testing.assert_allclose(v.values, 1.0 - np.exp(-t), atol=2e-6)
+
+
+@pytest.mark.parametrize("kinds", ["rr", "cc", "rc", "cr"])
+def test_fftconvolve_bit_equal_to_scipy_signal(kinds):
+    # the local routine stands in for scipy.signal.fftconvolve, whose import
+    # is slow; every rate and occupation curve depends on it giving its bits
+    rng = np.random.default_rng(7)
+
+    def draw(kind, n):
+        x = rng.standard_normal(n)
+        return x + 1j * rng.standard_normal(n) if kind == "c" else x
+
+    for n in list(range(1, 70)) + [121, 1000, 4001, 16001]:
+        for m in (n, max(1, n - 3)):
+            a, b = draw(kinds[0], n), draw(kinds[1], m)
+            want, got = fftconvolve(a, b), _fftconvolve(a, b)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (n, m)
 
 
 def test_convolution_bilinearity_and_grid_check():
