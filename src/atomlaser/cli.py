@@ -25,6 +25,7 @@ from .quad import UniformGrid
 __all__ = ["main", "BUILTIN_SCENARIOS", "parse_scenario", "run_scenario", "list_scenarios"]
 
 FLOAT_FORMAT = "%.11e"
+CSV_CHUNK_ROWS = 1024
 
 PULSED_MODES = ("pulsed_markov", "pulsed_exact", "pulsed_tcl")
 MODES = PULSED_MODES + ("cw",)
@@ -286,18 +287,16 @@ def parse_scenario(text, source="<config>"):
     return scen
 
 
-def _fmt(x):
-    return FLOAT_FORMAT % x
-
-
 def _write_csv(path, columns):
     names = [c[0] for c in columns]
     arrays = [np.asarray(c[1], dtype=float) for c in columns]
-    n = arrays[0].size
+    row = ",".join([FLOAT_FORMAT] * len(arrays)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(names) + "\n")
-        for i in range(n):
-            fh.write(",".join(_fmt(a[i]) for a in arrays) + "\n")
+        # chunked, so the formatted text never holds the whole file at once
+        for lo in range(0, arrays[0].size, CSV_CHUNK_ROWS):
+            chunk = np.column_stack([a[lo : lo + CSV_CHUNK_ROWS] for a in arrays])
+            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _max_shared_diff(fine, coarse):
@@ -312,6 +311,7 @@ def _max_shared_diff(fine, coarse):
 
 
 def _pulsed_columns(scen, n_steps, dt):
+    """CSV columns of one pulsed run, plus its diagnostics for the sidecar."""
     trap = scen.trap
     t_max = n_steps * dt
     grid = UniformGrid(0.0, dt, n_steps + 1)
@@ -326,14 +326,17 @@ def _pulsed_columns(scen, n_steps, dt):
     columns.append(("n_markov", np.exp(-gamma_m * t)))
 
     rates = None
+    diagnostics = {"series_breakdown_index": None, "exact_rate_truncation_index": None}
     if scen.mode == "pulsed_tcl":
         rates = tcl.tcl_series_rates(trap, grid, order_max=scen.tcl_order)
         for order in rates.orders():
             occ = tcl.occupation_from_rates(rates, order)
             columns.append((f"n_tcl{order}", occ.values))
+        diagnostics["series_breakdown_index"] = tcl.series_breakdown_index(rates)
 
     if scen.rates:
         exact = volterra.exact_rates(traj)
+        diagnostics["exact_rate_truncation_index"] = exact.truncation_index
         gam = np.full(n_steps + 1, np.nan)
         gam[: exact.gamma.values.size] = exact.gamma.values
         columns.append(("gamma_exact", gam))
@@ -343,7 +346,7 @@ def _pulsed_columns(scen, n_steps, dt):
                 columns.append(("gamma4_cum", rates.total_gamma(4).values))
             if scen.tcl_order >= 6:
                 columns.append(("gamma6_cum", rates.total_gamma(6).values))
-    return columns
+    return columns, diagnostics
 
 
 def _cw_columns(scen, order, n_steps, dt):
@@ -422,13 +425,13 @@ def _write_outputs(outdir, csv_name, columns, meta):
 
 
 def _run_pulsed(scen, outdir):
-    columns = _pulsed_columns(scen, scen.n_steps, scen.dt)
-    fine = _pulsed_columns(scen, 2 * scen.n_steps, 0.5 * scen.dt)
+    columns, diagnostics = _pulsed_columns(scen, scen.n_steps, scen.dt)
+    fine, _ = _pulsed_columns(scen, 2 * scen.n_steps, 0.5 * scen.dt)
     refinement = {}
     for (name, vals), (_, vals_f) in zip(columns, fine):
         refinement[name] = _max_shared_diff(np.asarray(vals_f, float), np.asarray(vals, float))
     meta = _base_meta(scen)
-    meta["pulsed"] = {"tcl_order": scen.tcl_order, "rate_columns": scen.rates}
+    meta["pulsed"] = {"tcl_order": scen.tcl_order, "rate_columns": scen.rates, **diagnostics}
     base = scen.output or scen.name
     csv_name = base if base.endswith(".csv") else base + ".csv"
     _finish_meta(meta, csv_name, columns, refinement)

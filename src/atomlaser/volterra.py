@@ -8,16 +8,21 @@ obeys
 and the occupation is n = |u|^2. The equation is solved by second-order
 product integration (trapezoid in the memory integral) with the diagonal
 half-weight term handled implicitly, which keeps the scheme stable at strong
-coupling. Direct time stepping is used throughout; no transform-domain route.
+coupling. The march is one lower-triangular Toeplitz system, solved by
+recursive halving with FFT convolutions between the halves (the fast
+convolution of Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6,
+1985) in O(n log^2 n); it gives the step-by-step march up to rounding.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sp_fft
+from scipy.linalg import solve_triangular
 
 from . import model
 from .errors import ConfigError, NumericalFailure
-from .quad import SampledFunction, UniformGrid, grid_for
+from .quad import SampledFunction, UniformGrid, _fftconvolve, grid_for
 
 __all__ = [
     "AmplitudeTrajectory",
@@ -34,6 +39,8 @@ DIVERGENCE_TOL = 1e-3
 SANITY_TOL = 1e-6
 # rate extraction stops once the amplitude is this small
 RATE_CUTOFF = 1e-6
+# rows of T solved by one forward substitution in _halving_solve
+LEAF = 64
 
 
 @dataclass
@@ -41,7 +48,6 @@ class AmplitudeTrajectory:
     grid: UniformGrid
     u: np.ndarray
     udot: np.ndarray
-    c0: complex = 1.0
 
 
 @dataclass
@@ -55,38 +61,109 @@ class ExactRates:
 def solve_volterra(kernel, max_growth=None):
     """March the memory equation du/dt = -(kernel * u)(t) for a sampled kernel.
 
-    Returns (u, udot) arrays on the kernel's grid. The update solves
+    Returns (u, udot) arrays on the kernel's grid. The discrete scheme is
 
         u_j (1 + dt^2 k_0 / 4) = u_{j-1} + dt/2 udot_{j-1}
-                                 - dt^2/2 (sum_{m=1}^{j-1} k_m u_{j-m} + k_j u_0 / 2)
+                                 - dt^2/2 (H_j + E_j),
+        udot_j = -dt (k_0 u_j / 2 + H_j + E_j),
 
-    i.e. trapezoid weights on the memory sum with the unknown u_j appearing
-    only through the k_0 diagonal term, solved exactly. udot is then refreshed
-    from the right-hand side so rates never see finite differences.
+    with H_j = sum_{m=1}^{j-1} k_m u_{j-m} and E_j = k_j u_0 / 2: trapezoid
+    weights on the memory sum, with the unknown u_j appearing only through
+    the k_0 diagonal term, solved exactly. Substituting udot_{j-1} turns the
+    march into one lower-triangular Toeplitz system for u_1..u_{n-1}
+    (`_toeplitz_system`), solved by recursive halving with FFT convolutions
+    for the coupling between halves (`_halving_solve`). udot then
+    comes from the same formula, with H as one FFT convolution, so rates
+    never see finite differences of u.
+
+    If max_growth is given, the first step j >= 1 with |u_j| > max_growth
+    (or a non-finite u_j) raises NumericalFailure.
     """
     k = np.ascontiguousarray(kernel.values, dtype=complex)
     dt = kernel.grid.dt
     n = kernel.grid.n_points
+    c = 0.5 * dt * dt
+    edge = 0.5 * k  # E_j with u_0 = 1
     u = np.empty(n, dtype=complex)
-    udot = np.empty(n, dtype=complex)
-    # reversed copy of u so the history dot product runs on a contiguous slice
-    u_rev = np.empty(n, dtype=complex)
     u[0] = 1.0
-    udot[0] = 0.0
-    u_rev[n - 1] = 1.0
-    den = 1.0 + dt * dt * k[0] / 4.0
-    for j in range(1, n):
-        hist = np.dot(k[1:j], u_rev[n - j : n - 1]) if j > 1 else 0.0
-        edge = 0.5 * k[j] * u[0]
-        rhs = u[j - 1] + 0.5 * dt * udot[j - 1] - 0.5 * dt * dt * (hist + edge)
-        u[j] = rhs / den
-        u_rev[n - 1 - j] = u[j]
-        udot[j] = -dt * (0.5 * k[0] * u[j] + hist + edge)
-        if max_growth is not None and abs(u[j]) > max_growth:
+    u[1:] = _solve_lower_toeplitz(*_toeplitz_system(k, edge, c))
+    if max_growth is not None:
+        bad = np.flatnonzero(~(np.abs(u[1:]) <= max_growth))
+        if bad.size:
+            j = int(bad[0]) + 1
             raise NumericalFailure(
                 f"amplitude grew to |u| = {abs(u[j]):.6f} at step {j}; the scheme has destabilized"
             )
+    hist = np.zeros(n - 1, dtype=complex)
+    if n > 2:
+        hist[1:] = _fftconvolve(k[1 : n - 1], u[1 : n - 1])[: n - 2]
+    udot = np.empty(n, dtype=complex)
+    udot[0] = 0.0
+    udot[1:] = -dt * (0.5 * k[0] * u[1:] + hist + edge[1:])
     return u, udot
+
+
+def _toeplitz_system(k, edge, c):
+    """First column t and right-hand side b of T u[1:] = b.
+
+    With den = 1 + c k_0 / 2, and 1 - c k_0 / 2 = 2 - den:
+    t_0 = den, t_1 = c k_1 - (2 - den), t_m = c (k_m + k_{m-1}) for m >= 2;
+    b_1 = u_0 - c E_1 and b_j = -c (E_{j-1} + E_j) for j >= 2.
+    """
+    n = k.size
+    den = 1.0 + 0.5 * c * k[0]
+    t = np.empty(n - 1, dtype=complex)
+    t[0] = den
+    if n > 2:
+        t[1] = c * k[1] - (2.0 - den)
+        t[2:] = c * (k[2 : n - 1] + k[1 : n - 2])
+    b = -c * (edge[:-1] + edge[1:])
+    b[0] = 1.0 - c * edge[1]
+    return t, b
+
+
+def _solve_lower_toeplitz(t, b):
+    """Solve T x = b for the lower-triangular Toeplitz T with first column t.
+
+    Overwrites and returns b. Every leaf is a forward substitution with the
+    leading LEAF x LEAF block of T, which is the same matrix for every leaf.
+    """
+    m = min(LEAF, b.size)
+    block = np.zeros((m, m), dtype=complex)
+    for i in range(m):
+        block[i:, i] = t[: m - i]
+    _halving_solve(t, b, block, {}, 0, b.size)
+    return b
+
+
+def _halving_solve(t, b, block, spectra, lo, hi):
+    """Solve rows lo..hi-1 of T x = b in place, in O(n log^2 n).
+
+    On entry b[lo:hi] already excludes the contribution of x[:lo]. Recursive
+    halving on whole leaves: solve the first half, subtract its contribution
+    to the second half with one FFT convolution, then solve the second half.
+    spectra caches the transform of t_1..t_{size-1} per block size. (A plain
+    function, not a closure: a self-referencing closure is a reference cycle
+    that keeps every array of the solve alive until the garbage collector
+    runs.)
+    """
+    if hi - lo <= LEAF:
+        sub = block[: hi - lo, : hi - lo]
+        b[lo:hi] = solve_triangular(sub, b[lo:hi], lower=True, check_finite=False)
+        return
+    mid = lo + LEAF * (-(-(hi - lo) // LEAF) // 2)
+    _halving_solve(t, b, block, spectra, lo, mid)
+    size = hi - lo
+    if size not in spectra:
+        p = sp_fft.next_fast_len(size - 1, False)
+        spectra[size] = (p, sp_fft.fft(t[1:size], p))
+    p, spec = spectra[size]
+    # middle product: entries mid-lo-1 .. size-2 of the linear convolution of
+    # x[lo:mid] with t_1..t_{size-1}; a cyclic length >= size-1 keeps them
+    # free of wrap-around
+    y = sp_fft.ifft(sp_fft.fft(b[lo:mid], p) * spec, p)
+    b[mid:hi] -= y[mid - lo - 1 : size - 1]
+    _halving_solve(t, b, block, spectra, mid, hi)
 
 
 def solve_amplitude(params, t_max, dt):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from atomlaser import ConfigError
-from atomlaser.cli import BUILTIN_SCENARIOS, main, parse_scenario
+from atomlaser.cli import BUILTIN_SCENARIOS, FLOAT_FORMAT, _write_csv, main, parse_scenario
 
 GAMMA_M_5E4 = 92.62263163409446
 
@@ -99,6 +99,44 @@ def test_fig2_sidecar(fig2_out):
     # halving the step moves every occupation column by far less than 1e-3
     for col in ("n_exact", "n_tcl2", "n_tcl4"):
         assert 0.0 <= est[col] < 1e-3
+
+
+@pytest.mark.parametrize("fig, breakdown", [("fig2", None), ("fig3", None),
+                                            ("fig4", 2785), ("fig5", None)])
+def test_pulsed_sidecar_diagnostics(tmp_path, fig, breakdown):
+    assert main(["run", fig, "--out", str(tmp_path)]) == 0
+    pulsed = _read_meta(str(tmp_path / f"{fig}.csv"))["pulsed"]
+    # fig4 prints order-6 columns past the point where the series broke down
+    assert pulsed["series_breakdown_index"] == breakdown
+    # fig5 writes rate columns and its amplitude never falls below the cutoff
+    assert pulsed["exact_rate_truncation_index"] is None
+
+
+def _write_csv_per_element(path, columns):
+    # the writer's former form: one %-format call per value
+    names = [c[0] for c in columns]
+    arrays = [np.asarray(c[1], dtype=float) for c in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(names) + "\n")
+        for i in range(arrays[0].size):
+            fh.write(",".join(FLOAT_FORMAT % a[i] for a in arrays) + "\n")
+
+
+def test_csv_writer_matches_per_element_format(tmp_path):
+    special = [np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-300,
+               -1e-300, -1.0, -123.456, 1.0 / 3.0, 1e300, -2.5e-11]
+    rng = np.random.default_rng(7)
+    # more rows than one write chunk, with the specials at the start, the end
+    # and across the first chunk boundary (row 1024)
+    n, k = 2500, len(special)
+    first = rng.standard_normal(n)
+    for lo in (0, 1024 - k // 2, n - k):
+        first[lo : lo + k] = special
+    second = rng.permutation(first) * 10.0 ** rng.integers(-20, 8, n)
+    columns = [("a", first), ("b", second), ("c", np.arange(n))]
+    _write_csv(tmp_path / "new.csv", columns)
+    _write_csv_per_element(tmp_path / "old.csv", columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_zero_coupling_gives_flat_unity(tmp_path):

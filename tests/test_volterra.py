@@ -1,17 +1,91 @@
 """Exact amplitude dynamics via the memory integro-differential equation."""
 
+import re
+
 import numpy as np
 import pytest
 
 import atomlaser as al
-from atomlaser import ConfigError, NumericalFailure
+from atomlaser import ConfigError, NumericalFailure, model
 from atomlaser.quad import SampledFunction, UniformGrid, grid_for
-from atomlaser.volterra import AmplitudeTrajectory
+from atomlaser.volterra import RATE_CUTOFF, AmplitudeTrajectory
 
 from conftest import trap
 
 ALPHA = 2636.4295425
 GAMMA_M_5E4 = 92.62263163409446
+
+
+def reference_march(kernel, max_growth=None):
+    """Step-by-step march of the discrete scheme, one history dot per step.
+
+    O(n^2) reference for solve_volterra, which solves the same scheme as one
+    Toeplitz system; the two agree up to rounding.
+    """
+    k = np.ascontiguousarray(kernel.values, dtype=complex)
+    dt = kernel.grid.dt
+    n = kernel.grid.n_points
+    u = np.empty(n, dtype=complex)
+    udot = np.empty(n, dtype=complex)
+    # reversed copy of u so the history dot product runs on a contiguous slice
+    u_rev = np.empty(n, dtype=complex)
+    u[0] = 1.0
+    udot[0] = 0.0
+    u_rev[n - 1] = 1.0
+    den = 1.0 + dt * dt * k[0] / 4.0
+    for j in range(1, n):
+        hist = np.dot(k[1:j], u_rev[n - j : n - 1]) if j > 1 else 0.0
+        edge = 0.5 * k[j] * u[0]
+        rhs = u[j - 1] + 0.5 * dt * udot[j - 1] - 0.5 * dt * dt * (hist + edge)
+        u[j] = rhs / den
+        u_rev[n - 1 - j] = u[j]
+        udot[j] = -dt * (0.5 * k[0] * u[j] + hist + edge)
+        if max_growth is not None and abs(u[j]) > max_growth:
+            raise NumericalFailure(
+                f"amplitude grew to |u| = {abs(u[j]):.6f} at step {j}; the scheme has destabilized"
+            )
+    return u, udot
+
+
+def _assert_matches_reference(kernel):
+    u, udot = al.solve_volterra(kernel)
+    u_ref, udot_ref = reference_march(kernel)
+    assert np.abs(u - u_ref).max() <= 1e-12 * np.abs(u_ref).max()
+    assert np.abs(udot - udot_ref).max() <= 1e-12 * max(np.abs(udot_ref).max(), 1e-300)
+    rates = al.exact_rates(AmplitudeTrajectory(kernel.grid, u, udot))
+    rates_ref = al.exact_rates(AmplitudeTrajectory(kernel.grid, u_ref, udot_ref))
+    assert rates.truncation_index == rates_ref.truncation_index
+    # exact_rates keeps only the samples with |u| >= RATE_CUTOFF
+    gam, gam_ref = rates.gamma.values, rates_ref.gamma.values
+    assert np.abs(gam - gam_ref).max() <= 1e-9 * max(np.abs(gam_ref).max(), 1e-300)
+    return u_ref
+
+
+@pytest.mark.parametrize("grid_name, t_max_gamma, n_steps", [("fig2", 4.0, 4000),
+                                                             ("fig4", 10.0, 5400)])
+@pytest.mark.parametrize("Gamma", [5e4, 1e5, 1e6])
+def test_matches_reference_march_on_trap_kernels(Gamma, grid_name, t_max_gamma, n_steps):
+    p = trap(Gamma)
+    dt = t_max_gamma / al.gamma_markov_closed_form(p) / n_steps
+    g = UniformGrid(0.0, dt, n_steps + 1)
+    _assert_matches_reference(SampledFunction(g, np.conj(model.correlation_f(p, g.times()))))
+
+
+def test_matches_reference_march_through_amplitude_collapse():
+    # k(tau) = a exp(-(a - 3i) tau) with a >> 1 gives u ~ exp(-t): |u| falls
+    # to ~6e-7, so the rates lose digits and the cutoff truncates them
+    g = UniformGrid(0.0, 14.0 / 2000, 2001)
+    kernel = SampledFunction(g, 50.0 * np.exp(-(50.0 - 3.0j) * g.times()))
+    u_ref = _assert_matches_reference(kernel)
+    assert 1e-7 < np.abs(u_ref).min() < RATE_CUTOFF
+
+
+@pytest.mark.parametrize("n_points", [2, 3, 64, 65, 66, 129])
+def test_matches_reference_march_at_leaf_boundaries(n_points):
+    g = UniformGrid(0.0, 1e-3, n_points)
+    t = g.times()
+    kernel = SampledFunction(g, 4e4 * np.exp(-300.0 * t) * (1.0 + 0.3j * np.cos(900.0 * t)))
+    _assert_matches_reference(kernel)
 
 
 def test_zero_coupling_is_free():
@@ -133,8 +207,12 @@ def test_divergence_detection():
     c = -400.0
     g = UniformGrid(0.0, 2e-4, 5001)
     kernel = SampledFunction(g, np.full(g.n_points, c, dtype=complex))
-    with pytest.raises(NumericalFailure):
+    with pytest.raises(NumericalFailure) as fast:
         al.solve_volterra(kernel, max_growth=1.001)
+    with pytest.raises(NumericalFailure) as ref:
+        reference_march(kernel, max_growth=1.001)
+    step = re.compile(r"at step (\d+);")
+    assert step.search(str(fast.value)).group(1) == step.search(str(ref.value)).group(1)
 
 
 def test_rate_truncation_when_amplitude_collapses():
