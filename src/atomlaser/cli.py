@@ -20,7 +20,7 @@ import numpy as np
 
 from . import cw, model, tcl, volterra
 from .errors import ConfigError
-from .quad import UniformGrid
+from .quad import UniformGrid, shared_points_difference
 
 __all__ = ["main", "BUILTIN_SCENARIOS", "parse_scenario", "run_scenario", "list_scenarios"]
 
@@ -159,6 +159,11 @@ def _bool(raw):
     raise ValueError(raw)
 
 
+def _require_finite(value, name):
+    if not np.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
 def _check_keys(section, allowed):
     for key in section:
         if key not in allowed:
@@ -209,6 +214,7 @@ def parse_scenario(text, source="<config>"):
         if gamma_m <= 0:
             raise ConfigError("key 't_max_gamma' needs Gamma > 0; give 't_max' in seconds")
         t_max = t_max_gamma / gamma_m
+    _require_finite(t_max, "key 't_max'" if t_max_gamma is None else "key 't_max_gamma'")
     dt = _get(gr, "dt", float, required=False)
     n_steps = _get(gr, "n_steps", int, required=False)
     if (dt is None) == (n_steps is None):
@@ -218,8 +224,10 @@ def parse_scenario(text, source="<config>"):
             raise ConfigError("key 'n_steps' must be at least 1")
         dt = t_max / n_steps
     else:
+        _require_finite(dt, "key 'dt'")
         if dt <= 0 or t_max <= 0:
             raise ConfigError("grid times must be positive")
+        _require_finite(t_max / dt, "t_max/dt")
         n_steps = int(round(t_max / dt))
         if n_steps < 1:
             raise ConfigError("grid resolves to zero steps; shrink dt or grow t_max")
@@ -297,17 +305,6 @@ def _write_csv(path, columns):
         for lo in range(0, arrays[0].size, CSV_CHUNK_ROWS):
             chunk = np.column_stack([a[lo : lo + CSV_CHUNK_ROWS] for a in arrays])
             fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
-
-
-def _max_shared_diff(fine, coarse):
-    """Worst |fine - coarse| on shared grid points, ignoring non-finite pairs."""
-    n2 = coarse.size - 1
-    a = fine[: 2 * n2 + 1 : 2]
-    b = coarse[: n2 + 1]
-    mask = np.isfinite(a) & np.isfinite(b)
-    if not mask.any():
-        return None
-    return float(np.abs(a[mask] - b[mask]).max())
 
 
 def _pulsed_columns(scen, n_steps, dt):
@@ -404,17 +401,13 @@ def _base_meta(scen):
     return meta
 
 
-def _finish_meta(meta, csv_name, columns, refinement):
+def _write_outputs(outdir, csv_name, columns, meta, refinement):
     meta["csv"] = csv_name
     meta["columns"] = [c[0] for c in columns]
     meta["refinement"] = {
         "method": "full rerun at dt/2, worst difference on shared grid points",
         "estimates": refinement,
     }
-    return meta
-
-
-def _write_outputs(outdir, csv_name, columns, meta):
     csv_path = os.path.join(outdir, csv_name)
     _write_csv(csv_path, columns)
     meta_path = csv_path + ".meta.json"
@@ -424,18 +417,28 @@ def _write_outputs(outdir, csv_name, columns, meta):
     return [csv_path, meta_path]
 
 
-def _run_pulsed(scen, outdir):
-    columns, diagnostics = _pulsed_columns(scen, scen.n_steps, scen.dt)
-    fine, _ = _pulsed_columns(scen, 2 * scen.n_steps, 0.5 * scen.dt)
+def _refined(columns_of, scen, *args):
+    """Run columns_of(scen, *args, n, dt) on the scenario grid and at (2n, dt/2).
+
+    Returns the coarse columns, the coarse run's second result and, per
+    column, the worst difference between the runs on their shared points.
+    """
+    columns, extra = columns_of(scen, *args, scen.n_steps, scen.dt)
+    fine, _ = columns_of(scen, *args, 2 * scen.n_steps, 0.5 * scen.dt)
     refinement = {}
     for (name, vals), (_, vals_f) in zip(columns, fine):
-        refinement[name] = _max_shared_diff(np.asarray(vals_f, float), np.asarray(vals, float))
+        refinement[name] = shared_points_difference(np.asarray(vals_f, float),
+                                                    np.asarray(vals, float))
+    return columns, extra, refinement
+
+
+def _run_pulsed(scen, outdir):
+    columns, diagnostics, refinement = _refined(_pulsed_columns, scen)
     meta = _base_meta(scen)
     meta["pulsed"] = {"tcl_order": scen.tcl_order, "rate_columns": scen.rates, **diagnostics}
     base = scen.output or scen.name
     csv_name = base if base.endswith(".csv") else base + ".csv"
-    _finish_meta(meta, csv_name, columns, refinement)
-    return _write_outputs(outdir, csv_name, columns, meta)
+    return _write_outputs(outdir, csv_name, columns, meta, refinement)
 
 
 def _cw_label(order):
@@ -443,11 +446,7 @@ def _cw_label(order):
 
 
 def _run_cw_order(scen, order, outdir):
-    columns, traj = _cw_columns(scen, order, scen.n_steps, scen.dt)
-    fine, _ = _cw_columns(scen, order, 2 * scen.n_steps, 0.5 * scen.dt)
-    refinement = {}
-    for (name, vals), (_, vals_f) in zip(columns, fine):
-        refinement[name] = _max_shared_diff(np.asarray(vals_f, float), np.asarray(vals, float))
+    columns, traj, refinement = _refined(_cw_columns, scen, order)
     meta = _base_meta(scen)
     meta["cw"] = {
         "kappa1": scen.cw_kappa1,
@@ -466,8 +465,7 @@ def _run_cw_order(scen, order, outdir):
     if base.endswith(".csv"):
         base = base[:-4]
     csv_name = f"{base}_{_cw_label(order)}.csv"
-    _finish_meta(meta, csv_name, columns, refinement)
-    return _write_outputs(outdir, csv_name, columns, meta)
+    return _write_outputs(outdir, csv_name, columns, meta, refinement)
 
 
 def run_scenario(scen, outdir=".", jobs=1):
@@ -557,8 +555,11 @@ def _apply_overrides(scen, args):
     if args.tmax is not None or args.dt is not None:
         t_max = args.tmax if args.tmax is not None else scen.t_max
         dt = args.dt if args.dt is not None else scen.dt
+        _require_finite(t_max, "--tmax")
+        _require_finite(dt, "--dt")
         if t_max <= 0 or dt <= 0:
             raise ConfigError("--tmax and --dt must be positive")
+        _require_finite(t_max / dt, "--tmax/--dt")
         n_steps = int(round(t_max / dt))
         if n_steps < 1:
             raise ConfigError("--tmax/--dt resolve to zero steps")

@@ -16,6 +16,7 @@ are tolerated and flagged instead of treated as errors.
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -155,17 +156,14 @@ def r_function(params, grid):
 # into a leak vector instead, so that column sums plus leak vanish exactly.
 
 
-class _Templates:
-    __slots__ = ("static", "out", "oc", "leak_static", "leak_oc", "dim", "n1p")
-
-    def __init__(self, static, out, oc, leak_static, leak_oc, dim, n1p):
-        self.static = static
-        self.out = out
-        self.oc = oc
-        self.leak_static = leak_static
-        self.leak_oc = leak_oc
-        self.dim = dim
-        self.n1p = n1p
+class _Templates(NamedTuple):
+    static: sp.csr_matrix
+    out: sp.csr_matrix
+    oc: sp.csr_matrix
+    leak_static: np.ndarray
+    leak_oc: np.ndarray
+    dim: int
+    n1p: int
 
 
 @lru_cache(maxsize=8)
@@ -450,12 +448,6 @@ class CwTrajectory:
     negativity_flagged: bool = False
 
 
-def _banded_offsets(n1p):
-    lower = max(1, n1p - 2)   # largest positive row - col offset
-    upper = n1p               # largest negative offset magnitude
-    return lower, upper
-
-
 def _band_rows(mats, lower, upper):
     """Band-storage rows (upper + row - col) that hold a non-zero entry of
     some matrix, plus the main diagonal; every other row of the band is zero."""
@@ -479,57 +471,45 @@ def _to_banded(mat, rows, upper, dim):
     return ab
 
 
-def _rates_on(params, grid):
-    if params.order == "markov":
-        return None
-    order_max = 2 if params.order == 2 else 4
-    return tcl.tcl_series_rates(params.trap, grid, order_max)
-
-
-def evolve(params, p0, t_max, dt, stepper="cn"):
+def evolve(params, p0, t_max, dt):
     """Integrate dp/dt = G(t) p and record the observables at every step.
 
-    Two steppers:
-
-    * "cn" (default): trapezoidal implicit stepping, G evaluated at both ends
-      of each step. Unconditionally stable, which matters because the fastest
-      collision rates at the default truncation reach 1e9 1/s while the
-      physics of interest moves on the 1e-2 s scale. The first few steps are
-      taken as pairs of backward-Euler half-steps (Rannacher startup): plain
-      trapezoidal stepping rings on the stiff startup transient and pushes
-      small probabilities negative, while backward Euler is positivity
-      preserving; the damped start keeps second-order accuracy globally.
-    * "rk4": the classical explicit one-step rule with the generator refreshed
-      at the half step. Requires dt * max|G_ii| <= 0.1 and therefore only
-      suits small boxes; kept as the cross-check stepper.
+    One stepper serves every order: trapezoidal implicit (Crank-Nicolson)
+    stepping with G evaluated at both ends of each step. It is
+    unconditionally stable, which matters because the fastest collision
+    rates at the default truncation reach 1e9 1/s while the physics of
+    interest moves on the 1e-2 s scale. The first RANNACHER_STEPS steps are
+    taken as pairs of backward-Euler half-steps (Rannacher startup): plain
+    trapezoidal stepping rings on the stiff startup transient and pushes
+    small probabilities negative, while backward Euler is positivity
+    preserving; the damped start keeps second-order accuracy globally.
 
     Boundary-clipped flux is accumulated with the same trapezoid weights the
-    stepping uses, so sum(p) + clipped stays at 1 to rounding for "cn".
+    stepping uses, so sum(p) + clipped stays at 1 to rounding.
 
-    With a constant generator (markov) one sparse LU serves every solve. At
-    orders 2 and 4, gamma(t) and r(t) change every step, so each solve
-    factors I - h G(t) anew with LAPACK's banded gbsv. The band is
-    (n1_max - 1) diagonals below and n1_max + 1 above the main one, but only
-    the few diagonals that hold a non-zero template entry (6 at order 4) are
-    stored; they are combined each step into one reused LAPACK work array
-    whose other rows stay zero.
+    How the solves are factored follows from whether G changes in time. The
+    markov generator is constant, so one sparse LU built before the first
+    step serves every solve. At orders 2 and 4, gamma(t) and r(t) change
+    every step, so each solve factors I - (dt/2) G(t) anew with LAPACK's
+    banded gbsv. The band is (n1_max - 1) diagonals below and n1_max + 1
+    above the main one, but only the few diagonals that hold a non-zero
+    template entry (6 at order 4) are stored; they are combined each step
+    into one reused LAPACK work array whose other rows stay zero.
     """
-    if stepper not in ("cn", "rk4"):
-        raise ConfigError(f"unknown stepper {stepper!r}")
     if t_max <= 0 or dt <= 0:
         raise ConfigError("t_max and dt must be positive")
     _ensure_closure(params)
-    tpl = _templates_for(params)
-    dim = tpl.dim
+    static, out_csr, oc_csr, leak_s, leak_oc, dim, n1p = _templates_for(params)
     n_steps = int(np.ceil(t_max / dt - 1e-12))
     # rates and the cross-term weight are sampled at half steps so both the
-    # endpoints and the rk4 midpoint come from one table
+    # endpoints and the Rannacher midpoint come from one table
     half = UniformGrid(0.0, 0.5 * dt, 2 * n_steps + 1)
-    rates = _rates_on(params, half)
     if params.order == "markov":
+        rates = None
         gamma_h = np.full(half.n_points, model.gamma_markov_closed_form(params.trap))
     else:
         top = 2 if params.order == 2 else 4
+        rates = tcl.tcl_series_rates(params.trap, half, top)
         gamma_h = rates.total_gamma(top).values
     if params.order == 4:
         rr_h = r_function(params, half).values.real
@@ -544,10 +524,7 @@ def evolve(params, p0, t_max, dt, stepper="cn"):
     # one assembly through the checked path validates column balance up front
     build_generator(params, 0.0, rates, complex(rr_h[0]))
 
-    static = tpl.static.tocsr()
-    out_csr = tpl.out.tocsr()
-    oc_csr = tpl.oc.tocsr()
-    leak_s, leak_oc = tpl.leak_static, tpl.leak_oc
+    h = 0.5 * dt
 
     def rhs(vec, g, rr):
         y = static @ vec + g * (out_csr @ vec)
@@ -561,7 +538,37 @@ def evolve(params, p0, t_max, dt, stepper="cn"):
             val += rr * (leak_oc @ vec)
         return float(val)
 
-    n1p = params.n1_max + 1
+    if params.order == "markov":
+        lu = splu(sp.identity(dim, format="csc") - h * (static + gamma_h[0] * out_csr).tocsc())
+
+        def implicit_solve(g, rr, b):
+            return lu.solve(b)
+    else:
+        # largest positive row - col offset, largest negative offset magnitude
+        lower, upper = max(1, n1p - 2), n1p
+        mats = (static, out_csr) + ((oc_csr,) if params.order == 4 else ())
+        rows = _band_rows(mats, lower, upper)
+        b_static = _to_banded(static, rows, upper, dim)
+        b_out = _to_banded(out_csr, rows, upper, dim)
+        b_oc = _to_banded(oc_csr, rows, upper, dim) if params.order == 4 else None
+        b_eye = np.zeros_like(b_static)
+        b_eye[rows == upper] = 1.0
+        # gbsv's band layout: `lower` fill-in rows above the band itself
+        work = np.zeros((2 * lower + upper + 1, dim), order="F")
+        gbsv, = get_lapack_funcs(("gbsv",), (work,))
+
+        def implicit_solve(g, rr, b):
+            band = b_eye - h * (b_static + g * b_out)
+            if b_oc is not None and rr != 0.0:
+                band -= h * rr * b_oc
+            work.fill(0.0)
+            work[lower + rows] = band
+            _, _, x, info = gbsv(lower, upper, work, b, overwrite_ab=True)
+            if info != 0:
+                raise NumericalFailure(
+                    f"banded LU of the implicit step failed (LAPACK gbsv info {info})")
+            return x
+
     n0_of = (np.arange(dim) // n1p).astype(float)
     n1_of = (np.arange(dim) % n1p).astype(float)
 
@@ -581,90 +588,21 @@ def evolve(params, p0, t_max, dt, stepper="cn"):
 
     clip = 0.0
     record(0, p, clip)
-
-    if stepper == "rk4":
-        g_max = float(gamma_h.max())
-        rr_max = float(np.abs(rr_h).max())
-        diag_bound = np.abs(static.diagonal()) + g_max * np.abs(out_csr.diagonal())
-        if rr_max:
-            diag_bound = diag_bound + rr_max * np.abs(oc_csr.diagonal())
-        bound = float(diag_bound.max())
-        if dt * bound > 0.1:
-            raise ConfigError(
-                f"explicit stepping needs dt * max|G_ii| <= 0.1; here dt * {bound:.3e} "
-                f"= {dt * bound:.3f}. Refine dt or use the implicit stepper."
-            )
-        for j in range(n_steps):
-            g0, gm, g1 = gamma_h[2 * j], gamma_h[2 * j + 1], gamma_h[2 * j + 2]
-            r0, rm, r1 = rr_h[2 * j], rr_h[2 * j + 1], rr_h[2 * j + 2]
-            k1 = rhs(p, g0, r0)
-            k2 = rhs(p + 0.5 * dt * k1, gm, rm)
-            k3 = rhs(p + 0.5 * dt * k2, gm, rm)
-            k4 = rhs(p + dt * k3, g1, r1)
-            p_new = p + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            clip += 0.5 * dt * (leak_dot(p, r0) + leak_dot(p_new, r1))
-            p = p_new
-            record(j + 1, p, clip)
-    else:
-        time_dependent = params.order != "markov"
-        if not time_dependent:
-            g0 = gamma_h[0]
-            # the same factor serves the trapezoidal step and the
-            # backward-Euler half-steps of the startup
-            A = sp.identity(dim, format="csc") - 0.5 * dt * (static + g0 * out_csr).tocsc()
-            lu = splu(A)
-            for j in range(n_steps):
-                if j < RANNACHER_STEPS:
-                    p_new = lu.solve(p)
-                    clip += 0.5 * dt * leak_dot(p_new, 0.0)
-                    p_new = lu.solve(p_new)
-                    clip += 0.5 * dt * leak_dot(p_new, 0.0)
-                else:
-                    y = p + 0.5 * dt * rhs(p, g0, 0.0)
-                    p_new = lu.solve(y)
-                    clip += 0.5 * dt * (leak_dot(p, 0.0) + leak_dot(p_new, 0.0))
-                p = p_new
-                record(j + 1, p, clip)
+    for j in range(n_steps):
+        g0, g1 = gamma_h[2 * j], gamma_h[2 * j + 2]
+        r0, r1 = rr_h[2 * j], rr_h[2 * j + 2]
+        if j < RANNACHER_STEPS:
+            gm_, rm_ = gamma_h[2 * j + 1], rr_h[2 * j + 1]
+            p_new = implicit_solve(gm_, rm_, p)
+            clip += h * leak_dot(p_new, rm_)
+            p_new = implicit_solve(g1, r1, p_new)
+            clip += h * leak_dot(p_new, r1)
         else:
-            lower, upper = _banded_offsets(n1p)
-            mats = (static, out_csr) + ((oc_csr,) if params.order == 4 else ())
-            rows = _band_rows(mats, lower, upper)
-            b_static = _to_banded(static, rows, upper, dim)
-            b_out = _to_banded(out_csr, rows, upper, dim)
-            b_oc = _to_banded(oc_csr, rows, upper, dim) if params.order == 4 else None
-            b_eye = np.zeros_like(b_static)
-            b_eye[rows == upper] = 1.0
-            # gbsv's band layout: `lower` fill-in rows above the band itself
-            work = np.zeros((2 * lower + upper + 1, dim), order="F")
-            gbsv, = get_lapack_funcs(("gbsv",), (work,))
-
-            def implicit_solve(step, g, rr, b):
-                band = b_eye - step * (b_static + g * b_out)
-                if b_oc is not None and rr != 0.0:
-                    band -= step * rr * b_oc
-                work.fill(0.0)
-                work[lower + rows] = band
-                _, _, x, info = gbsv(lower, upper, work, b, overwrite_ab=True)
-                if info != 0:
-                    raise NumericalFailure(
-                        f"banded LU of the implicit step failed (LAPACK gbsv info {info})")
-                return x
-
-            for j in range(n_steps):
-                g0, g1 = gamma_h[2 * j], gamma_h[2 * j + 2]
-                r0, r1 = rr_h[2 * j], rr_h[2 * j + 2]
-                if j < RANNACHER_STEPS:
-                    gm_, rm_ = gamma_h[2 * j + 1], rr_h[2 * j + 1]
-                    p_new = implicit_solve(0.5 * dt, gm_, rm_, p)
-                    clip += 0.5 * dt * leak_dot(p_new, rm_)
-                    p_new = implicit_solve(0.5 * dt, g1, r1, p_new)
-                    clip += 0.5 * dt * leak_dot(p_new, r1)
-                else:
-                    y = p + 0.5 * dt * rhs(p, g0, r0)
-                    p_new = implicit_solve(0.5 * dt, g1, r1, y)
-                    clip += 0.5 * dt * (leak_dot(p, r0) + leak_dot(p_new, r1))
-                p = p_new
-                record(j + 1, p, clip)
+            y = p + h * rhs(p, g0, r0)
+            p_new = implicit_solve(g1, r1, y)
+            clip += h * (leak_dot(p, r0) + leak_dot(p_new, r1))
+        p = p_new
+        record(j + 1, p, clip)
 
     drift = float(np.abs(prob_sum + clipped - 1.0).max())
     if drift > CONSERVATION_TOL:

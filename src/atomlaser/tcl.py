@@ -29,6 +29,7 @@ from .quad import (
     ordered_triple_direct,
     ordered_triple_factored,
     sample,
+    shared_points_difference,
 )
 
 __all__ = [
@@ -142,9 +143,8 @@ def tcl4_rates(params, grid, cross_validate=False, validate_points=3):
         idx = np.unique(np.linspace(n // 2, n - 1, validate_points, dtype=int))
         # halving estimate for the fast path, on shared coarse points
         coarse_g4, coarse_s4, _, _ = _tcl4_from_tables(params, grid.coarsened())
-        nc = coarse_g4.grid.n_points
-        est_g = np.max(np.abs(gamma4.values[::2][:nc] - coarse_g4.values[:nc]))
-        est_s = np.max(np.abs(s4.values[::2][:nc] - coarse_s4.values[:nc]))
+        est_g = shared_points_difference(gamma4.values, coarse_g4.values)
+        est_s = shared_points_difference(s4.values, coarse_s4.values)
         ts = grid.times()
         for j in idx:
             direct_g, direct_s = _tcl4_direct_value(phi_s, psi_s, ts[j], grid.dt)

@@ -247,6 +247,26 @@ def test_bad_config_exits_one(tmp_path, capsys):
     assert "config error" in err and "mode" in err
 
 
+@pytest.mark.parametrize("config, flags, name", [
+    (TINY_PULSED.replace("t_max = 2e-4", "t_max = inf"), [], "key 't_max'"),
+    (TINY_CW.replace("t_max_gamma = 0.05", "t_max_gamma = nan"), [], "key 't_max_gamma'"),
+    (TINY_PULSED.replace("n_steps = 20", "dt = nan"), [], "key 'dt'"),
+    (TINY_PULSED.replace("t_max = 2e-4", "t_max = 1e300").replace("n_steps = 20", "dt = 1e-300"),
+     [], "t_max/dt"),
+    (TINY_PULSED, ["--tmax", "inf"], "--tmax"),
+    (TINY_PULSED, ["--dt", "nan"], "--dt"),
+    (TINY_PULSED, ["--tmax", "1e300", "--dt", "1e-300"], "--tmax/--dt"),
+], ids=["t_max", "t_max_gamma", "dt", "t_max/dt", "--tmax", "--dt", "--tmax/--dt"])
+def test_non_finite_grid_exits_one(tmp_path, capsys, config, flags, name):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(config)
+    rc = main(["run", str(cfg), "--out", str(tmp_path)] + flags)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"atomlaser: config error: {name} must be finite" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_target_exits_one(tmp_path, capsys):
     rc = main(["run", "fig9", "--out", str(tmp_path)])
     assert rc == 1
