@@ -8,9 +8,13 @@ The package splits along the physics:
 * tcl: perturbative time-local decay rates, order 2/4/6, two independent routes
 * cw: pumped two-mode number dynamics with the time-dependent output rate
 * cli: scenario runner emitting CSV + metadata sidecars
+
+Import each name from the module that defines it
+(`from atomlaser.model import TrapParams`); the package itself holds only the
+error types, so `import atomlaser` loads neither numpy nor scipy.
 """
 
-from .errors import (
+from .errors import (  # noqa: F401
     ConfigError,
     DomainError,
     GeneratorError,
@@ -18,102 +22,5 @@ from .errors import (
     NumericalFailure,
     ParameterError,
 )
-from .model import (
-    MarkovConstants,
-    ReservoirFunctions,
-    TrapParams,
-    correlation_f,
-    coupling_kappa,
-    derive_alpha,
-    gamma_markov_by_quadrature,
-    gamma_markov_closed_form,
-    markov_constants,
-    spectral_density,
-    timescale_ratio,
-)
-from .quad import (
-    SampledFunction,
-    UniformGrid,
-    cumulative_integral,
-    grid_for,
-    halving_difference,
-    iterated_convolution,
-    ordered_triple_direct,
-    ordered_triple_factored,
-    sample,
-    simplex_integral_3,
-)
-from .tcl import (
-    RateSeries,
-    asymptotic_gamma2,
-    occupation_from_rates,
-    series_breakdown_index,
-    tcl2_rates,
-    tcl4_rates,
-    tcl_series_rates,
-    waiting_time,
-)
-from .volterra import exact_rates, occupation, solve_amplitude, solve_volterra
-from .cw import (
-    CwParams,
-    DiagonalState,
-    build_generator,
-    evolve,
-    r_function,
-    stationary_distribution,
-    steady_state_markov,
-    verify_diagonal_closure,
-)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConfigError",
-    "DomainError",
-    "GeneratorError",
-    "GridError",
-    "NumericalFailure",
-    "ParameterError",
-    "MarkovConstants",
-    "ReservoirFunctions",
-    "TrapParams",
-    "correlation_f",
-    "coupling_kappa",
-    "derive_alpha",
-    "gamma_markov_by_quadrature",
-    "gamma_markov_closed_form",
-    "markov_constants",
-    "spectral_density",
-    "timescale_ratio",
-    "SampledFunction",
-    "UniformGrid",
-    "cumulative_integral",
-    "grid_for",
-    "halving_difference",
-    "iterated_convolution",
-    "ordered_triple_direct",
-    "ordered_triple_factored",
-    "sample",
-    "simplex_integral_3",
-    "RateSeries",
-    "asymptotic_gamma2",
-    "occupation_from_rates",
-    "series_breakdown_index",
-    "tcl2_rates",
-    "tcl4_rates",
-    "tcl_series_rates",
-    "waiting_time",
-    "exact_rates",
-    "occupation",
-    "solve_amplitude",
-    "solve_volterra",
-    "CwParams",
-    "DiagonalState",
-    "build_generator",
-    "evolve",
-    "r_function",
-    "stationary_distribution",
-    "steady_state_markov",
-    "verify_diagonal_closure",
-    "__version__",
-]

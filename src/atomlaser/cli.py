@@ -9,12 +9,11 @@ Exit codes: 0 success, 1 configuration problem, 2 numerical failure.
 
 import argparse
 import configparser
-import io
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,22 +145,29 @@ def _get(section, key, conv, required=True, default=None):
     raw = section[key]
     try:
         return conv(raw)
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, KeyError):
         raise ConfigError(f"key '{key}' in [{section.name}]: cannot parse {raw!r}") from None
 
 
-def _bool(raw):
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(raw)
+def _require_positive(value, name):
+    if not (np.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _require_finite(value, name):
-    if not np.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
+def _resolve_grid(t_max, dt, t_name, dt_name, ratio_name):
+    """(t_max, dt, n_steps) with t_max rounded to whole steps of dt.
+
+    ConfigError names the config key or CLI flag at fault.
+    """
+    _require_positive(t_max, t_name)
+    _require_positive(dt, dt_name)
+    ratio = t_max / dt
+    if not np.isfinite(ratio):
+        raise ConfigError(f"{ratio_name} must be finite, got {ratio!r}")
+    n_steps = int(round(ratio))
+    if n_steps < 1:
+        raise ConfigError(f"{ratio_name} resolves to zero steps; shrink dt or grow t_max")
+    return n_steps * dt, dt, n_steps
 
 
 def _check_keys(section, allowed):
@@ -214,24 +220,18 @@ def parse_scenario(text, source="<config>"):
         if gamma_m <= 0:
             raise ConfigError("key 't_max_gamma' needs Gamma > 0; give 't_max' in seconds")
         t_max = t_max_gamma / gamma_m
-    _require_finite(t_max, "key 't_max'" if t_max_gamma is None else "key 't_max_gamma'")
+    t_name = "key 't_max'" if t_max_gamma is None else "key 't_max_gamma'"
     dt = _get(gr, "dt", float, required=False)
     n_steps = _get(gr, "n_steps", int, required=False)
     if (dt is None) == (n_steps is None):
         raise ConfigError("section [grid] needs exactly one of 'dt' and 'n_steps'")
     if dt is None:
+        _require_positive(t_max, t_name)
         if n_steps < 1:
             raise ConfigError("key 'n_steps' must be at least 1")
         dt = t_max / n_steps
     else:
-        _require_finite(dt, "key 'dt'")
-        if dt <= 0 or t_max <= 0:
-            raise ConfigError("grid times must be positive")
-        _require_finite(t_max / dt, "t_max/dt")
-        n_steps = int(round(t_max / dt))
-        if n_steps < 1:
-            raise ConfigError("grid resolves to zero steps; shrink dt or grow t_max")
-        t_max = n_steps * dt
+        t_max, dt, n_steps = _resolve_grid(t_max, dt, t_name, "key 'dt'", "t_max/dt")
 
     scen = Scenario(
         name=name,
@@ -242,7 +242,8 @@ def parse_scenario(text, source="<config>"):
         n_steps=n_steps,
         description=_get(sc, "description", str, required=False, default=""),
         tcl_order=_get(sc, "tcl_order", int, required=False, default=6),
-        rates=_get(sc, "rates", _bool, required=False, default=False),
+        rates=_get(sc, "rates", lambda raw: cp.BOOLEAN_STATES[raw.lower()],
+                   required=False, default=False),
         output=_get(sc, "output", str, required=False, default=""),
         source=source,
     )
@@ -498,17 +499,16 @@ def _load_config(target):
     )
 
 
-def list_scenarios(config_dir=None, stream=None):
+def list_scenarios(config_dir=None):
     """Print built-in scenarios, then any configs found in config_dir."""
-    stream = stream or sys.stdout
     for name in _BUILTIN_ORDER:
         scen = parse_scenario(BUILTIN_SCENARIOS[name], name)
-        stream.write(f"{name}  {scen.description}\n")
+        print(f"{name}  {scen.description}")
     if config_dir:
         try:
             entries = sorted(os.listdir(config_dir))
         except OSError as exc:
-            stream.write(f"(cannot read {config_dir}: {exc})\n")
+            print(f"(cannot read {config_dir}: {exc})")
             return
         for entry in entries:
             path = os.path.join(config_dir, entry)
@@ -518,9 +518,9 @@ def list_scenarios(config_dir=None, stream=None):
             try:
                 with open(path) as fh:
                     scen = parse_scenario(fh.read(), path)
-                stream.write(f"{scen.name}  {scen.description}  ({path})\n")
+                print(f"{scen.name}  {scen.description}  ({path})")
             except Exception as exc:
-                stream.write(f"{stem}  [parse error: {exc}]  ({path})\n")
+                print(f"{stem}  [parse error: {exc}]  ({path})")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -553,17 +553,9 @@ def _build_parser():
 
 def _apply_overrides(scen, args):
     if args.tmax is not None or args.dt is not None:
-        t_max = args.tmax if args.tmax is not None else scen.t_max
-        dt = args.dt if args.dt is not None else scen.dt
-        _require_finite(t_max, "--tmax")
-        _require_finite(dt, "--dt")
-        if t_max <= 0 or dt <= 0:
-            raise ConfigError("--tmax and --dt must be positive")
-        _require_finite(t_max / dt, "--tmax/--dt")
-        n_steps = int(round(t_max / dt))
-        if n_steps < 1:
-            raise ConfigError("--tmax/--dt resolve to zero steps")
-        scen.t_max, scen.dt, scen.n_steps = n_steps * dt, dt, n_steps
+        scen.t_max, scen.dt, scen.n_steps = _resolve_grid(
+            scen.t_max if args.tmax is None else args.tmax,
+            scen.dt if args.dt is None else args.dt, "--tmax", "--dt", "--tmax/--dt")
     if args.order is not None:
         if scen.mode == "cw":
             if args.order not in (2, 4):

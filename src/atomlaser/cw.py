@@ -14,7 +14,7 @@ are tolerated and flagged instead of treated as errors.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -26,8 +26,8 @@ from scipy.linalg import solve_banded  # noqa: F401
 from scipy.sparse.linalg import splu, spsolve
 
 from . import model, tcl
-from .errors import ConfigError, GeneratorError, NumericalFailure, ParameterError
-from .quad import SampledFunction, UniformGrid, cumulative_integral, sample
+from .errors import GeneratorError, NumericalFailure, ParameterError
+from .quad import SampledFunction, UniformGrid, cumulative_integral, grid_for, sample
 
 __all__ = [
     "CwParams",
@@ -54,6 +54,8 @@ CLIP_WARN = 1e-3
 # implicit-stepper startup: this many leading steps are taken as pairs of
 # backward-Euler half-steps to damp the stiff transient
 RANNACHER_STEPS = 4
+# verify_diagonal_closure checks the templates on the (CLOSURE_N, CLOSURE_N) box
+CLOSURE_N = 3
 
 
 @dataclass(frozen=True)
@@ -97,16 +99,19 @@ class CwParams:
 
 @dataclass
 class DiagonalState:
-    """Probability table p[n0, n1] on the truncated space."""
+    """Probability table p[n0, n1] on the truncated space, plus the mass
+    clipped at the box boundary; the two together sum to 1."""
 
     p: np.ndarray
+    clipped: float = 0.0
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 2:
             raise ParameterError("state must be a 2-d table indexed (n0, n1)")
-        if abs(p.sum() - 1.0) > 1e-6:
-            raise ParameterError(f"state is not normalized: sum p = {p.sum()!r}")
+        if abs(p.sum() + self.clipped - 1.0) > 1e-6:
+            raise ParameterError(
+                f"state is not normalized: sum p + clipped = {p.sum() + self.clipped!r}")
         self.p = p
 
     @classmethod
@@ -178,12 +183,11 @@ def _templates(n0_max, n1_max, kappa1, N, Omega):
     def fidx(a, b):
         return (a * n1p + b).astype(int)
 
-    def assemble(entries, leak):
+    def assemble(entries):
         rows = np.hstack([e[0] for e in entries])
         cols = np.hstack([e[1] for e in entries])
         vals = np.hstack([e[2] for e in entries])
-        mat = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-        return mat, leak
+        return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
     # static part: pump gain/loss and bare collisions
     entries = []
@@ -204,7 +208,7 @@ def _templates(n0_max, n1_max, kappa1, N, Omega):
     entries.append((fidx(n0f[ok] + 1, n1f[ok] - 2), src[ok], w[ok]))
     np.add.at(leak_s, src[clip], w[clip])
     entries.append((src, src, -w))
-    static, _ = assemble(entries, leak_s)
+    static = assemble(entries)
 
     # output channel, weighted by gamma(t) at run time
     entries = []
@@ -212,7 +216,7 @@ def _templates(n0_max, n1_max, kappa1, N, Omega):
     ok = n0g.ravel() >= 1
     entries.append((fidx(n0f[ok] - 1, n1f[ok]), src[ok], rate[ok]))
     entries.append((src, src, -rate))
-    out, _ = assemble(entries, np.zeros(dim))
+    out = assemble(entries)
 
     # output-collision cross term, weighted by Re r(t) at run time.
     # Applying the cross superoperator to a diagonal projector |n0,n1><n0,n1|
@@ -233,7 +237,7 @@ def _templates(n0_max, n1_max, kappa1, N, Omega):
     ok = (n0g.ravel() >= 1) & (n1g.ravel() >= 2)
     entries.append((fidx(n0f[ok] - 1, n1f[ok]), src[ok], wp[ok]))
     entries.append((src, src, -wp))
-    oc, _ = assemble(entries, leak_oc)
+    oc = assemble(entries)
 
     return _Templates(static, out, oc, leak_s, leak_oc, dim, n1p)
 
@@ -303,7 +307,7 @@ def _dense_channel_columns(n0c, n1c, kappa1, N, Omega, gamma, shift, r):
     return channels, worst_offdiag
 
 
-def verify_diagonal_closure(params, n_test=3):
+def verify_diagonal_closure(params):
     """Self-test of the generator assembly on a tiny space.
 
     Checks, with generic probe values for the run-time weights, that
@@ -315,9 +319,9 @@ def verify_diagonal_closure(params, n_test=3):
     """
     gamma_p, shift_p, r_p = 0.7, 1.3, 0.4 - 0.9j
     channels, worst = _dense_channel_columns(
-        n_test, n_test, params.kappa1, params.N, params.Omega, gamma_p, shift_p, r_p
+        CLOSURE_N, CLOSURE_N, params.kappa1, params.N, params.Omega, gamma_p, shift_p, r_p
     )
-    scale = max(params.kappa1 * (1 + params.N), params.Omega) * (n_test + 1) ** 3
+    scale = max(params.kappa1 * (1 + params.N), params.Omega) * (CLOSURE_N + 1) ** 3
     if worst > 1e-12 * scale:
         raise GeneratorError(
             f"a channel leaks off the diagonal (worst element {worst:.3e}); "
@@ -329,10 +333,10 @@ def verify_diagonal_closure(params, n_test=3):
     imag_part = np.abs(channels["oc"].imag).max()
     if imag_part > 1e-10 * scale:
         raise GeneratorError(f"cross-term diagonal action is not real (max imag {imag_part:.3e})")
-    tpl = _templates(n_test, n_test, params.kappa1, params.N, params.Omega)
+    tpl = _templates(CLOSURE_N, CLOSURE_N, params.kappa1, params.N, params.Omega)
     G = (tpl.static + gamma_p * tpl.out + r_p.real * tpl.oc).toarray()
-    n1p = n_test + 1
-    interior = [a * n1p + b for a in range(n_test) for b in range(n_test)]
+    n1p = CLOSURE_N + 1
+    interior = [a * n1p + b for a in range(CLOSURE_N) for b in range(CLOSURE_N)]
     diff = np.abs(G[:, interior] - dense[:, interior]).max()
     if diff > 1e-10 * scale:
         raise GeneratorError(
@@ -351,43 +355,31 @@ def _ensure_closure(params):
         _closure_checked.add(key)
 
 
-@dataclass
-class GeneratorAt:
+class GeneratorAt(NamedTuple):
     matrix: sp.csr_matrix
-    leak: np.ndarray = field(repr=False)
-    gamma: float = 0.0
-    r: complex = 0.0
+    leak: np.ndarray
 
 
-def _gamma_at_time(params, t, rates):
-    if params.order == "markov":
-        return model.gamma_markov_closed_form(params.trap)
-    if rates is None:
-        raise ParameterError(f"order {params.order} needs a RateSeries")
-    g = rates.grid
-    j = int(round((t - g.t0) / g.dt))
-    if not (0 <= j < g.n_points) or abs(g.t0 + j * g.dt - t) > 1e-9 * max(g.dt, 1e-300):
-        raise ParameterError(f"t = {t} is not on the rate grid")
-    top = 2 if params.order == 2 else 4
-    return float(rates.total_gamma(top).values[j])
+def build_generator(params, gamma=None, r=0j):
+    """Rate matrix G on the flattened diagonal space, with its leak vector.
 
-
-def build_generator(params, t=0.0, rates=None, r=0j):
-    """Rate matrix G(t) on the flattened diagonal space, with its leak vector.
-
+    gamma is the output rate (default: the markov gamma_M, the only choice
+    at order "markov") and r the cross-term weight, used at order 4 only.
     Column sums of G plus the leak must vanish; they are checked against a
     tolerance relative to the largest rate in the matrix (the absolute scale
     reaches 1e9 1/s at the default truncation, so an absolute tolerance would
     be meaningless in float64).
     """
+    if gamma is None:
+        if params.order != "markov":
+            raise ParameterError(f"order {params.order} needs its output rate gamma")
+        gamma = model.gamma_markov_closed_form(params.trap)
     _ensure_closure(params)
     tpl = _templates_for(params)
-    gamma_t = _gamma_at_time(params, t, rates)
-    use_r = params.order == 4
-    rr = complex(r).real if use_r else 0.0
-    G = tpl.static + gamma_t * tpl.out
+    rr = complex(r).real if params.order == 4 else 0.0
+    G = tpl.static + gamma * tpl.out
     leak = tpl.leak_static.copy()
-    if use_r and rr != 0.0:
+    if rr != 0.0:
         G = G + rr * tpl.oc
         leak += rr * tpl.leak_oc
     colsum = np.asarray(G.sum(axis=0)).ravel() + leak
@@ -397,7 +389,7 @@ def build_generator(params, t=0.0, rates=None, r=0j):
             f"generator columns do not balance: worst residual {np.abs(colsum).max():.3e} "
             f"against rate scale {scale:.3e}"
         )
-    return GeneratorAt(G.tocsr(), leak, gamma_t, complex(r) if use_r else 0.0)
+    return GeneratorAt(G.tocsr(), leak)
 
 
 def steady_state_markov(params):
@@ -496,21 +488,17 @@ def evolve(params, p0, t_max, dt):
     template entry (6 at order 4) are stored; they are combined each step
     into one reused LAPACK work array whose other rows stay zero.
     """
-    if t_max <= 0 or dt <= 0:
-        raise ConfigError("t_max and dt must be positive")
+    grid = grid_for(t_max, dt)
+    n_steps = grid.n_points - 1
     _ensure_closure(params)
     static, out_csr, oc_csr, leak_s, leak_oc, dim, n1p = _templates_for(params)
-    n_steps = int(np.ceil(t_max / dt - 1e-12))
     # rates and the cross-term weight are sampled at half steps so both the
     # endpoints and the Rannacher midpoint come from one table
     half = UniformGrid(0.0, 0.5 * dt, 2 * n_steps + 1)
     if params.order == "markov":
-        rates = None
         gamma_h = np.full(half.n_points, model.gamma_markov_closed_form(params.trap))
     else:
-        top = 2 if params.order == 2 else 4
-        rates = tcl.tcl_series_rates(params.trap, half, top)
-        gamma_h = rates.total_gamma(top).values
+        gamma_h = tcl.tcl_series_rates(params.trap, half, params.order).total_gamma().values
     if params.order == 4:
         rr_h = r_function(params, half).values.real
     else:
@@ -522,7 +510,7 @@ def evolve(params, p0, t_max, dt):
             f"initial state has {p.size} entries, the truncated space has {dim}"
         )
     # one assembly through the checked path validates column balance up front
-    build_generator(params, 0.0, rates, complex(rr_h[0]))
+    build_generator(params, gamma_h[0], rr_h[0])
 
     h = 0.5 * dt
 
@@ -572,7 +560,7 @@ def evolve(params, p0, t_max, dt):
     n0_of = (np.arange(dim) // n1p).astype(float)
     n1_of = (np.arange(dim) % n1p).astype(float)
 
-    times = dt * np.arange(n_steps + 1)
+    times = grid.times()
     mean_n0 = np.empty(n_steps + 1)
     mean_n1 = np.empty(n_steps + 1)
     prob_sum = np.empty(n_steps + 1)
@@ -631,7 +619,6 @@ def evolve(params, p0, t_max, dt):
             "enlarge n0_max/n1_max for trustworthy output",
             stacklevel=2,
         )
-    final = DiagonalState.__new__(DiagonalState)
-    final.p = p.reshape(params.n0_max + 1, n1p)
+    final = DiagonalState(p.reshape(params.n0_max + 1, n1p), float(clipped[-1]))
     return CwTrajectory(times, mean_n0, mean_n1, prob_sum, min_p, clipped,
                         final, negativity_flagged)

@@ -16,9 +16,7 @@ HBAR = 1.054571817e-34  # J s
 __all__ = [
     "HBAR",
     "TrapParams",
-    "ReservoirFunctions",
     "MarkovConstants",
-    "derive_alpha",
     "coupling_kappa",
     "spectral_density",
     "correlation_f",
@@ -71,23 +69,16 @@ class TrapParams:
 
     @property
     def alpha(self):
-        return derive_alpha(self)
+        """Frequency scale of the reservoir memory, hbar sigma_k^2 / (2 M)."""
+        return self.hbar * self.sigma_k**2 / (2.0 * self.M)
 
 
-def derive_alpha(params):
-    """Frequency scale of the reservoir memory, hbar sigma_k^2 / (2 M)."""
-    return params.hbar * params.sigma_k**2 / (2.0 * params.M)
-
-
-def coupling_kappa(params, k, k0=0.0):
-    """Momentum-space coupling amplitude at wavenumber k (purely imaginary).
-
-    k0 is the center of the outcoupled wave packet; the physical model fixes
-    it to zero, the keyword exists only so tests can probe the Gaussian shape.
-    """
+def coupling_kappa(params, k):
+    """Momentum-space coupling amplitude at wavenumber k (purely imaginary),
+    a Gaussian centred on k = 0."""
     k = np.asarray(k, dtype=float)
     norm = (2.0 * np.pi * params.sigma_k**2) ** -0.25
-    amp = np.sqrt(params.Gamma) * norm * np.exp(-((k - k0) ** 2) / (4.0 * params.sigma_k**2))
+    amp = np.sqrt(params.Gamma) * norm * np.exp(-(k**2) / (4.0 * params.sigma_k**2))
     return 1j * amp
 
 
@@ -100,24 +91,20 @@ def spectral_density(params, omega):
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0.0):
         raise DomainError("spectral density is defined for omega > 0 only")
-    a = derive_alpha(params)
+    a = params.alpha
     return params.Gamma * np.exp(-omega / a) / np.sqrt(np.pi * a * omega)
 
 
-def correlation_f(params, tau, extend=False):
+def correlation_f(params, tau):
     """Reservoir correlation f(tau) = exp(i omega0 tau) Gamma / sqrt(1 + i alpha tau).
 
     Principal branch of the square root (the argument never leaves the right
-    half-plane for tau >= 0, so no cut is crossed). Negative tau raises unless
-    extend=True, which applies the Hermitian extension f(-tau) = conj(f(tau)).
+    half-plane for tau >= 0, so no cut is crossed). Negative tau raises.
     """
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0.0):
-        if not extend:
-            raise DomainError("correlation is defined for tau >= 0 (pass extend=True for the Hermitian extension)")
-        out = correlation_f(params, np.abs(tau))
-        return np.where(tau >= 0.0, out, np.conj(out))
-    a = derive_alpha(params)
+        raise DomainError("correlation is defined for tau >= 0")
+    a = params.alpha
     return np.exp(1j * params.omega0 * tau) * params.Gamma / np.sqrt(1.0 + 1j * a * tau)
 
 
@@ -131,30 +118,13 @@ def psi(params, tau):
     return 2.0 * correlation_f(params, tau).imag
 
 
-class ReservoirFunctions:
-    """The closed-form reservoir functions bound to one parameter set."""
-
-    def __init__(self, params):
-        self.params = params
-
-    def f(self, tau, extend=False):
-        return correlation_f(self.params, tau, extend=extend)
-
-    def phi(self, tau):
-        return phi(self.params, tau)
-
-    def psi(self, tau):
-        return psi(self.params, tau)
-
-    def J(self, omega):
-        return spectral_density(self.params, omega)
-
-    def kappa(self, k, k0=0.0):
-        return coupling_kappa(self.params, k, k0=k0)
-
-
 # ---------------------------------------------------------------------------
 # Markovian constants
+
+# [0, inf) quadrature: half-periods summed plainly, then Euler-averaged
+HEAD_SEGMENTS, TAIL_SEGMENTS, GAUSS_ORDER = 8, 48, 16
+# relative targets: gamma_M by quadrature only cross-checks its closed form
+GAMMA_QUAD_RTOL, SHIFT_QUAD_RTOL = 1e-3, 1e-6
 
 
 @dataclass(frozen=True)
@@ -166,17 +136,8 @@ class MarkovConstants:
 
 def gamma_markov_closed_form(params):
     """Markovian decay rate Gamma sqrt(4 pi/(omega0 alpha)) exp(-omega0/alpha)."""
-    a = derive_alpha(params)
+    a = params.alpha
     return params.Gamma * np.sqrt(4.0 * np.pi / (params.omega0 * a)) * np.exp(-params.omega0 / a)
-
-
-def _half_period_segments(func, omega0, n_segments, order=16):
-    """Integrals of func over consecutive half-periods [j, j+1] pi/omega0."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    h = np.pi / omega0
-    starts = h * np.arange(n_segments)[:, None]
-    nodes = starts + 0.5 * h * (x[None, :] + 1.0)
-    return 0.5 * h * (func(nodes) * w[None, :]).sum(axis=1)
 
 
 def _euler_accelerated_tail(partial_sums):
@@ -197,30 +158,36 @@ def _euler_accelerated_tail(partial_sums):
     return last_entries[i], diffs[i - 1]
 
 
-def _tail_accelerated_integral(func, omega0, head_segments=8, tail_segments=48, order=16):
+def _tail_accelerated_integral(func, omega0):
     """Integral of an oscillatory, slowly decaying func over [0, inf).
 
     The integrand oscillates at omega0 with a t^(-1/2) envelope, so plain
     truncation converges too slowly; successive half-period contributions
     alternate in sign and the tail is summed with Euler averaging.
     """
-    segments = _half_period_segments(func, omega0, head_segments + tail_segments, order)
-    head = segments[:head_segments].sum()
-    partial = head + np.cumsum(segments[head_segments:])
+    x, w = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+    h = np.pi / omega0
+    starts = h * np.arange(HEAD_SEGMENTS + TAIL_SEGMENTS)[:, None]
+    nodes = starts + 0.5 * h * (x[None, :] + 1.0)
+    # integrals over consecutive half-periods [j, j+1] pi/omega0
+    segments = 0.5 * h * (func(nodes) * w[None, :]).sum(axis=1)
+    head = segments[:HEAD_SEGMENTS].sum()
+    partial = head + np.cumsum(segments[HEAD_SEGMENTS:])
     return _euler_accelerated_tail(partial)
 
 
-def gamma_markov_by_quadrature(params, rtol=1e-3):
+def gamma_markov_by_quadrature(params):
     """gamma_M as the full time integral of phi, for cross-checking the closed form."""
     value, err = _tail_accelerated_integral(lambda t: phi(params, t), params.omega0)
-    if err > rtol * max(abs(value), 1.0):
+    if err > GAMMA_QUAD_RTOL * max(abs(value), 1.0):
         raise NumericalFailure(
-            f"gamma_M quadrature did not converge: achieved {err:.3e}, wanted {rtol:.1e} relative"
+            f"gamma_M quadrature did not converge: achieved {err:.3e}, "
+            f"wanted {GAMMA_QUAD_RTOL:.1e} relative"
         )
     return value
 
 
-def markov_constants(params, rtol=1e-6):
+def markov_constants(params):
     """Markovian decay rate, frequency shift and reservoir memory time.
 
     gamma_M comes from the closed form; no closed form exists for S_M, so it
@@ -231,9 +198,10 @@ def markov_constants(params, rtol=1e-6):
     if params.Gamma == 0.0:
         return MarkovConstants(0.0, 0.0, 0.4 / params.omega0)
     s_m, err = _tail_accelerated_integral(lambda t: psi(params, t), params.omega0)
-    if err > rtol * max(abs(s_m), 1.0):
+    if err > SHIFT_QUAD_RTOL * max(abs(s_m), 1.0):
         raise NumericalFailure(
-            f"S_M quadrature did not converge: achieved {err:.3e}, wanted {rtol:.1e} relative"
+            f"S_M quadrature did not converge: achieved {err:.3e}, "
+            f"wanted {SHIFT_QUAD_RTOL:.1e} relative"
         )
     return MarkovConstants(gamma_m, s_m, 0.4 / params.omega0)
 

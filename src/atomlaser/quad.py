@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft as sp_fft
 
-from .errors import GridError, ParameterError
+from .errors import ConfigError, GridError, ParameterError
 
 __all__ = [
     "UniformGrid",
@@ -21,7 +21,6 @@ __all__ = [
     "iterated_convolution",
     "ordered_triple_direct",
     "ordered_triple_factored",
-    "simplex_integral_3",
     "halving_difference",
 ]
 
@@ -50,10 +49,19 @@ class UniformGrid:
         return UniformGrid(self.t0, 2.0 * self.dt, (self.n_points + 1) // 2)
 
 
-def grid_for(t_max, dt, t0=0.0):
-    """Smallest uniform grid from t0 covering t_max."""
-    n = int(np.ceil((t_max - t0) / dt - 1e-12)) + 1
-    return UniformGrid(t0, dt, max(n, 2))
+def grid_for(t_max, dt):
+    """Smallest uniform grid from 0 covering t_max.
+
+    The one place a solver turns (t_max, dt) into a grid: ConfigError names
+    the argument when either is not finite and positive.
+    """
+    for name, value in (("t_max", t_max), ("dt", dt)):
+        if not (np.isfinite(value) and value > 0):
+            raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+    if not np.isfinite(t_max / dt):
+        raise ConfigError(f"t_max/dt must be finite, got {t_max / dt!r}")
+    n = int(np.ceil(t_max / dt - 1e-12)) + 1
+    return UniformGrid(0.0, dt, max(n, 2))
 
 
 @dataclass
@@ -183,32 +191,6 @@ def ordered_triple_factored(a, b, pairing):
     else:
         raise ParameterError(f"unknown pairing {pairing!r}")
     return SampledFunction(a.grid, vals)
-
-
-def simplex_integral_3(g, t, dt, method="direct", pairing=None):
-    """Ordered triple integral up to time t.
-
-    method "direct" takes a callable g(t1, t2, t3_array) and runs the O(n^3)
-    nested rule. method "factored" takes g = (a, b) as SampledFunctions plus a
-    pairing keyword and evaluates the O(n^2) table route at t; a callable
-    cannot go through the fast path since it carries no factorization.
-    """
-    if method == "direct":
-        if not callable(g):
-            raise ParameterError("direct path needs a callable integrand")
-        return ordered_triple_direct(g, t, dt)
-    if method == "factored":
-        if callable(g) or not (isinstance(g, tuple) and len(g) == 2):
-            raise ParameterError(
-                "fast path requires a factored integrand: a pair of SampledFunctions"
-            )
-        a, b = g
-        curve = ordered_triple_factored(a, b, pairing)
-        j = int(round((t - a.grid.t0) / a.grid.dt))
-        if not (0 <= j < a.grid.n_points) or abs(a.grid.t0 + j * a.grid.dt - t) > 1e-9 * max(dt, 1e-300):
-            raise GridError(f"t = {t} is not a point of the sampling grid")
-        return complex(curve.values[j])
-    raise ParameterError(f"unknown method {method!r}")
 
 
 def shared_points_difference(fine, coarse):

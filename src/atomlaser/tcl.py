@@ -44,6 +44,8 @@ __all__ = [
     "series_breakdown_index",
 ]
 
+BREAKDOWN_FLOOR = 0.1
+
 
 @dataclass
 class RateSeries:
@@ -254,7 +256,7 @@ def asymptotic_gamma2(params, t):
     return gm - env * np.cos(params.omega0 * t + np.pi / 4.0)
 
 
-def series_breakdown_index(rates, floor_fraction=0.1):
+def series_breakdown_index(rates):
     """First grid index where the expansion stops behaving asymptotically.
 
     The per-order rates oscillate through zero, so pointwise magnitude
@@ -262,7 +264,7 @@ def series_breakdown_index(rates, floor_fraction=0.1):
     W_2k(t) = int_0^t gamma^(2k) integrate that noise out. Breakdown is
     declared where the highest-order exponent both overtakes everything the
     next-lower order has contributed so far and changes the total exponent
-    materially (more than floor_fraction of the leading-order part). At
+    materially (more than BREAKDOWN_FLOOR of the leading-order part). At
     marginal coupling the corrections interleave while staying small, which
     this deliberately does not flag. Returns None if the hierarchy holds on
     the whole grid.
@@ -277,6 +279,6 @@ def series_breakdown_index(rates, floor_fraction=0.1):
     hi = np.abs(W[rates.order_max])
     lo = np.maximum.accumulate(np.abs(W[rates.order_max - 2]))
     scale = np.maximum.accumulate(np.abs(W[2]))
-    bad = (hi > lo) & (hi > floor_fraction * np.maximum(scale, 1e-300))
+    bad = (hi > lo) & (hi > BREAKDOWN_FLOOR * np.maximum(scale, 1e-300))
     hits = np.nonzero(bad)[0]
     return int(hits[0]) if hits.size else None

@@ -168,15 +168,13 @@ def _halving_solve(t, b, block, spectra, lo, hi):
 
 def solve_amplitude(params, t_max, dt):
     """Exact amplitude for the physical reservoir kernel conj(f)."""
-    if t_max <= 0:
-        raise ConfigError(f"t_max must be positive, got {t_max}")
+    grid = grid_for(t_max, dt)
     dt_limit = min(0.05 / params.omega0, 0.05 / params.alpha)
     if dt > dt_limit * (1.0 + 1e-12):
         raise ConfigError(
             f"dt = {dt:.3e} s is too coarse for this parameter set; "
             f"resolving the trap phase and the memory decay needs dt <= {dt_limit:.3e} s"
         )
-    grid = grid_for(t_max, dt)
     kernel = SampledFunction(grid, np.conj(model.correlation_f(params, grid.times())))
     u, udot = solve_volterra(kernel, max_growth=1.0 + DIVERGENCE_TOL)
     peak = float(np.max(np.abs(u)))

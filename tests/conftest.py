@@ -4,8 +4,7 @@ several tests (module-level and acceptance) read the same runs."""
 import numpy as np
 import pytest
 
-import atomlaser as al
-from atomlaser import cw
+from atomlaser import cw, model
 
 
 OMEGA0 = 772.8317927830892   # 2*pi*123
@@ -14,7 +13,7 @@ SIGMA_K = 1e6
 
 
 def trap(Gamma):
-    return al.TrapParams(M=M_ATOM, omega0=OMEGA0, sigma_k=SIGMA_K, Gamma=Gamma)
+    return model.TrapParams(M=M_ATOM, omega0=OMEGA0, sigma_k=SIGMA_K, Gamma=Gamma)
 
 
 @pytest.fixture(scope="session")
@@ -33,7 +32,7 @@ def trap1e6():
 
 
 def cw_params(t, order, n0_max=200, n1_max=60, N=20.3):
-    gm = al.gamma_markov_closed_form(t)
+    gm = model.gamma_markov_closed_form(t)
     return cw.CwParams(trap=t, kappa1=10 * gm, Omega=15 * gm, N=N,
                        n0_max=n0_max, n1_max=n1_max, order=order)
 
@@ -41,7 +40,7 @@ def cw_params(t, order, n0_max=200, n1_max=60, N=20.3):
 @pytest.fixture(scope="session")
 def fig7_runs(trap5e4):
     """markov / order-2 / order-4 cw runs in the oscillation regime."""
-    gm = al.gamma_markov_closed_form(trap5e4)
+    gm = model.gamma_markov_closed_form(trap5e4)
     t_max = 8.0 / gm
     out = {}
     for order in ("markov", 2, 4):
@@ -56,7 +55,7 @@ def fig7_runs(trap5e4):
 def weak_cw_runs():
     """order-2 / order-4 cw runs in the weak-oscillation regime."""
     t = trap(1e4)
-    gm = al.gamma_markov_closed_form(t)
+    gm = model.gamma_markov_closed_form(t)
     t_max = 8.0 / gm
     out = {}
     for order in (2, 4):

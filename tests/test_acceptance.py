@@ -9,12 +9,11 @@ occupation sits 3.8% above the factorized closed form, outside the 2% band
 import numpy as np
 import pytest
 
-import atomlaser as al
-from atomlaser import (
+from atomlaser import cw, model
+from atomlaser.quad import (
     SampledFunction,
     UniformGrid,
     cumulative_integral,
-    cw,
     halving_difference,
 )
 from atomlaser.tcl import (
@@ -47,7 +46,7 @@ def _grid(t_max, dt):
 
 @pytest.fixture(scope="module")
 def fig2_traj(trap5e4):
-    gm = al.gamma_markov_closed_form(trap5e4)
+    gm = model.gamma_markov_closed_form(trap5e4)
     dt = 1e-5
     grid = _grid(3.0 / gm, dt)
     traj = solve_amplitude(trap5e4, grid.t_end, dt)
@@ -61,27 +60,27 @@ def test_criterion_01_markov_baseline():
     worst = 0.0
     for Gamma in (1e3, 5e4, 1e6):
         p = trap(Gamma)
-        gm = al.gamma_markov_closed_form(p)
+        gm = model.gamma_markov_closed_form(p)
         grid = UniformGrid(0.0, 0.05 / gm, 101)
         const = RateSeries(grid, {2: np.full(101, gm)}, {2: np.zeros(101)}, 2)
         n = occupation_from_rates(const).values
         worst = max(worst, np.abs(n / np.exp(-gm * grid.times()) - 1.0).max())
-        assert al.gamma_markov_by_quadrature(p) == pytest.approx(gm, rel=1e-3)
+        assert model.gamma_markov_by_quadrature(p) == pytest.approx(gm, rel=1e-3)
         assert gm / Gamma == pytest.approx(1.852452633e-3, rel=1e-6)
     _verdict(1, worst < 1e-12,
              f"markov baseline is exp(-gamma_M t) to {worst:.1e} relative")
 
 
 def test_criterion_02_timescale_ratios(trap5e4, trap1e5):
-    r1 = al.timescale_ratio(trap5e4)
-    r2 = al.timescale_ratio(trap1e5)
+    r1 = model.timescale_ratio(trap5e4)
+    r2 = model.timescale_ratio(trap1e5)
     ok = abs(r1 / 16.0 - 1.0) < 0.15 and abs(r2 / 8.0 - 1.0) < 0.15
     _verdict(2, ok, f"system/reservoir timescale ratios {r1:.3f} vs 16, "
                     f"{r2:.3f} vs 8 (band 15%)")
 
 
 def test_criterion_03_series_vs_quadrature(trap5e4):
-    gm = al.gamma_markov_closed_form(trap5e4)
+    gm = model.gamma_markov_closed_form(trap5e4)
     grid = _grid(6.0 / gm, 0.02 / OMEGA0)
     series = tcl_series_rates(trap5e4, grid, order_max=4)
     q2, _ = tcl2_rates(trap5e4, grid)
@@ -103,7 +102,7 @@ def test_criterion_03_series_vs_quadrature(trap5e4):
 
 
 def test_criterion_04_moderate_coupling_occupations(trap5e4, fig2_traj):
-    gm = al.gamma_markov_closed_form(trap5e4)
+    gm = model.gamma_markov_closed_form(trap5e4)
     t = fig2_traj.grid.times()
     n_ex = occupation(fig2_traj).values
     n_mk = np.exp(-gm * t)
@@ -121,7 +120,7 @@ def test_criterion_04_moderate_coupling_occupations(trap5e4, fig2_traj):
 def test_criterion_05_order6_tracks_exact(trap1e5):
     # rates diverge pointwise at every oscillation crossing, so the tracking
     # statement is made on the integrated exponents instead
-    gm = al.gamma_markov_closed_form(trap1e5)
+    gm = model.gamma_markov_closed_form(trap1e5)
     dt = 1.5e-5
     grid = _grid(3.5 / gm, dt)
     traj = solve_amplitude(trap1e5, grid.t_end, dt)
@@ -136,7 +135,7 @@ def test_criterion_05_order6_tracks_exact(trap1e5):
 
 
 def test_criterion_06_collapse_revival_breakdown(trap1e6):
-    gm = al.gamma_markov_closed_form(trap1e6)
+    gm = model.gamma_markov_closed_form(trap1e6)
     dt = 1e-6
     grid = _grid(7.0 / gm, dt)
     traj = solve_amplitude(trap1e6, grid.t_end, dt)

@@ -256,7 +256,10 @@ def test_bad_config_exits_one(tmp_path, capsys):
     (TINY_PULSED, ["--tmax", "inf"], "--tmax"),
     (TINY_PULSED, ["--dt", "nan"], "--dt"),
     (TINY_PULSED, ["--tmax", "1e300", "--dt", "1e-300"], "--tmax/--dt"),
-], ids=["t_max", "t_max_gamma", "dt", "t_max/dt", "--tmax", "--dt", "--tmax/--dt"])
+    (TINY_PULSED, ["--dt", "0"], "--dt"),
+    (TINY_PULSED.replace("n_steps = 20", "dt = -1"), [], "key 'dt'"),
+], ids=["t_max", "t_max_gamma", "dt", "t_max/dt", "--tmax", "--dt", "--tmax/--dt",
+        "--dt=0", "dt=-1"])
 def test_non_finite_grid_exits_one(tmp_path, capsys, config, flags, name):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(config)
@@ -331,6 +334,9 @@ def test_parse_scenario_validation():
         parse_scenario(TINY_CW.replace("Gamma = 5e4", "Gamma = 0"))
     with pytest.raises(ConfigError, match=r"\[cw\]"):
         parse_scenario(TINY_PULSED + "\n[cw]\nN = 1\n")
+    with pytest.raises(ConfigError, match="rates"):
+        parse_scenario(TINY_PULSED.replace("rates = true", "rates = maybe"))
+    assert parse_scenario(TINY_PULSED.replace("rates = true", "rates = Off")).rates is False
     scen = parse_scenario(BUILTIN_SCENARIOS["fig7"], "fig7")
     assert scen.mode == "cw"
     assert scen.cw_orders == ("markov", 2, 4)

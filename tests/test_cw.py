@@ -8,8 +8,8 @@ import pytest
 from scipy.integrate import dblquad
 from scipy.linalg import expm
 
-import atomlaser as al
-from atomlaser import ConfigError, NumericalFailure, ParameterError, UniformGrid, cw
+from atomlaser import ConfigError, NumericalFailure, ParameterError, cw, model, tcl
+from atomlaser.quad import UniformGrid
 
 from conftest import OMEGA0, cw_params, trap
 
@@ -80,7 +80,7 @@ def test_r_outer_matches_single_integral_reduction():
     r = cw.r_function(params, g)
     assert r.values[0] == 0.0
     t = g.times()
-    fv = al.correlation_f(t5, t)
+    fv = model.correlation_f(t5, t)
     for j in (200, 400):
         oracle = params.Omega * np.trapezoid(t[: j + 1] * fv[: j + 1], dx=g.dt)
         assert r.values[j] == pytest.approx(oracle, rel=1e-4)
@@ -96,9 +96,9 @@ def test_r_matches_double_quadrature(reading):
     T = 2e-3
 
     if reading == "outer":
-        integrand = lambda y, x: al.correlation_f(t5, T - y)
+        integrand = lambda y, x: model.correlation_f(t5, T - y)
     else:
-        integrand = lambda y, x: al.correlation_f(t5, x - y)
+        integrand = lambda y, x: model.correlation_f(t5, x - y)
     re = dblquad(lambda y, x: integrand(y, x).real, 0, T, 0, lambda x: x)[0]
     im = dblquad(lambda y, x: integrand(y, x).imag, 0, T, 0, lambda x: x)[0]
     assert r.values[200] == pytest.approx(params.Omega * (re + 1j * im), rel=1e-4)
@@ -106,7 +106,7 @@ def test_r_matches_double_quadrature(reading):
 
 def test_r_constant_kernel_quadratic():
     # slow heavy trap: f = Gamma, both readings give Omega*Gamma*t^2/2
-    toy = al.TrapParams(M=1.0, omega0=1e-6, sigma_k=1.0, Gamma=0.25)
+    toy = model.TrapParams(M=1.0, omega0=1e-6, sigma_k=1.0, Gamma=0.25)
     g = UniformGrid(0.0, 0.01, 101)
     want = 3.0 * 0.25 * g.times() ** 2 / 2.0
     for reading in ("outer", "inner"):
@@ -139,15 +139,24 @@ def test_diagonal_closure_against_operator_form():
 
 
 def test_build_generator_rates_required():
-    params = cw_params(trap(5e4), 2)
+    # gamma defaults to gamma_M only at order markov; the weights enter as
+    # G = static + gamma out (+ Re r oc at order 4)
+    small = dict(n0_max=6, n1_max=5)
     with pytest.raises(ParameterError):
-        cw.build_generator(params, t=0.0, rates=None)
-    g = UniformGrid(0.0, 1e-4, 11)
-    rates = al.tcl_series_rates(params.trap, g, 2)
-    with pytest.raises(ParameterError):
-        cw.build_generator(params, t=1.37e-4, rates=rates)  # off the grid
-    gen = cw.build_generator(params, t=5e-4, rates=rates)
-    assert gen.gamma == pytest.approx(rates.total_gamma(2).values[5])
+        cw.build_generator(cw_params(trap(5e4), 2, **small))
+    mats = {g: cw.build_generator(cw_params(trap(5e4), 2, **small), g).matrix.toarray()
+            for g in (0.0, 1.0, 40.0)}
+    np.testing.assert_allclose(mats[40.0] - mats[0.0], 40.0 * (mats[1.0] - mats[0.0]),
+                               rtol=1e-12, atol=1e-9)
+    order4 = cw_params(trap(5e4), 4, **small)
+    with_r = cw.build_generator(order4, 40.0, 0.5 - 3.0j).matrix.toarray()
+    unit_r = cw.build_generator(order4, 40.0, 1.0).matrix.toarray()
+    np.testing.assert_allclose(with_r - mats[40.0], 0.5 * (unit_r - mats[40.0]),
+                               rtol=1e-12, atol=1e-9)
+    # the cross term is absent below order 4, whatever r says
+    np.testing.assert_array_equal(
+        cw.build_generator(cw_params(trap(5e4), 2, **small), 40.0, 1.0).matrix.toarray(),
+        mats[40.0])
 
 
 def test_generator_column_balance():
@@ -156,7 +165,9 @@ def test_generator_column_balance():
     colsum = np.asarray(gen.matrix.sum(axis=0)).ravel() + gen.leak
     scale = np.abs(gen.matrix.data).max()
     assert np.abs(colsum).max() <= 1e-12 * scale
-    assert gen.gamma == pytest.approx(GAMMA_M_5E4)
+    np.testing.assert_allclose(gen.matrix.toarray(),
+                               cw.build_generator(params, GAMMA_M_5E4).matrix.toarray(),
+                               rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +293,12 @@ def test_time_dependent_implicit_stepper_matches_dense_recurrence(order):
     traj = cw.evolve(params, cw.DiagonalState.vacuum(8, 6), n_steps * dt, dt)
 
     half = UniformGrid(0.0, 0.5 * dt, 2 * n_steps + 1)
-    rates = None if order == "markov" else al.tcl_series_rates(t5, half, order)
+    if order == "markov":
+        gamma = [None] * half.n_points
+    else:
+        gamma = tcl.tcl_series_rates(t5, half, order).total_gamma().values
     r = cw.r_function(params, half).values
-    gens = [cw.build_generator(params, k * half.dt, rates, r[k])
-            for k in range(half.n_points)]
+    gens = [cw.build_generator(params, gamma[k], r[k]) for k in range(half.n_points)]
     eye = np.eye(params.dim)
 
     def step(h, k, b):
@@ -352,6 +365,14 @@ def test_clip_warning_on_tight_box():
     with pytest.warns(UserWarning, match="clipping"):
         traj = cw.evolve(params, p0, 2.0 / gm, (2.0 / gm) / 200)
     assert traj.clipped_flux[-1] > 0.5
+    # the returned state is validated: its table and clipped mass sum to 1
+    final = traj.final_state
+    assert final.clipped == traj.clipped_flux[-1]
+    cw.DiagonalState(final.p, final.clipped)
+    with pytest.raises(ParameterError, match="not normalized"):
+        cw.DiagonalState(final.p, final.clipped + 1e-3)
+    with pytest.raises(ParameterError, match="not normalized"):
+        cw.DiagonalState(final.p)
 
 
 def test_negativity_raises_for_lindblad_orders():
@@ -369,7 +390,7 @@ def test_negativity_flagged_for_order4():
     # the order-4 cross term is not of Lindblad form; genuine small negativity
     # is returned flagged instead of raised
     t6 = trap(1e6)
-    gm6 = al.gamma_markov_closed_form(t6)
+    gm6 = model.gamma_markov_closed_form(t6)
     params = cw.CwParams(trap=t6, kappa1=10 * gm6, Omega=15 * gm6, N=5,
                          n0_max=30, n1_max=12, order=4)
     p0 = cw.DiagonalState.vacuum(30, 12)

@@ -4,19 +4,21 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
-from atomlaser import (
-    GridError,
-    ParameterError,
+from atomlaser import ConfigError, GridError, ParameterError, cw, volterra
+from atomlaser.quad import (
     SampledFunction,
     UniformGrid,
+    _fftconvolve,
     cumulative_integral,
+    grid_for,
     halving_difference,
     iterated_convolution,
     ordered_triple_direct,
     ordered_triple_factored,
-    simplex_integral_3,
+    sample,
 )
-from atomlaser.quad import _fftconvolve, grid_for, sample
+
+from conftest import cw_params, trap
 
 
 def test_grid_validation():
@@ -40,6 +42,25 @@ def test_grid_for_covers():
     # exact division stays exact
     g2 = grid_for(1.0, 0.25)
     assert g2.n_points == 5
+    with pytest.raises(ConfigError, match="t_max/dt must be finite"):
+        grid_for(1e300, 1e-300)
+
+
+@pytest.mark.parametrize("arg", ["t_max", "dt"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
+def test_solver_entry_points_reject_bad_grids(arg, bad):
+    # grid_for is the one place (t_max, dt) becomes a grid, so both solvers
+    # refuse a bad value with a ConfigError that names it
+    good = {"t_max": 1e-3, "dt": 1e-5}
+    kwargs = {**good, arg: bad}
+    match = f"{arg} must be finite and positive"
+    with pytest.raises(ConfigError, match=match):
+        grid_for(**kwargs)
+    with pytest.raises(ConfigError, match=match):
+        volterra.solve_amplitude(trap(5e4), **kwargs)
+    params = cw_params(trap(5e4), "markov", n0_max=5, n1_max=5)
+    with pytest.raises(ConfigError, match=match):
+        cw.evolve(params, cw.DiagonalState.vacuum(5, 5), **kwargs)
 
 
 def test_sampled_function_validation():
@@ -136,6 +157,8 @@ def test_triple_constant_integrand():
         curve = ordered_triple_factored(ones, ones, pairing)
         assert curve.values[-1].real == pytest.approx(want, rel=2e-3)
         assert curve.values[0] == 0.0
+    with pytest.raises(ParameterError):
+        ordered_triple_factored(ones, ones, "sideways")
 
 
 def test_triple_linear_integrand():
@@ -160,7 +183,7 @@ def test_factored_matches_direct(pairing):
     else:
         integrand = lambda t1, t2, t3: np.exp(-(t - t3)) * np.cos(5 * (t1 - t2))
     direct = ordered_triple_direct(integrand, t, dt)
-    fast = simplex_integral_3((a, b), t, dt, method="factored", pairing=pairing)
+    fast = complex(ordered_triple_factored(a, b, pairing).values[round(t / dt)])
     assert fast == pytest.approx(direct, rel=1e-3, abs=1e-9)
 
 
@@ -173,31 +196,12 @@ def test_factored_refinement_is_second_order():
         x = g.times()
         a = SampledFunction(g, np.exp(-x).astype(complex))
         b = SampledFunction(g, np.cos(5 * x).astype(complex))
-        return simplex_integral_3((a, b), t, dt, method="factored",
-                                  pairing="outer-mid")
+        return complex(ordered_triple_factored(a, b, "outer-mid").values[round(t / dt)])
 
     exact = run(0.0005)
     e1 = abs(run(0.008) - exact)
     e2 = abs(run(0.004) - exact)
     assert 2.67 <= e1 / e2 <= 6.0
-
-
-def test_simplex_dispatch_errors():
-    g = grid_for(0.5, 0.01)
-    a = SampledFunction(g, np.ones(g.n_points, dtype=complex))
-    with pytest.raises(ParameterError):
-        simplex_integral_3(lambda *args: 1.0, 0.5, 0.01, method="factored",
-                           pairing="outer-mid")
-    with pytest.raises(ParameterError):
-        simplex_integral_3((a, a), 0.5, 0.01, method="direct")
-    with pytest.raises(ParameterError):
-        simplex_integral_3((a, a), 0.5, 0.01, method="factored", pairing="sideways")
-    with pytest.raises(ParameterError):
-        simplex_integral_3((a, a), 0.5, 0.01, method="simpson")
-    with pytest.raises(GridError):
-        # t between grid points
-        simplex_integral_3((a, a), 0.505 + 0.003, 0.01, method="factored",
-                           pairing="outer-mid")
 
 
 def test_halving_difference_tracks_error():

@@ -4,9 +4,9 @@ constant-kernel closed forms, the large-time asymptote, and breakdown flags."""
 import numpy as np
 import pytest
 
-import atomlaser as al
-from atomlaser import DomainError, ParameterError, RateSeries, UniformGrid
-from atomlaser.quad import SampledFunction, halving_difference
+from atomlaser import DomainError, ParameterError, model, tcl, volterra
+from atomlaser.quad import SampledFunction, UniformGrid, halving_difference
+from atomlaser.tcl import RateSeries
 
 from conftest import OMEGA0, trap
 
@@ -24,8 +24,8 @@ def _grid(t_max, dt):
 def test_order2_series_equals_quadrature():
     p = trap(5e4)
     g = _grid(0.03, 1e-5)
-    gamma2, s2 = al.tcl2_rates(p, g)
-    series = al.tcl_series_rates(p, g, order_max=2)
+    gamma2, s2 = tcl.tcl2_rates(p, g)
+    series = tcl.tcl_series_rates(p, g, order_max=2)
     np.testing.assert_allclose(series.gamma_by_order[2], gamma2.values,
                                rtol=1e-10, atol=1e-8)
     np.testing.assert_allclose(series.S_by_order[2], s2.values,
@@ -37,10 +37,10 @@ def test_order4_series_matches_quadrature_within_grid_error():
     g = _grid(0.03, 1e-5)
 
     def by_tables(grid):
-        return al.tcl4_rates(p, grid)[0]
+        return tcl.tcl4_rates(p, grid)[0]
 
     def by_series(grid):
-        return SampledFunction(grid, al.tcl_series_rates(p, grid, 4).gamma_by_order[4])
+        return SampledFunction(grid, tcl.tcl_series_rates(p, grid, 4).gamma_by_order[4])
 
     est = halving_difference(by_tables, g) + halving_difference(by_series, g)
     diff = np.max(np.abs(by_tables(g).values - by_series(g).values))
@@ -52,10 +52,10 @@ def test_order4_shift_routes_agree():
     g = _grid(0.03, 1e-5)
 
     def by_tables(grid):
-        return al.tcl4_rates(p, grid)[1]
+        return tcl.tcl4_rates(p, grid)[1]
 
     def by_series(grid):
-        return SampledFunction(grid, al.tcl_series_rates(p, grid, 4).S_by_order[4])
+        return SampledFunction(grid, tcl.tcl_series_rates(p, grid, 4).S_by_order[4])
 
     est = halving_difference(by_tables, g) + halving_difference(by_series, g)
     diff = np.max(np.abs(by_tables(g).values - by_series(g).values))
@@ -67,8 +67,8 @@ def test_tcl4_cross_validation_path():
     # the check must not change the returned curves
     p = trap(5e4)
     g = _grid(8e-3, 1e-4)
-    plain_g, plain_s = al.tcl4_rates(p, g)
-    checked_g, checked_s = al.tcl4_rates(p, g, cross_validate=True, validate_points=2)
+    plain_g, plain_s = tcl.tcl4_rates(p, g)
+    checked_g, checked_s = tcl.tcl4_rates(p, g, cross_validate=True, validate_points=2)
     np.testing.assert_array_equal(plain_g.values, checked_g.values)
     np.testing.assert_array_equal(plain_s.values, checked_s.values)
 
@@ -83,14 +83,14 @@ TOY_GAMMA = 0.09
 
 
 def toy_trap():
-    return al.TrapParams(M=1.0, omega0=1e-6, sigma_k=1.0, Gamma=TOY_GAMMA)
+    return model.TrapParams(M=1.0, omega0=1e-6, sigma_k=1.0, Gamma=TOY_GAMMA)
 
 
 def test_constant_kernel_order_terms():
     p = toy_trap()
     g = _grid(3.0, 0.002)
     t = g.times()
-    series = al.tcl_series_rates(p, g, order_max=6)
+    series = tcl.tcl_series_rates(p, g, order_max=6)
     np.testing.assert_allclose(series.gamma_by_order[2], 2 * TOY_GAMMA * t,
                                rtol=1e-5, atol=1e-9)
     np.testing.assert_allclose(series.gamma_by_order[4],
@@ -107,7 +107,7 @@ def test_constant_kernel_order4_quadrature():
     p = toy_trap()
     g = _grid(3.0, 0.002)
     t = g.times()
-    gamma4, s4 = al.tcl4_rates(p, g)
+    gamma4, s4 = tcl.tcl4_rates(p, g)
     np.testing.assert_allclose(gamma4.values, (2.0 / 3.0) * TOY_GAMMA**2 * t**3,
                                rtol=1e-4, atol=1e-8)
     assert np.max(np.abs(s4.values)) < 1e-5
@@ -116,8 +116,8 @@ def test_constant_kernel_order4_quadrature():
 def test_coupling_strength_scaling():
     # order 2k carries k kernel factors, so rates scale as Gamma^k
     g = _grid(0.02, 2e-5)
-    lo = al.tcl_series_rates(trap(5e4), g, order_max=6)
-    hi = al.tcl_series_rates(trap(1e5), g, order_max=6)
+    lo = tcl.tcl_series_rates(trap(5e4), g, order_max=6)
+    hi = tcl.tcl_series_rates(trap(1e5), g, order_max=6)
     for order, factor in ((2, 2.0), (4, 4.0), (6, 8.0)):
         a, b = lo.gamma_by_order[order], hi.gamma_by_order[order]
         mask = np.abs(a) > 1e-6 * np.max(np.abs(a))
@@ -133,7 +133,7 @@ def test_rate_oscillates_about_markov_value():
     p = trap(5e4)
     dt = 0.005 / OMEGA0
     g = _grid((50.0 + 10.0 * np.pi + 1.0) / OMEGA0, dt)
-    gamma2, _ = al.tcl2_rates(p, g)
+    gamma2, _ = tcl.tcl2_rates(p, g)
     t = g.times()
     w = (t >= 50.0 / OMEGA0) & (t <= (50.0 + 10.0 * np.pi) / OMEGA0)
     s = np.sign(gamma2.values[w] - GAMMA_M_5E4)
@@ -145,10 +145,10 @@ def test_asymptote_tracks_quadrature_rate():
     p = trap(5e4)
     dt = 0.005 / OMEGA0
     g = _grid(300.0 / OMEGA0, dt)
-    gamma2, _ = al.tcl2_rates(p, g)
+    gamma2, _ = tcl.tcl2_rates(p, g)
     t = g.times()
     mask = t >= 50.0 / OMEGA0
-    asym = al.asymptotic_gamma2(p, t[mask])
+    asym = tcl.asymptotic_gamma2(p, t[mask])
     envelope = 2.0 * p.Gamma / np.sqrt(p.alpha * OMEGA0**2 * t[mask])
     # measured 0.69% of the envelope; anything above 2% means a regression
     assert np.max(np.abs(gamma2.values[mask] - asym) / envelope) < 0.02
@@ -160,10 +160,10 @@ def test_asymptote_residual_decays_faster_than_envelope():
     p = trap(5e4)
     dt = 0.005 / OMEGA0
     g = _grid(260.0 / OMEGA0, dt)
-    gamma2, _ = al.tcl2_rates(p, g)
+    gamma2, _ = tcl.tcl2_rates(p, g)
     t = g.times() * OMEGA0
     mask = t >= 50.0
-    res = gamma2.values[mask] - al.asymptotic_gamma2(p, g.times()[mask])
+    res = gamma2.values[mask] - tcl.asymptotic_gamma2(p, g.times()[mask])
     tm = t[mask]
     r_early = np.max(np.abs(res[(tm >= 50) & (tm <= 100)]))
     r_late = np.max(np.abs(res[(tm >= 200) & (tm <= 250)]))
@@ -173,16 +173,16 @@ def test_asymptote_residual_decays_faster_than_envelope():
 def test_asymptote_domain_checks():
     p = trap(5e4)
     with pytest.raises(DomainError):
-        al.asymptotic_gamma2(p, -1.0)
+        tcl.asymptotic_gamma2(p, -1.0)
     with pytest.raises(DomainError):
-        al.asymptotic_gamma2(p, 0.0)
+        tcl.asymptotic_gamma2(p, 0.0)
     with pytest.raises(DomainError):
-        al.asymptotic_gamma2(p, 5.0 / OMEGA0)
+        tcl.asymptotic_gamma2(p, 5.0 / OMEGA0)
     with pytest.warns(UserWarning):
-        al.asymptotic_gamma2(p, 20.0 / OMEGA0)
+        tcl.asymptotic_gamma2(p, 20.0 / OMEGA0)
     # vectorized: one bad element poisons the call
     with pytest.raises(DomainError):
-        al.asymptotic_gamma2(p, np.array([50.0, 5.0]) / OMEGA0)
+        tcl.asymptotic_gamma2(p, np.array([50.0, 5.0]) / OMEGA0)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +193,7 @@ def test_occupation_from_constant_rate():
     g = _grid(2.0, 0.01)
     c = 0.7
     rates = RateSeries(g, {2: np.full(g.n_points, c)}, {2: np.zeros(g.n_points)}, 2)
-    n = al.occupation_from_rates(rates)
+    n = tcl.occupation_from_rates(rates)
     np.testing.assert_allclose(n.values, np.exp(-c * g.times()), rtol=1e-4)
 
 
@@ -213,7 +213,7 @@ def test_rate_series_validation():
 def test_waiting_time_monotone_case():
     g = _grid(3.0, 0.01)
     n = SampledFunction(g, np.exp(-g.times()))
-    wt = al.waiting_time(n)
+    wt = tcl.waiting_time(n)
     assert wt.monotone
     assert not wt.decreasing_steps.any()
     np.testing.assert_allclose(wt.F.values, 1.0 - n.values)
@@ -224,7 +224,7 @@ def test_waiting_time_flags_nonmonotone():
     t = g.times()
     # rises right after t = 0, so F = 1 - n dips negative-slope there
     n = SampledFunction(g, np.exp(-t) * (1.0 + 0.3 * np.sin(6 * t)))
-    wt = al.waiting_time(n)
+    wt = tcl.waiting_time(n)
     assert not wt.monotone
     assert wt.decreasing_steps.any()
 
@@ -233,21 +233,21 @@ def test_waiting_time_rejects_unnormalized():
     g = _grid(1.0, 0.01)
     n = SampledFunction(g, 0.9 * np.exp(-g.times()))
     with pytest.raises(ParameterError):
-        al.waiting_time(n)
+        tcl.waiting_time(n)
 
 
 def test_order6_occupation_close_to_exact():
     # at Gamma = 1e5 the sixth-order resummation stays within a few percent of
     # the exact occupation over the figure window (measured gap 0.015)
     p = trap(1e5)
-    gm = al.gamma_markov_closed_form(p)
+    gm = model.gamma_markov_closed_form(p)
     dt = 1.5e-5
     g = _grid(np.ceil(3.5 / gm / dt) * dt, dt)
-    traj = al.solve_amplitude(p, t_max=g.t_end, dt=dt)
+    traj = volterra.solve_amplitude(p, t_max=g.t_end, dt=dt)
     assert traj.grid.n_points == g.n_points
-    n_exact = al.occupation(traj)
-    rates = al.tcl_series_rates(p, g, order_max=6)
-    n6 = al.occupation_from_rates(rates)
+    n_exact = volterra.occupation(traj)
+    rates = tcl.tcl_series_rates(p, g, order_max=6)
+    n6 = tcl.occupation_from_rates(rates)
     assert np.max(np.abs(n6.values - n_exact.values)) <= 0.05
 
 
@@ -255,11 +255,11 @@ def test_series_breakdown_at_strong_coupling():
     # at Gamma = 1e6 the expansion must flag its own failure after the
     # collapse of the occupation but before the revival
     p = trap(1e6)
-    gm = al.gamma_markov_closed_form(p)
+    gm = model.gamma_markov_closed_form(p)
     dt = 2e-6
     g = _grid(np.ceil(7.0 / gm / dt) * dt, dt)
-    rates = al.tcl_series_rates(p, g, order_max=6)
-    idx = al.series_breakdown_index(rates)
+    rates = tcl.tcl_series_rates(p, g, order_max=6)
+    idx = tcl.series_breakdown_index(rates)
     assert idx is not None
     t_break = idx * dt * gm
     assert 3.0 < t_break < 6.0
@@ -271,8 +271,8 @@ def test_series_breakdown_at_strong_coupling():
     (5e4, 0.043, 1e-5),   # figure regime where order 4 is accurate
 ])
 def test_series_no_breakdown_below_strong_coupling(Gamma, t_max, dt):
-    rates = al.tcl_series_rates(trap(Gamma), _grid(t_max, dt), order_max=6)
-    assert al.series_breakdown_index(rates) is None
+    rates = tcl.tcl_series_rates(trap(Gamma), _grid(t_max, dt), order_max=6)
+    assert tcl.series_breakdown_index(rates) is None
 
 
 def test_residual_beyond_order6_scales_as_fourth_power():
@@ -283,9 +283,9 @@ def test_residual_beyond_order6_scales_as_fourth_power():
     def residual(Gamma):
         p = trap(Gamma)
         g = _grid(t_fix, dt)
-        traj = al.solve_amplitude(p, t_max=t_fix, dt=dt)
-        series = al.tcl_series_rates(p, g, order_max=6)
-        return al.exact_rates(traj).gamma.values[-1] - series.total_gamma().values[-1]
+        traj = volterra.solve_amplitude(p, t_max=t_fix, dt=dt)
+        series = tcl.tcl_series_rates(p, g, order_max=6)
+        return volterra.exact_rates(traj).gamma.values[-1] - series.total_gamma().values[-1]
 
     ratio = residual(1e4) / residual(5e3)
     assert 10.0 <= ratio <= 24.0
@@ -297,15 +297,15 @@ def test_occupation_ordering_at_figure_regime():
     # Born-Markov curve, while order 4 corrects back between Born-Markov and
     # exact; measured 0.1303 < 0.1353 < 0.1362 < 0.1406, stable under dt halving
     p = trap(5e4)
-    gm = al.gamma_markov_closed_form(p)
+    gm = model.gamma_markov_closed_form(p)
     dt = 1e-5
     t_probe = np.ceil(2.0 / gm / dt) * dt
     g = _grid(t_probe, dt)
-    traj = al.solve_amplitude(p, t_max=t_probe, dt=dt)
-    n_exact = al.occupation(traj).values[-1]
-    series = al.tcl_series_rates(p, g, 4)
-    n2 = al.occupation_from_rates(series, 2).values[-1]
-    n4 = al.occupation_from_rates(series, 4).values[-1]
+    traj = volterra.solve_amplitude(p, t_max=t_probe, dt=dt)
+    n_exact = volterra.occupation(traj).values[-1]
+    series = tcl.tcl_series_rates(p, g, 4)
+    n2 = tcl.occupation_from_rates(series, 2).values[-1]
+    n4 = tcl.occupation_from_rates(series, 4).values[-1]
     n_markov = np.exp(-gm * t_probe)
     assert n2 < n_markov < n4 < n_exact
     # order 2 is still the right magnitude: within 5% of Born-Markov here
@@ -321,7 +321,7 @@ def test_asymptote_envelope_scalings():
 
     def peak_dev(params, t_center, scale=1.0):
         t = t_center + np.linspace(0.0, 2 * np.pi / OMEGA0, 400)
-        return np.max(np.abs(al.asymptotic_gamma2(params, t) - scale * gm))
+        return np.max(np.abs(tcl.asymptotic_gamma2(params, t) - scale * gm))
 
     # the envelope itself drifts ~1% across one sampled cycle, hence 2%
     d1 = peak_dev(p, 100.0 / OMEGA0)

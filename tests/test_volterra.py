@@ -5,9 +5,8 @@ import re
 import numpy as np
 import pytest
 
-import atomlaser as al
-from atomlaser import ConfigError, NumericalFailure, model
-from atomlaser.quad import SampledFunction, UniformGrid, grid_for
+from atomlaser import ConfigError, NumericalFailure, model, volterra
+from atomlaser.quad import SampledFunction, UniformGrid, cumulative_integral
 from atomlaser.volterra import RATE_CUTOFF, AmplitudeTrajectory
 
 from conftest import trap
@@ -48,12 +47,12 @@ def reference_march(kernel, max_growth=None):
 
 
 def _assert_matches_reference(kernel):
-    u, udot = al.solve_volterra(kernel)
+    u, udot = volterra.solve_volterra(kernel)
     u_ref, udot_ref = reference_march(kernel)
     assert np.abs(u - u_ref).max() <= 1e-12 * np.abs(u_ref).max()
     assert np.abs(udot - udot_ref).max() <= 1e-12 * max(np.abs(udot_ref).max(), 1e-300)
-    rates = al.exact_rates(AmplitudeTrajectory(kernel.grid, u, udot))
-    rates_ref = al.exact_rates(AmplitudeTrajectory(kernel.grid, u_ref, udot_ref))
+    rates = volterra.exact_rates(AmplitudeTrajectory(kernel.grid, u, udot))
+    rates_ref = volterra.exact_rates(AmplitudeTrajectory(kernel.grid, u_ref, udot_ref))
     assert rates.truncation_index == rates_ref.truncation_index
     # exact_rates keeps only the samples with |u| >= RATE_CUTOFF
     gam, gam_ref = rates.gamma.values, rates_ref.gamma.values
@@ -66,7 +65,7 @@ def _assert_matches_reference(kernel):
 @pytest.mark.parametrize("Gamma", [5e4, 1e5, 1e6])
 def test_matches_reference_march_on_trap_kernels(Gamma, grid_name, t_max_gamma, n_steps):
     p = trap(Gamma)
-    dt = t_max_gamma / al.gamma_markov_closed_form(p) / n_steps
+    dt = t_max_gamma / model.gamma_markov_closed_form(p) / n_steps
     g = UniformGrid(0.0, dt, n_steps + 1)
     _assert_matches_reference(SampledFunction(g, np.conj(model.correlation_f(p, g.times()))))
 
@@ -89,10 +88,10 @@ def test_matches_reference_march_at_leaf_boundaries(n_points):
 
 
 def test_zero_coupling_is_free():
-    traj = al.solve_amplitude(trap(0.0), t_max=1e-3, dt=1e-6)
+    traj = volterra.solve_amplitude(trap(0.0), t_max=1e-3, dt=1e-6)
     np.testing.assert_allclose(traj.u, 1.0, atol=1e-14)
     np.testing.assert_allclose(traj.udot, 0.0, atol=1e-14)
-    n = al.occupation(traj)
+    n = volterra.occupation(traj)
     np.testing.assert_allclose(n.values, 1.0, atol=1e-14)
 
 
@@ -101,7 +100,7 @@ def test_constant_kernel_gives_cosine():
     c = 400.0
     g = UniformGrid(0.0, 2e-4, 5001)
     kernel = SampledFunction(g, np.full(g.n_points, c, dtype=complex))
-    u, udot = al.solve_volterra(kernel)
+    u, udot = volterra.solve_volterra(kernel)
     t = g.times()
     np.testing.assert_allclose(u.real, np.cos(np.sqrt(c) * t), atol=5e-5)
     np.testing.assert_allclose(u.imag, 0.0, atol=1e-12)
@@ -113,7 +112,7 @@ def test_short_time_quadratic_depletion():
     # n(t) ~ 1 - Gamma t^2 before the kernel decorrelates
     p = trap(5e4)
     t_probe = 1e-3 / ALPHA
-    traj = al.solve_amplitude(p, t_max=t_probe, dt=t_probe / 50)
+    traj = volterra.solve_amplitude(p, t_max=t_probe, dt=t_probe / 50)
     n_end = abs(traj.u[-1]) ** 2
     expected = 1.0 - p.Gamma * traj.grid.t_end ** 2
     assert n_end == pytest.approx(expected, rel=1e-2)
@@ -122,10 +121,10 @@ def test_short_time_quadratic_depletion():
 def test_weak_coupling_matches_markov():
     # at Gamma = 1e3 the memory correction is tiny; n should track exp(-gamma_M t)
     p = trap(1e3)
-    gm = al.gamma_markov_closed_form(p)
+    gm = model.gamma_markov_closed_form(p)
     t_max = 3.0 / gm
-    traj = al.solve_amplitude(p, t_max=t_max, dt=0.05 / ALPHA)
-    n = al.occupation(traj)
+    traj = volterra.solve_amplitude(p, t_max=t_max, dt=0.05 / ALPHA)
+    n = volterra.occupation(traj)
     markov = np.exp(-gm * traj.grid.times())
     assert np.max(np.abs(n.values - markov) / markov) < 0.02
 
@@ -133,14 +132,14 @@ def test_weak_coupling_matches_markov():
 def test_strong_coupling_decays_slower_than_markov():
     p = trap(5e4)
     t_probe = 2.0 / GAMMA_M_5E4
-    traj = al.solve_amplitude(p, t_max=t_probe, dt=1e-5)
+    traj = volterra.solve_amplitude(p, t_max=t_probe, dt=1e-5)
     n_end = abs(traj.u[-1]) ** 2
     assert n_end > np.exp(-2.0)
 
 
 def test_exact_rates_zero_coupling():
-    traj = al.solve_amplitude(trap(0.0), t_max=1e-3, dt=1e-6)
-    rates = al.exact_rates(traj)
+    traj = volterra.solve_amplitude(trap(0.0), t_max=1e-3, dt=1e-6)
+    rates = volterra.exact_rates(traj)
     assert not rates.truncated
     np.testing.assert_allclose(rates.gamma.values, 0.0, atol=1e-14)
     np.testing.assert_allclose(rates.shift.values, 0.0, atol=1e-14)
@@ -150,8 +149,8 @@ def test_exact_rate_early_slope():
     # gamma(t) ~ 2 Gamma t while the kernel still looks constant
     p = trap(5e4)
     t_probe = 2e-3 / ALPHA
-    traj = al.solve_amplitude(p, t_max=t_probe, dt=t_probe / 100)
-    rates = al.exact_rates(traj)
+    traj = volterra.solve_amplitude(p, t_max=t_probe, dt=t_probe / 100)
+    rates = volterra.exact_rates(traj)
     t = rates.gamma.grid.times()[1:]
     np.testing.assert_allclose(rates.gamma.values[1:], 2.0 * p.Gamma * t, rtol=5e-3)
 
@@ -159,10 +158,10 @@ def test_exact_rate_early_slope():
 def test_rate_integral_reproduces_occupation():
     # internal consistency: exp(-int gamma dt) must equal |u|^2
     p = trap(5e4)
-    traj = al.solve_amplitude(p, t_max=2.0 / GAMMA_M_5E4, dt=1e-5)
-    rates = al.exact_rates(traj)
-    w = al.cumulative_integral(rates.gamma)
-    n = al.occupation(traj)
+    traj = volterra.solve_amplitude(p, t_max=2.0 / GAMMA_M_5E4, dt=1e-5)
+    rates = volterra.exact_rates(traj)
+    w = cumulative_integral(rates.gamma)
+    n = volterra.occupation(traj)
     assert np.max(np.abs(np.exp(-w.values) - n.values)) < 1e-4
 
 
@@ -172,7 +171,7 @@ def test_refinement_is_second_order():
     t_max = 0.00512
 
     def n_end(dt):
-        traj = al.solve_amplitude(p, t_max=t_max, dt=dt)
+        traj = volterra.solve_amplitude(p, t_max=t_max, dt=dt)
         assert abs(traj.grid.t_end - t_max) < 1e-12
         return abs(traj.u[-1]) ** 2
 
@@ -184,21 +183,21 @@ def test_refinement_is_second_order():
 
 def test_monotone_decay_at_moderate_coupling():
     p = trap(1e4)
-    gm = al.gamma_markov_closed_form(p)
-    traj = al.solve_amplitude(p, t_max=2.0 / gm, dt=1.5e-5)
-    n = al.occupation(traj).values
+    gm = model.gamma_markov_closed_form(p)
+    traj = volterra.solve_amplitude(p, t_max=2.0 / gm, dt=1.5e-5)
+    n = volterra.occupation(traj).values
     assert np.all(np.diff(n) <= 1e-12)
 
 
 def test_config_errors():
     p = trap(5e4)
     with pytest.raises(ConfigError):
-        al.solve_amplitude(p, t_max=-1.0, dt=1e-5)
+        volterra.solve_amplitude(p, t_max=-1.0, dt=1e-5)
     with pytest.raises(ConfigError):
-        al.solve_amplitude(p, t_max=0.0, dt=1e-5)
+        volterra.solve_amplitude(p, t_max=0.0, dt=1e-5)
     with pytest.raises(ConfigError):
         # coarser than 0.05/omega0
-        al.solve_amplitude(p, t_max=1e-2, dt=0.2 / p.omega0)
+        volterra.solve_amplitude(p, t_max=1e-2, dt=0.2 / p.omega0)
 
 
 def test_divergence_detection():
@@ -208,7 +207,7 @@ def test_divergence_detection():
     g = UniformGrid(0.0, 2e-4, 5001)
     kernel = SampledFunction(g, np.full(g.n_points, c, dtype=complex))
     with pytest.raises(NumericalFailure) as fast:
-        al.solve_volterra(kernel, max_growth=1.001)
+        volterra.solve_volterra(kernel, max_growth=1.001)
     with pytest.raises(NumericalFailure) as ref:
         reference_march(kernel, max_growth=1.001)
     step = re.compile(r"at step (\d+);")
@@ -222,7 +221,7 @@ def test_rate_truncation_when_amplitude_collapses():
     u = np.exp(-5.0 * t) + 0j          # falls below 1e-6 near t = 2.76
     udot = -5.0 * u
     traj = AmplitudeTrajectory(g, u, udot)
-    rates = al.exact_rates(traj)
+    rates = volterra.exact_rates(traj)
     assert rates.truncated
     assert rates.truncation_index is not None
     assert rates.gamma.grid.n_points == rates.truncation_index
@@ -235,4 +234,4 @@ def test_rates_fail_when_amplitude_dead_from_start():
     u = np.full(50, 1e-9, dtype=complex)
     traj = AmplitudeTrajectory(g, u, np.zeros(50, dtype=complex))
     with pytest.raises(NumericalFailure):
-        al.exact_rates(traj)
+        volterra.exact_rates(traj)
