@@ -19,11 +19,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import get_lapack_funcs
-# not called; kept importable because perfbench/layertrace.py traces it by name
-from scipy.linalg import solve_banded  # noqa: F401
-from scipy.sparse.linalg import splu, spsolve
 
 from . import model, tcl
 from .errors import GeneratorError, NumericalFailure, ParameterError
@@ -56,6 +51,28 @@ CLIP_WARN = 1e-3
 RANNACHER_STEPS = 4
 # verify_diagonal_closure checks the templates on the (CLOSURE_N, CLOSURE_N) box
 CLOSURE_N = 3
+
+
+# scipy loads on the first cw solve, not when cw is imported: `import
+# atomlaser.cli` imports cw, and a pulsed run needs numpy only. These three
+# names stay module-level callables, called through this module's globals,
+# because perfbench/layertrace.py (1) reads the import time of atomlaser.cw
+# from `python -X importtime -c "import atomlaser.cli"`, so cli must keep
+# importing cw, and (2) looks up `splu`, `spsolve` and `solve_banded` in cw by
+# name and rebinds them to timed wrappers. solve_banded is not called.
+def splu(A, **kwargs):
+    from scipy.sparse.linalg import splu
+    return splu(A, **kwargs)
+
+
+def spsolve(A, b, **kwargs):
+    from scipy.sparse.linalg import spsolve
+    return spsolve(A, b, **kwargs)
+
+
+def solve_banded(l_and_u, ab, b, **kwargs):
+    from scipy.linalg import solve_banded
+    return solve_banded(l_and_u, ab, b, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -162,9 +179,10 @@ def r_function(params, grid):
 
 
 class _Templates(NamedTuple):
-    static: sp.csr_matrix
-    out: sp.csr_matrix
-    oc: sp.csr_matrix
+    # static, out and oc are scipy.sparse CSR matrices
+    static: object
+    out: object
+    oc: object
     leak_static: np.ndarray
     leak_oc: np.ndarray
     dim: int
@@ -173,6 +191,8 @@ class _Templates(NamedTuple):
 
 @lru_cache(maxsize=8)
 def _templates(n0_max, n1_max, kappa1, N, Omega):
+    import scipy.sparse as sp
+
     n1p = n1_max + 1
     dim = (n0_max + 1) * n1p
     n0g, n1g = np.meshgrid(np.arange(n0_max + 1), np.arange(n1p), indexing="ij")
@@ -356,7 +376,7 @@ def _ensure_closure(params):
 
 
 class GeneratorAt(NamedTuple):
-    matrix: sp.csr_matrix
+    matrix: object  # scipy.sparse CSR matrix
     leak: np.ndarray
 
 
@@ -527,11 +547,15 @@ def evolve(params, p0, t_max, dt):
         return float(val)
 
     if params.order == "markov":
+        import scipy.sparse as sp
+
         lu = splu(sp.identity(dim, format="csc") - h * (static + gamma_h[0] * out_csr).tocsc())
 
         def implicit_solve(g, rr, b):
             return lu.solve(b)
     else:
+        from scipy.linalg import get_lapack_funcs
+
         # largest positive row - col offset, largest negative offset magnitude
         lower, upper = max(1, n1p - 2), n1p
         mats = (static, out_csr) + ((oc_csr,) if params.order == 4 else ())

@@ -6,10 +6,11 @@ handle poorly; second-order product integration is robust there and accuracy
 is controlled by grid halving instead.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .errors import ConfigError, GridError, ParameterError
 
@@ -21,7 +22,6 @@ __all__ = [
     "iterated_convolution",
     "ordered_triple_direct",
     "ordered_triple_factored",
-    "halving_difference",
 ]
 
 
@@ -107,20 +107,59 @@ def cumulative_integral(f):
     return SampledFunction(f.grid, _cumtrapz(f.values, f.grid.dt))
 
 
+@lru_cache(maxsize=None)
+def _smooth_numbers(primes, top):
+    """Sorted products of the given primes up to top."""
+    nums = [1]
+    for p in primes:
+        grown = []
+        for f in nums:
+            while f <= top:
+                grown.append(f)
+                f *= p
+        nums = grown
+    return tuple(sorted(nums))
+
+
+def next_fast_len(n, real):
+    """scipy.fft.next_fast_len(n, real): the smallest length >= n that is
+    5-smooth for real input and 11-smooth for complex input."""
+    top = 1 << (n - 1).bit_length()  # a power of two, so always a candidate
+    lens = _smooth_numbers((2, 3, 5) if real else (2, 3, 5, 7, 11), top)
+    return lens[bisect_left(lens, n)]
+
+
+def fft(x, n):
+    """scipy.fft.fft(x, n), bit for bit.
+
+    On real input scipy takes the half spectrum of rfft and fills in the
+    other half by conjugate symmetry, conjugating the DC (and for even n the
+    Nyquist) entry on the way; numpy.fft.fft would do a complex transform.
+    """
+    if np.iscomplexobj(x):
+        return np.fft.fft(x, n)
+    half = np.fft.rfft(x, n)
+    spec = np.empty(n, dtype=complex)
+    spec[: half.size] = half
+    spec[n - half.size + 1 :] = half[:0:-1].conj()
+    spec[0] = half[0].conjugate()
+    return spec
+
+
 def _fftconvolve(a, b):
     """Full discrete convolution of two 1-d arrays.
 
-    Takes the branches of scipy.signal.fftconvolve for 1-d input, and so gives
-    its bits, without importing scipy.signal (the slowest import of the CLI).
+    Takes the branches of scipy.signal.fftconvolve for 1-d input on
+    numpy.fft, and so gives its bits without importing scipy.
     """
     if a.size == 1 or b.size == 1:
         return a * b
     n = a.size + b.size - 1
     if np.iscomplexobj(a) or np.iscomplexobj(b):
-        m = sp_fft.next_fast_len(n, False)
-        return sp_fft.ifft(sp_fft.fft(a, m) * sp_fft.fft(b, m), m)[:n]
-    m = sp_fft.next_fast_len(n, True)
-    return sp_fft.irfft(sp_fft.rfft(a, m) * sp_fft.rfft(b, m), m)[:n]
+        m = next_fast_len(n, False)
+        return np.fft.ifft(fft(a, m) * fft(b, m), m)[:n]
+    m = next_fast_len(n, True)
+    return np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(b, m), m)[:n]
 
 
 def _convtrapz(kernel, u, dt):
@@ -205,12 +244,3 @@ def shared_points_difference(fine, coarse):
         return None
     return float(np.abs(a[mask] - coarse[mask]).max())
 
-
-def halving_difference(compute, grid):
-    """max |curve(dt) - curve(2 dt)| on shared points.
-
-    compute maps a grid to a SampledFunction. For an order-2 rule the true
-    fine-grid error is about a third of this difference; callers use the raw
-    difference as a conservative tolerance.
-    """
-    return shared_points_difference(compute(grid).values, compute(grid.coarsened()).values)

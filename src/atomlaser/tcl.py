@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 BREAKDOWN_FLOOR = 0.1
+# late grid times at which tcl4_rates(cross_validate=True) runs the nested rule
+VALIDATE_POINTS = 3
 
 
 @dataclass
@@ -129,20 +131,20 @@ def _tcl4_direct_value(phi_s, psi_s, t, dt):
             0.5 * ordered_triple_direct(g_shift, t, dt).real)
 
 
-def tcl4_rates(params, grid, cross_validate=False, validate_points=3):
+def tcl4_rates(params, grid, cross_validate=False):
     """Fourth-order rate and shift curves.
 
     The printed integrands are ordered triple integrals whose terms couple the
     outer time either to the middle or to the last integration variable; both
     couplings factorize, so the default path evaluates the O(n^2) table form.
-    With cross_validate=True the slow O(n^3) nested rule is evaluated at a few
-    late grid times and the two paths must agree within 10x a grid-halving
-    error estimate, else NumericalFailure.
+    With cross_validate=True the slow O(n^3) nested rule is evaluated at
+    VALIDATE_POINTS late grid times and the two paths must agree within 10x
+    a grid-halving error estimate, else NumericalFailure.
     """
     gamma4, s4, phi_s, psi_s = _tcl4_from_tables(params, grid)
     if cross_validate:
         n = grid.n_points
-        idx = np.unique(np.linspace(n // 2, n - 1, validate_points, dtype=int))
+        idx = np.unique(np.linspace(n // 2, n - 1, VALIDATE_POINTS, dtype=int))
         # halving estimate for the fast path, on shared coarse points
         coarse_g4, coarse_s4, _, _ = _tcl4_from_tables(params, grid.coarsened())
         est_g = shared_points_difference(gamma4.values, coarse_g4.values)

@@ -17,12 +17,10 @@ convolution of Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6,
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.linalg import solve_triangular
 
 from . import model
 from .errors import ConfigError, NumericalFailure
-from .quad import SampledFunction, UniformGrid, _fftconvolve, grid_for
+from .quad import SampledFunction, UniformGrid, _fftconvolve, grid_for, next_fast_len
 
 __all__ = [
     "AmplitudeTrajectory",
@@ -39,7 +37,7 @@ DIVERGENCE_TOL = 1e-3
 SANITY_TOL = 1e-6
 # rate extraction stops once the amplitude is this small
 RATE_CUTOFF = 1e-6
-# rows of T solved by one forward substitution in _halving_solve
+# rows of T solved by one product with the inverse block in _halving_solve
 LEAF = 64
 
 
@@ -58,7 +56,7 @@ class ExactRates:
     truncation_index: int | None
 
 
-def solve_volterra(kernel, max_growth=None):
+def solve_volterra(kernel, max_growth):
     """March the memory equation du/dt = -(kernel * u)(t) for a sampled kernel.
 
     Returns (u, udot) arrays on the kernel's grid. The discrete scheme is
@@ -76,8 +74,8 @@ def solve_volterra(kernel, max_growth=None):
     comes from the same formula, with H as one FFT convolution, so rates
     never see finite differences of u.
 
-    If max_growth is given, the first step j >= 1 with |u_j| > max_growth
-    (or a non-finite u_j) raises NumericalFailure.
+    The first step j >= 1 with |u_j| > max_growth (or a non-finite u_j)
+    raises NumericalFailure.
     """
     k = np.ascontiguousarray(kernel.values, dtype=complex)
     dt = kernel.grid.dt
@@ -87,13 +85,12 @@ def solve_volterra(kernel, max_growth=None):
     u = np.empty(n, dtype=complex)
     u[0] = 1.0
     u[1:] = _solve_lower_toeplitz(*_toeplitz_system(k, edge, c))
-    if max_growth is not None:
-        bad = np.flatnonzero(~(np.abs(u[1:]) <= max_growth))
-        if bad.size:
-            j = int(bad[0]) + 1
-            raise NumericalFailure(
-                f"amplitude grew to |u| = {abs(u[j]):.6f} at step {j}; the scheme has destabilized"
-            )
+    bad = np.flatnonzero(~(np.abs(u[1:]) <= max_growth))
+    if bad.size:
+        j = int(bad[0]) + 1
+        raise NumericalFailure(
+            f"amplitude grew to |u| = {abs(u[j]):.6f} at step {j}; the scheme has destabilized"
+        )
     hist = np.zeros(n - 1, dtype=complex)
     if n > 2:
         hist[1:] = _fftconvolve(k[1 : n - 1], u[1 : n - 1])[: n - 2]
@@ -125,18 +122,20 @@ def _toeplitz_system(k, edge, c):
 def _solve_lower_toeplitz(t, b):
     """Solve T x = b for the lower-triangular Toeplitz T with first column t.
 
-    Overwrites and returns b. Every leaf is a forward substitution with the
-    leading LEAF x LEAF block of T, which is the same matrix for every leaf.
+    Overwrites and returns b. Every leaf solves with the leading LEAF x LEAF
+    block of T, which is the same matrix for every leaf, so its inverse is
+    formed once; a shorter last leaf uses the inverse's leading sub-block,
+    which is the inverse of T's leading sub-block because T is triangular.
     """
     m = min(LEAF, b.size)
     block = np.zeros((m, m), dtype=complex)
     for i in range(m):
         block[i:, i] = t[: m - i]
-    _halving_solve(t, b, block, {}, 0, b.size)
+    _halving_solve(t, b, np.linalg.inv(block), {}, 0, b.size)
     return b
 
 
-def _halving_solve(t, b, block, spectra, lo, hi):
+def _halving_solve(t, b, inv, spectra, lo, hi):
     """Solve rows lo..hi-1 of T x = b in place, in O(n log^2 n).
 
     On entry b[lo:hi] already excludes the contribution of x[:lo]. Recursive
@@ -148,22 +147,21 @@ def _halving_solve(t, b, block, spectra, lo, hi):
     runs.)
     """
     if hi - lo <= LEAF:
-        sub = block[: hi - lo, : hi - lo]
-        b[lo:hi] = solve_triangular(sub, b[lo:hi], lower=True, check_finite=False)
+        b[lo:hi] = inv[: hi - lo, : hi - lo] @ b[lo:hi]
         return
     mid = lo + LEAF * (-(-(hi - lo) // LEAF) // 2)
-    _halving_solve(t, b, block, spectra, lo, mid)
+    _halving_solve(t, b, inv, spectra, lo, mid)
     size = hi - lo
     if size not in spectra:
-        p = sp_fft.next_fast_len(size - 1, False)
-        spectra[size] = (p, sp_fft.fft(t[1:size], p))
+        p = next_fast_len(size - 1, False)
+        spectra[size] = (p, np.fft.fft(t[1:size], p))
     p, spec = spectra[size]
     # middle product: entries mid-lo-1 .. size-2 of the linear convolution of
     # x[lo:mid] with t_1..t_{size-1}; a cyclic length >= size-1 keeps them
     # free of wrap-around
-    y = sp_fft.ifft(sp_fft.fft(b[lo:mid], p) * spec, p)
+    y = np.fft.ifft(np.fft.fft(b[lo:mid], p) * spec, p)
     b[mid:hi] -= y[mid - lo - 1 : size - 1]
-    _halving_solve(t, b, block, spectra, mid, hi)
+    _halving_solve(t, b, inv, spectra, mid, hi)
 
 
 def solve_amplitude(params, t_max, dt):

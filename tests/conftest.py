@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from atomlaser import cw, model
+from atomlaser.quad import shared_points_difference
 
 
 OMEGA0 = 772.8317927830892   # 2*pi*123
@@ -29,6 +30,16 @@ def trap1e5():
 @pytest.fixture(scope="session")
 def trap1e6():
     return trap(1e6)
+
+
+def halving_difference(compute, grid):
+    """max |curve(dt) - curve(2 dt)| on shared points.
+
+    compute maps a grid to a SampledFunction. For an order-2 rule the true
+    fine-grid error is about a third of this difference; tests use the raw
+    difference as a conservative tolerance.
+    """
+    return shared_points_difference(compute(grid).values, compute(grid.coarsened()).values)
 
 
 def cw_params(t, order, n0_max=200, n1_max=60, N=20.3):

@@ -14,7 +14,6 @@ from atomlaser.quad import (
     SampledFunction,
     UniformGrid,
     cumulative_integral,
-    halving_difference,
 )
 from atomlaser.tcl import (
     RateSeries,
@@ -28,7 +27,7 @@ from atomlaser.tcl import (
 )
 from atomlaser.volterra import exact_rates, occupation, solve_amplitude
 
-from conftest import OMEGA0, cw_params, trap
+from conftest import OMEGA0, cw_params, halving_difference, trap
 
 STATIONARY_N0 = 99.83412993229939
 

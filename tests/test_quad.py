@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.signal import fftconvolve
 
 from atomlaser import ConfigError, GridError, ParameterError, cw, volterra
@@ -10,15 +11,16 @@ from atomlaser.quad import (
     UniformGrid,
     _fftconvolve,
     cumulative_integral,
+    fft,
     grid_for,
-    halving_difference,
     iterated_convolution,
+    next_fast_len,
     ordered_triple_direct,
     ordered_triple_factored,
     sample,
 )
 
-from conftest import cw_params, trap
+from conftest import cw_params, halving_difference, trap
 
 
 def test_grid_validation():
@@ -128,6 +130,27 @@ def test_fftconvolve_bit_equal_to_scipy_signal(kinds):
             want, got = fftconvolve(a, b), _fftconvolve(a, b)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), (n, m)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_next_fast_len_matches_scipy(real):
+    # every FFT length of the convolutions and the Volterra solve comes from
+    # here; pocketfft's bits depend on the length, so it must be scipy's
+    ns = range(1, 70_000)
+    mismatched = [n for n in ns if next_fast_len(n, real) != scipy.fft.next_fast_len(n, real)]
+    assert mismatched == []
+
+
+def test_fft_bit_equal_to_scipy():
+    rng = np.random.default_rng(11)
+    for n in list(range(1, 70)) + [121, 1000, 4001, 16001]:
+        x = rng.standard_normal(n)
+        z = x + 1j * rng.standard_normal(n)
+        for m in (n, n + 1, next_fast_len(n, False), 2 * n + 1):
+            for v in (x, z):
+                want, got = scipy.fft.fft(v, m), fft(v, m)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (n, m, v.dtype)
 
 
 def test_convolution_bilinearity_and_grid_check():
