@@ -26,8 +26,7 @@ __all__ = ["main", "BUILTIN_SCENARIOS", "parse_scenario", "run_scenario", "list_
 FLOAT_FORMAT = "%.11e"
 CSV_CHUNK_ROWS = 1024
 
-PULSED_MODES = ("pulsed_markov", "pulsed_exact", "pulsed_tcl")
-MODES = PULSED_MODES + ("cw",)
+MODES = ("pulsed_tcl", "cw")
 
 # Shared trap parameter block used by every built-in: a 2e-26 kg atom in a
 # 123 Hz trap releasing into free space with a 1e6 1/m momentum spread.
@@ -112,9 +111,6 @@ orders = markov,2,4
 """,
 }
 
-_BUILTIN_ORDER = ("fig2", "fig3", "fig4", "fig5", "fig7")
-
-
 @dataclass
 class Scenario:
     name: str
@@ -197,17 +193,13 @@ def parse_scenario(text, source="<config>"):
     name = _get(sc, "name", str, required=False, default=os.path.splitext(os.path.basename(source))[0])
 
     tr = cp["trap"]
-    _check_keys(tr, {"M", "omega0", "sigma_k", "Gamma", "hbar"})
-    trap_kwargs = dict(
+    _check_keys(tr, {"M", "omega0", "sigma_k", "Gamma"})
+    trap = model.TrapParams(
         M=_get(tr, "M", float),
         omega0=_get(tr, "omega0", float),
         sigma_k=_get(tr, "sigma_k", float),
         Gamma=_get(tr, "Gamma", float),
     )
-    hbar = _get(tr, "hbar", float, required=False)
-    if hbar is not None:
-        trap_kwargs["hbar"] = hbar
-    trap = model.TrapParams(**trap_kwargs)
     gamma_m = model.gamma_markov_closed_form(trap)
 
     gr = cp["grid"]
@@ -249,8 +241,6 @@ def parse_scenario(text, source="<config>"):
     )
     if scen.tcl_order not in (2, 4, 6):
         raise ConfigError(f"key 'tcl_order': must be 2, 4 or 6, got {scen.tcl_order}")
-    if scen.rates and mode == "pulsed_markov":
-        raise ConfigError("key 'rates': rate columns need mode pulsed_exact or pulsed_tcl")
 
     if mode == "cw":
         if "cw" not in cp:
@@ -315,22 +305,17 @@ def _pulsed_columns(scen, n_steps, dt):
     grid = UniformGrid(0.0, dt, n_steps + 1)
     t = grid.times()
     gamma_m = model.gamma_markov_closed_form(trap)
-    columns = [("t_seconds", t), ("gammaM_t", gamma_m * t)]
+    traj = volterra.solve_amplitude(trap, t_max, dt)
+    columns = [("t_seconds", t), ("gammaM_t", gamma_m * t),
+               ("n_exact", volterra.occupation(traj).values),
+               ("n_markov", np.exp(-gamma_m * t))]
 
-    traj = None
-    if scen.mode in ("pulsed_exact", "pulsed_tcl"):
-        traj = volterra.solve_amplitude(trap, t_max, dt)
-        columns.append(("n_exact", volterra.occupation(traj).values))
-    columns.append(("n_markov", np.exp(-gamma_m * t)))
-
-    rates = None
-    diagnostics = {"series_breakdown_index": None, "exact_rate_truncation_index": None}
-    if scen.mode == "pulsed_tcl":
-        rates = tcl.tcl_series_rates(trap, grid, order_max=scen.tcl_order)
-        for order in rates.orders():
-            occ = tcl.occupation_from_rates(rates, order)
-            columns.append((f"n_tcl{order}", occ.values))
-        diagnostics["series_breakdown_index"] = tcl.series_breakdown_index(rates)
+    rates = tcl.tcl_series_rates(trap, grid, order_max=scen.tcl_order)
+    for order in rates.orders():
+        occ = tcl.occupation_from_rates(rates, order)
+        columns.append((f"n_tcl{order}", occ.values))
+    diagnostics = {"series_breakdown_index": tcl.series_breakdown_index(rates),
+                   "exact_rate_truncation_index": None}
 
     if scen.rates:
         exact = volterra.exact_rates(traj)
@@ -338,12 +323,11 @@ def _pulsed_columns(scen, n_steps, dt):
         gam = np.full(n_steps + 1, np.nan)
         gam[: exact.gamma.values.size] = exact.gamma.values
         columns.append(("gamma_exact", gam))
-        if rates is not None:
-            columns.append(("gamma2", rates.gamma_by_order[2]))
-            if scen.tcl_order >= 4:
-                columns.append(("gamma4_cum", rates.total_gamma(4).values))
-            if scen.tcl_order >= 6:
-                columns.append(("gamma6_cum", rates.total_gamma(6).values))
+        columns.append(("gamma2", rates.gamma_by_order[2]))
+        if scen.tcl_order >= 4:
+            columns.append(("gamma4_cum", rates.total_gamma(4).values))
+        if scen.tcl_order >= 6:
+            columns.append(("gamma6_cum", rates.total_gamma(6).values))
     return columns, diagnostics
 
 
@@ -387,7 +371,7 @@ def _base_meta(scen):
             "omega0": trap.omega0,
             "sigma_k": trap.sigma_k,
             "Gamma": trap.Gamma,
-            "hbar": trap.hbar,
+            "hbar": model.HBAR,
             "alpha": trap.alpha,
         },
         "derived": {
@@ -472,11 +456,12 @@ def _run_cw_order(scen, order, outdir):
 def run_scenario(scen, outdir=".", jobs=1):
     """Execute a resolved Scenario; returns the list of files written."""
     os.makedirs(outdir, exist_ok=True)
-    if scen.mode in PULSED_MODES:
+    if scen.mode != "cw":
         return _run_pulsed(scen, outdir)
     written = []
     if jobs > 1 and len(scen.cw_orders) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool starts all its workers at once, so never more than orders
+        with ProcessPoolExecutor(max_workers=min(jobs, len(scen.cw_orders))) as pool:
             futures = [pool.submit(_run_cw_order, scen, order, outdir)
                        for order in scen.cw_orders]
             for fut in futures:
@@ -494,15 +479,15 @@ def _load_config(target):
         with open(target) as fh:
             return fh.read(), target
     raise ConfigError(
-        f"'{target}' is neither a built-in scenario ({', '.join(_BUILTIN_ORDER)}) "
+        f"'{target}' is neither a built-in scenario ({', '.join(BUILTIN_SCENARIOS)}) "
         "nor an existing config file"
     )
 
 
 def list_scenarios(config_dir=None):
     """Print built-in scenarios, then any configs found in config_dir."""
-    for name in _BUILTIN_ORDER:
-        scen = parse_scenario(BUILTIN_SCENARIOS[name], name)
+    for name, text in BUILTIN_SCENARIOS.items():
+        scen = parse_scenario(text, name)
         print(f"{name}  {scen.description}")
     if config_dir:
         try:
@@ -543,7 +528,8 @@ def _build_parser():
     run_p.add_argument("--r-reading", choices=cw.R_READINGS, dest="r_reading",
                        help="reference-time reading of the cw cross-term weight")
     run_p.add_argument("--jobs", type=int, default=1,
-                       help="run independent sub-scenarios concurrently")
+                       help="run the orders of a cw scenario in up to this many "
+                            "processes (default 1)")
 
     list_p = sub.add_parser("list", help="list available scenarios")
     list_p.add_argument("--configs", default=None, metavar="DIR",
@@ -576,10 +562,12 @@ def main(argv=None):
         if args.command == "list":
             list_scenarios(args.configs)
             return 0
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         text, source = _load_config(args.target)
         scen = parse_scenario(text, source)
         _apply_overrides(scen, args)
-        written = run_scenario(scen, args.out, jobs=max(1, args.jobs))
+        written = run_scenario(scen, args.out, jobs=args.jobs)
         for path in written:
             print(path)
         return 0

@@ -126,7 +126,9 @@ class DiagonalState:
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 2:
             raise ParameterError("state must be a 2-d table indexed (n0, n1)")
-        if abs(p.sum() + self.clipped - 1.0) > 1e-6:
+        if not (np.isfinite(p).all() and np.isfinite(self.clipped)):
+            raise ParameterError("state holds a non-finite probability or clipped mass")
+        if not (abs(p.sum() + self.clipped - 1.0) <= CONSERVATION_TOL):
             raise ParameterError(
                 f"state is not normalized: sum p + clipped = {p.sum() + self.clipped!r}")
         self.p = p
@@ -136,9 +138,6 @@ class DiagonalState:
         p = np.zeros((n0_max + 1, n1_max + 1))
         p[0, 0] = 1.0
         return cls(p)
-
-    def flat(self):
-        return self.p.ravel()
 
     def mean_n0(self):
         return float((self.p.sum(axis=1) * np.arange(self.p.shape[0])).sum())
@@ -187,9 +186,22 @@ class _Templates(NamedTuple):
     leak_oc: np.ndarray
     dim: int
     n1p: int
+    # the three templates and the identity in LAPACK band storage (row
+    # upper + i - j holds entry (i, j)), cut to band_rows: the rows that hold a
+    # non-zero entry of some template (at most 6), plus the main diagonal
+    lower: int
+    upper: int
+    band_rows: np.ndarray
+    band_static: np.ndarray
+    band_out: np.ndarray
+    band_oc: np.ndarray
+    band_eye: np.ndarray
 
 
-@lru_cache(maxsize=8)
+# One scenario reads exactly two keys: its own (box, kappa1, N, Omega) and the
+# (CLOSURE_N, CLOSURE_N) probe of verify_diagonal_closure. Parameters change
+# from one scenario to the next, so a larger cache would only hold stale sets.
+@lru_cache(maxsize=2)
 def _templates(n0_max, n1_max, kappa1, N, Omega):
     import scipy.sparse as sp
 
@@ -259,7 +271,27 @@ def _templates(n0_max, n1_max, kappa1, N, Omega):
     entries.append((src, src, -wp))
     oc = assemble(entries)
 
-    return _Templates(static, out, oc, leak_s, leak_oc, dim, n1p)
+    # collisions reach n1p - 2 diagonals below the main one, output n1p above
+    lower, upper = max(1, n1p - 2), n1p
+    coos = [m.tocoo() for m in (static, out, oc)]
+    rows = {upper}
+    for coo in coos:
+        rows.update((upper + coo.row - coo.col)[coo.data != 0].tolist())
+    rows = np.array(sorted(rows))
+    if rows[0] < 0 or rows[-1] > lower + upper:
+        raise GeneratorError(f"generator entries fall outside the ({lower}, {upper}) band")
+    bands = []
+    for coo in coos:
+        ab = np.zeros((len(rows), dim))
+        nz = coo.data != 0
+        slot = np.searchsorted(rows, upper + coo.row[nz] - coo.col[nz])
+        np.add.at(ab, (slot, coo.col[nz]), coo.data[nz])
+        bands.append(ab)
+    eye = np.zeros((len(rows), dim))
+    eye[rows == upper] = 1.0
+
+    return _Templates(static, out, oc, leak_s, leak_oc, dim, n1p,
+                      lower, upper, rows, *bands, eye)
 
 
 def _templates_for(params):
@@ -404,7 +436,7 @@ def build_generator(params, gamma=None, r=0j):
         leak += rr * tpl.leak_oc
     colsum = np.asarray(G.sum(axis=0)).ravel() + leak
     scale = max(float(np.abs(G.data).max()) if G.nnz else 0.0, 1.0)
-    if np.abs(colsum).max() > 1e-12 * scale:
+    if not (np.abs(colsum).max() <= 1e-12 * scale):
         raise GeneratorError(
             f"generator columns do not balance: worst residual {np.abs(colsum).max():.3e} "
             f"against rate scale {scale:.3e}"
@@ -440,6 +472,8 @@ def stationary_distribution(params):
     b = np.zeros(params.dim)
     b[0] = 1.0
     p = spsolve(G.tocsc(), b)
+    if not np.isfinite(p).all():
+        raise NumericalFailure("the stationary solve returned a non-finite probability")
     p = p / p.sum()
     return DiagonalState(p.reshape(params.n0_max + 1, params.n1_max + 1))
 
@@ -458,29 +492,6 @@ class CwTrajectory:
     clipped_flux: np.ndarray
     final_state: DiagonalState
     negativity_flagged: bool = False
-
-
-def _band_rows(mats, lower, upper):
-    """Band-storage rows (upper + row - col) that hold a non-zero entry of
-    some matrix, plus the main diagonal; every other row of the band is zero."""
-    rows = {upper}
-    for mat in mats:
-        coo = mat.tocoo()
-        rows.update((upper + coo.row - coo.col)[coo.data != 0].tolist())
-    rows = np.array(sorted(rows))
-    if rows[0] < 0 or rows[-1] > lower + upper:
-        raise GeneratorError(f"generator entries fall outside the ({lower}, {upper}) band")
-    return rows
-
-
-def _to_banded(mat, rows, upper, dim):
-    """The given rows of mat's band storage; zero entries are left out."""
-    ab = np.zeros((len(rows), dim))
-    coo = mat.tocoo()
-    nz = coo.data != 0
-    slot = np.searchsorted(rows, upper + coo.row[nz] - coo.col[nz])
-    np.add.at(ab, (slot, coo.col[nz]), coo.data[nz])
-    return ab
 
 
 def evolve(params, p0, t_max, dt):
@@ -504,14 +515,15 @@ def evolve(params, p0, t_max, dt):
     step serves every solve. At orders 2 and 4, gamma(t) and r(t) change
     every step, so each solve factors I - (dt/2) G(t) anew with LAPACK's
     banded gbsv. The band is (n1_max - 1) diagonals below and n1_max + 1
-    above the main one, but only the few diagonals that hold a non-zero
-    template entry (6 at order 4) are stored; they are combined each step
-    into one reused LAPACK work array whose other rows stay zero.
+    above the main one, but only the few diagonals that hold a template
+    entry are stored, built once per box together with the templates; each
+    solve combines them into one reused LAPACK work array whose other rows
+    stay zero.
     """
     grid = grid_for(t_max, dt)
     n_steps = grid.n_points - 1
-    _ensure_closure(params)
-    static, out_csr, oc_csr, leak_s, leak_oc, dim, n1p = _templates_for(params)
+    tpl = _templates_for(params)
+    static, out_csr, oc_csr, dim, n1p = tpl.static, tpl.out, tpl.oc, tpl.dim, tpl.n1p
     # rates and the cross-term weight are sampled at half steps so both the
     # endpoints and the Rannacher midpoint come from one table
     half = UniformGrid(0.0, 0.5 * dt, 2 * n_steps + 1)
@@ -541,9 +553,9 @@ def evolve(params, p0, t_max, dt):
         return y
 
     def leak_dot(vec, rr):
-        val = leak_s @ vec
+        val = tpl.leak_static @ vec
         if rr != 0.0:
-            val += rr * (leak_oc @ vec)
+            val += rr * (tpl.leak_oc @ vec)
         return float(val)
 
     if params.order == "markov":
@@ -556,25 +568,17 @@ def evolve(params, p0, t_max, dt):
     else:
         from scipy.linalg import get_lapack_funcs
 
-        # largest positive row - col offset, largest negative offset magnitude
-        lower, upper = max(1, n1p - 2), n1p
-        mats = (static, out_csr) + ((oc_csr,) if params.order == 4 else ())
-        rows = _band_rows(mats, lower, upper)
-        b_static = _to_banded(static, rows, upper, dim)
-        b_out = _to_banded(out_csr, rows, upper, dim)
-        b_oc = _to_banded(oc_csr, rows, upper, dim) if params.order == 4 else None
-        b_eye = np.zeros_like(b_static)
-        b_eye[rows == upper] = 1.0
+        lower, upper = tpl.lower, tpl.upper
         # gbsv's band layout: `lower` fill-in rows above the band itself
         work = np.zeros((2 * lower + upper + 1, dim), order="F")
         gbsv, = get_lapack_funcs(("gbsv",), (work,))
 
         def implicit_solve(g, rr, b):
-            band = b_eye - h * (b_static + g * b_out)
-            if b_oc is not None and rr != 0.0:
-                band -= h * rr * b_oc
+            band = tpl.band_eye - h * (tpl.band_static + g * tpl.band_out)
+            if rr != 0.0:
+                band -= h * rr * tpl.band_oc
             work.fill(0.0)
-            work[lower + rows] = band
+            work[lower + tpl.band_rows] = band
             _, _, x, info = gbsv(lower, upper, work, b, overwrite_ab=True)
             if info != 0:
                 raise NumericalFailure(
@@ -617,14 +621,14 @@ def evolve(params, p0, t_max, dt):
         record(j + 1, p, clip)
 
     drift = float(np.abs(prob_sum + clipped - 1.0).max())
-    if drift > CONSERVATION_TOL:
+    if not (drift <= CONSERVATION_TOL):
         raise NumericalFailure(
             f"probability accounting drifted by {drift:.3e} (limit {CONSERVATION_TOL:.0e}); "
             "the step size is too coarse for this generator"
         )
     negativity_flagged = False
     worst_neg = float(min_p.min())
-    if worst_neg < -NEGATIVITY_TOL:
+    if not (worst_neg >= -NEGATIVITY_TOL):
         if params.order == 4:
             negativity_flagged = True
             warnings.warn(

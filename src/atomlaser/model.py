@@ -52,10 +52,9 @@ class TrapParams:
     omega0: float
     sigma_k: float
     Gamma: float
-    hbar: float = HBAR
 
     def __post_init__(self):
-        _require_finite(self, ("M", "omega0", "sigma_k", "Gamma", "hbar"))
+        _require_finite(self, ("M", "omega0", "sigma_k", "Gamma"))
         if not (self.M > 0):
             raise ParameterError(f"atomic mass must be positive, got {self.M}")
         if not (self.omega0 > 0):
@@ -64,13 +63,11 @@ class TrapParams:
             raise ParameterError(f"sigma_k must be positive, got {self.sigma_k}")
         if self.Gamma < 0:
             raise ParameterError(f"Gamma must be non-negative, got {self.Gamma}")
-        if not (self.hbar > 0):
-            raise ParameterError(f"hbar must be positive, got {self.hbar}")
 
     @property
     def alpha(self):
         """Frequency scale of the reservoir memory, hbar sigma_k^2 / (2 M)."""
-        return self.hbar * self.sigma_k**2 / (2.0 * self.M)
+        return HBAR * self.sigma_k**2 / (2.0 * self.M)
 
 
 def coupling_kappa(params, k):

@@ -224,8 +224,7 @@ class WaitingTime:
     """
 
     F: SampledFunction
-    decreasing_steps: np.ndarray
-    monotone: bool
+    decreasing_steps: np.ndarray  # the reading holds when none is set
 
 
 def waiting_time(n):
@@ -233,7 +232,7 @@ def waiting_time(n):
         raise ParameterError("occupation must start at 1")
     F = SampledFunction(n.grid, 1.0 - n.values)
     dec = np.diff(F.values) < -1e-12
-    return WaitingTime(F, dec, not bool(dec.any()))
+    return WaitingTime(F, dec)
 
 
 def asymptotic_gamma2(params, t):

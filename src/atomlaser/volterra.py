@@ -52,8 +52,7 @@ class AmplitudeTrajectory:
 class ExactRates:
     gamma: SampledFunction
     shift: SampledFunction
-    truncated: bool
-    truncation_index: int | None
+    truncation_index: int | None  # None when the rates run to the end of the grid
 
 
 def solve_volterra(kernel, max_growth):
@@ -195,8 +194,8 @@ def exact_rates(traj):
     gamma(t) = -2 Re(udot/u) and shift(t) = +2 Im(udot/u); the shift sign is
     fixed by matching the second-order perturbative shift (the running
     integral of psi) at weak coupling. If |u| falls below RATE_CUTOFF the
-    output is truncated there and flagged: the rate genuinely diverges where
-    the occupation collapses to zero.
+    output stops there and truncation_index records where: the rate
+    genuinely diverges where the occupation collapses to zero.
     """
     a = np.abs(traj.u)
     below = np.nonzero(a < RATE_CUTOFF)[0]
@@ -206,11 +205,11 @@ def exact_rates(traj):
             raise NumericalFailure("amplitude vanished at the start of the grid")
         grid = UniformGrid(traj.grid.t0, traj.grid.dt, idx)
         ratio = traj.udot[:idx] / traj.u[:idx]
-        truncated, tidx = True, idx
+        tidx = idx
     else:
         grid = traj.grid
         ratio = traj.udot / traj.u
-        truncated, tidx = False, None
+        tidx = None
     gamma = SampledFunction(grid, -2.0 * ratio.real)
     shift = SampledFunction(grid, 2.0 * ratio.imag)
-    return ExactRates(gamma, shift, truncated, tidx)
+    return ExactRates(gamma, shift, tidx)

@@ -157,7 +157,7 @@ def test_criterion_06_collapse_revival_breakdown(trap1e6):
 
     ok = (collapse < 0.01 and revival > 10 * collapse and i_max > i_min
           and spike > 5 * gm and idx is not None and 3.0 < t_break < 6.0
-          and not wt.monotone)
+          and wt.decreasing_steps.any())
     _verdict(6, ok, f"collapse to {collapse:.4f} then revival to {revival:.3f}, "
                     f"rate spike {spike / gm:.1f} gamma_M, series flagged at "
                     f"gamma_M t = {t_break:.2f}, waiting-time reading voided")

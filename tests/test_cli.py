@@ -3,6 +3,7 @@ output, overrides, exit codes, and determinism."""
 
 import json
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -204,6 +205,47 @@ def test_jobs_flag_runs_orders_concurrently(tmp_path):
     assert (tmp_path / "tiny_tcl2.csv").exists()
 
 
+class _InlinePool:
+    """ProcessPoolExecutor stand-in that records its size and runs inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+def test_jobs_pool_never_exceeds_orders(tmp_path, monkeypatch):
+    # the pool forks all its workers up front; only the orders can use one
+    monkeypatch.setattr("atomlaser.cli.ProcessPoolExecutor", _InlinePool)
+    _InlinePool.sizes.clear()
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CW)
+    assert main(["run", str(cfg), "--out", str(tmp_path), "--jobs", "64"]) == 0
+    assert _InlinePool.sizes == [2]
+    assert (tmp_path / "tiny_markov.csv").exists()
+    assert (tmp_path / "tiny_tcl2.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_one(tmp_path, capsys, jobs):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CW)
+    assert main(["run", str(cfg), "--out", str(tmp_path), "--jobs", jobs]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_overrides_tmax_dt_order(tmp_path):
     cfg = tmp_path / "tinyp.cfg"
     cfg.write_text(TINY_PULSED)
@@ -300,6 +342,39 @@ orders = markov
     rc = main(["run", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_overflowing_rates_exit_two(tmp_path, capsys):
+    # kappa1 = 1e307 overflows the pump rates to inf and the generator to nan;
+    # every guard must fail on nan instead of writing nan rows
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(TINY_CW.replace("kappa1_gamma = 10", "kappa1 = 1e307")
+                          .replace("Omega_gamma = 1", "Omega_gamma = 15")
+                          .replace("N = 0.5", "N = 20.3")
+                          .replace("n0_max = 20", "n0_max = 6")
+                          .replace("n1_max = 10", "n1_max = 5")
+                          .replace("orders = markov,2", "orders = 2")
+                          .replace("t_max_gamma = 0.05\nn_steps = 40", "t_max = 1e-4\ndt = 1e-5"))
+    with np.errstate(all="ignore"):
+        rc = main(["run", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("Gamma = 5e4\n", "Gamma = 5e4\nhbar = 1.054571817e-34\n", "'hbar'"),
+    ("mode = cw", "mode = pulsed_exact", "'mode'"),
+    ("mode = cw", "mode = pulsed_markov", "'mode'"),
+], ids=["hbar", "pulsed_exact", "pulsed_markov"])
+def test_removed_settings_exit_one(tmp_path, capsys, old, new, key):
+    # hbar is the constant model.HBAR, and pulsed_tcl writes every column the
+    # two narrower pulsed modes did
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(TINY_CW.replace(old, new))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
 
 
 def test_list_builtins(capsys):

@@ -57,6 +57,12 @@ def test_diagonal_state():
         cw.DiagonalState(np.ones(5))            # not 2-d
     with pytest.raises(ParameterError):
         cw.DiagonalState(np.full((3, 3), 0.2))  # sums to 1.8
+    # non-finite tables and clipped masses fail every comparison; reject them
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ParameterError, match="non-finite"):
+            cw.DiagonalState(np.full((2, 2), bad))
+        with pytest.raises(ParameterError, match="non-finite"):
+            cw.DiagonalState(np.eye(2) / 2, bad)
     s = cw.DiagonalState.vacuum(4, 3)
     assert s.p.shape == (5, 4)
     assert s.p[0, 0] == 1.0
@@ -65,7 +71,7 @@ def test_diagonal_state():
     table[2, 1] = 1.0
     s2 = cw.DiagonalState(table)
     assert s2.mean_n0() == 2.0 and s2.mean_n1() == 1.0
-    assert s2.flat()[2 * 4 + 1] == 1.0
+    assert s2.p.ravel()[2 * 4 + 1] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +243,13 @@ def test_stationary_truncation_sufficient(stationary_default):
     assert abs(st_wide.mean_n0() - st.mean_n0()) / st.mean_n0() < 0.005
 
 
+def test_stationary_rejects_non_finite_solve(monkeypatch):
+    params = cw_params(trap(5e4), "markov", n0_max=6, n1_max=5)
+    monkeypatch.setattr(cw, "spsolve", lambda A, b: np.full(b.size, np.nan))
+    with pytest.raises(NumericalFailure, match="non-finite"):
+        cw.stationary_distribution(params)
+
+
 def test_pump_only_stationary_occupancy():
     # Gamma = 0 and Omega = 0: mode 1 thermalizes to <n1> = N, mode 0 frozen
     t0 = trap(0.0)
@@ -275,7 +288,7 @@ def test_steppers_agree_with_matrix_exponential():
     gen = cw.build_generator(params)
     p0 = cw.DiagonalState.vacuum(8, 6)
     t_max, dt = 0.02, 3.2e-6
-    exact = expm(gen.matrix.toarray() * t_max) @ p0.flat()
+    exact = expm(gen.matrix.toarray() * t_max) @ p0.p.ravel()
     n0_exact = float((np.arange(params.dim) // 7) @ exact)
     tr_cn = cw.evolve(params, p0, t_max, dt)
     assert tr_cn.mean_n0[-1] == pytest.approx(n0_exact, abs=1e-7)
@@ -304,7 +317,7 @@ def test_time_dependent_implicit_stepper_matches_dense_recurrence(order):
     def step(h, k, b):
         return np.linalg.solve(eye - h * gens[k].matrix.toarray(), b)
 
-    p = cw.DiagonalState.vacuum(8, 6).flat()
+    p = cw.DiagonalState.vacuum(8, 6).p.ravel()
     clip = 0.0
     n0_of, n1_of = np.arange(params.dim) // 7, np.arange(params.dim) % 7
     for j in range(n_steps):

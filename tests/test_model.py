@@ -44,7 +44,7 @@ def test_parameter_validation():
     assert trap(0.0).Gamma == 0.0
 
 
-@pytest.mark.parametrize("field", ["M", "omega0", "sigma_k", "Gamma", "hbar"])
+@pytest.mark.parametrize("field", ["M", "omega0", "sigma_k", "Gamma"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_parameter_validation_rejects_non_finite(field, bad):
     kwargs = dict(M=2e-26, omega0=OMEGA0, sigma_k=1e6, Gamma=5e4)

@@ -1,0 +1,87 @@
+"""Property tests of the cw generator assembly over random small boxes and
+rates. Derandomized: every run draws the same examples, so a failure always
+reproduces."""
+
+import numpy as np
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from atomlaser import cw
+
+from conftest import trap
+
+GAMMA_M_5E4 = 92.62263163409446
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+boxes = st.integers(1, 12)
+# rates in units of gamma_M; the pump dominates the output rate, as the model assumes
+kappa1s = st.floats(1.5, 1e3).map(lambda x: x * GAMMA_M_5E4)
+Ns = st.floats(0.05, 50.0)
+Omegas = st.floats(0.0, 100.0).map(lambda x: x * GAMMA_M_5E4)
+gammas = st.floats(0.0, 50.0).map(lambda x: x * GAMMA_M_5E4)
+rs = st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+
+
+def _from_band(tpl, band):
+    """The dense matrix whose LAPACK band rows tpl.band_rows are `band`;
+    entries that fall outside the matrix must be zero."""
+    dim = tpl.dim
+    dense = np.zeros((dim, dim))
+    j = np.arange(dim)
+    for row, vals in zip(tpl.band_rows, band):
+        i = j + (row - tpl.upper)
+        inside = (i >= 0) & (i < dim)
+        assert not vals[~inside].any()
+        dense[i[inside], j[inside]] = vals[inside]
+    return dense
+
+
+@PROPERTY
+@given(boxes, boxes, kappa1s, Ns, Omegas)
+def test_band_rows_rebuild_templates(n0_max, n1_max, kappa1, N, Omega):
+    tpl = cw._templates(n0_max, n1_max, kappa1, N, Omega)
+    rows = tpl.band_rows
+    assert np.all(np.diff(rows) > 0)
+    assert rows[0] >= 0 and rows[-1] <= tpl.lower + tpl.upper
+    assert tpl.upper in rows
+    pairs = ((tpl.band_static, tpl.static), (tpl.band_out, tpl.out),
+             (tpl.band_oc, tpl.oc), (tpl.band_eye, sp.identity(tpl.dim)))
+    for band, mat in pairs:
+        assert band.shape == (rows.size, tpl.dim)
+        np.testing.assert_array_equal(_from_band(tpl, band), mat.toarray())
+    # every stored row but the main diagonal holds an entry of some template
+    used = np.abs(tpl.band_static) + np.abs(tpl.band_out) + np.abs(tpl.band_oc)
+    assert np.all(used.any(axis=1) | (rows == tpl.upper))
+
+
+@PROPERTY
+@given(boxes, boxes, kappa1s, Ns, Omegas, gammas, rs, st.sampled_from(cw.ORDERS))
+def test_generator_columns_plus_leak_vanish(n0_max, n1_max, kappa1, N, Omega,
+                                            gamma, r, order):
+    params = cw.CwParams(trap=trap(5e4), kappa1=kappa1, Omega=Omega, N=N,
+                         n0_max=n0_max, n1_max=n1_max, order=order)
+    gen = cw.build_generator(params, None if order == "markov" else gamma, r)
+    colsum = np.asarray(gen.matrix.sum(axis=0)).ravel() + gen.leak
+    scale = max(np.abs(gen.matrix.data).max(), 1.0)
+    assert np.abs(colsum).max() <= 1e-12 * scale
+    assert np.all(gen.leak >= 0.0) or order == 4   # only the cross term leaks negative
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.integers(1, 4), kappa1s, Ns, Omegas, gammas, rs)
+def test_interior_columns_match_operator_algebra(n0c, n1c, kappa1, N, Omega, gamma, r):
+    channels, worst_offdiag = cw._dense_channel_columns(n0c, n1c, kappa1, N, Omega,
+                                                        gamma, 1.3, r)
+    dense = sum(channels[c] for c in ("in", "coll", "out", "oc"))
+    scale = max(np.abs(dense).max(), 1.0)
+    assert worst_offdiag <= 1e-11 * scale
+    assert np.abs(channels["l0"]).max() <= 1e-11 * scale
+    assert np.abs(dense.imag).max() <= 1e-11 * scale
+    tpl = cw._templates(n0c, n1c, kappa1, N, Omega)
+    G = (tpl.static + gamma * tpl.out + r.real * tpl.oc).toarray()
+    # columns whose jumps all stay inside the box
+    interior = [a * (n1c + 1) + b for a in range(n0c) for b in range(n1c)]
+    np.testing.assert_allclose(G[:, interior], dense.real[:, interior],
+                               rtol=0.0, atol=1e-11 * scale)

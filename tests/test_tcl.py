@@ -214,7 +214,6 @@ def test_waiting_time_monotone_case():
     g = _grid(3.0, 0.01)
     n = SampledFunction(g, np.exp(-g.times()))
     wt = tcl.waiting_time(n)
-    assert wt.monotone
     assert not wt.decreasing_steps.any()
     np.testing.assert_allclose(wt.F.values, 1.0 - n.values)
 
@@ -225,7 +224,6 @@ def test_waiting_time_flags_nonmonotone():
     # rises right after t = 0, so F = 1 - n dips negative-slope there
     n = SampledFunction(g, np.exp(-t) * (1.0 + 0.3 * np.sin(6 * t)))
     wt = tcl.waiting_time(n)
-    assert not wt.monotone
     assert wt.decreasing_steps.any()
 
 

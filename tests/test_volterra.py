@@ -140,7 +140,7 @@ def test_strong_coupling_decays_slower_than_markov():
 def test_exact_rates_zero_coupling():
     traj = volterra.solve_amplitude(trap(0.0), t_max=1e-3, dt=1e-6)
     rates = volterra.exact_rates(traj)
-    assert not rates.truncated
+    assert rates.truncation_index is None
     np.testing.assert_allclose(rates.gamma.values, 0.0, atol=1e-14)
     np.testing.assert_allclose(rates.shift.values, 0.0, atol=1e-14)
 
@@ -222,7 +222,6 @@ def test_rate_truncation_when_amplitude_collapses():
     udot = -5.0 * u
     traj = AmplitudeTrajectory(g, u, udot)
     rates = volterra.exact_rates(traj)
-    assert rates.truncated
     assert rates.truncation_index is not None
     assert rates.gamma.grid.n_points == rates.truncation_index
     assert rates.gamma.grid.t_end < g.t_end
