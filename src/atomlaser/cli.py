@@ -190,6 +190,11 @@ def parse_scenario(text, source="<config>"):
     mode = _get(sc, "mode", str)
     if mode not in MODES:
         raise ConfigError(f"key 'mode': must be one of {MODES}, got {mode!r}")
+    if mode == "cw":
+        for key in ("tcl_order", "rates"):
+            if key in sc:
+                raise ConfigError(f"key '{key}' in [scenario] is only valid for mode "
+                                  "pulsed_tcl, not cw")
     name = _get(sc, "name", str, required=False, default=os.path.splitext(os.path.basename(source))[0])
 
     tr = cp["trap"]
@@ -286,16 +291,108 @@ def parse_scenario(text, source="<config>"):
     return scen
 
 
+def _ascii_digits(values, width):
+    """(len(values), width) uint8 ASCII digits of each integer, zero-padded."""
+    places = 10 ** np.arange(width - 1, -1, -1)
+    return (np.asarray(values)[:, None] // places % 10 + ord("0")).astype(np.uint8)
+
+
+# The vectorized formatter lays each value out in a 20-byte field of
+#   sign d0 . d1 | d2-d5 | d6-d9 | d10 d11 e ± | h t o separator
+# where "|" marks a 4-byte word and NUL fills the sign of a positive value and
+# the hundreds digit of an exponent below 100. Each word comes from one table
+# lookup; dropping the NUL bytes leaves the text of FLOAT_FORMAT.
+_FIELD = 20
+_EXP_MIN, _EXP_MAX = -290, 290
+_EXPONENTS = np.arange(_EXP_MIN, _EXP_MAX + 1)
+# 10**(11 - e) correctly rounded, so |x| * _SCALE[e], two roundings away from
+# the 12-digit mantissa, is within 2.3e-16 of it relatively: 2.3e-4 below 1e12
+_SCALE = np.array([float(f"1e{11 - e}") for e in _EXPONENTS.tolist()])
+# a scaled value closer than this to a half-integer may round either way
+_TIE_MARGIN = 1e-3
+_PAIRS = _ascii_digits(np.arange(100), 2).view("<u2").ravel()
+_quads = np.empty((100, 100, 2), "<u2")
+_quads[:, :, 0] = _PAIRS[:, None]
+_quads[:, :, 1] = _PAIRS
+_QUADS = _quads.view("<u4").ravel()  # the digits of 100 a + b: those of a, then b
+_head = np.zeros((2, 100, 4), np.uint8)
+_head[1, :, 0] = ord("-")
+_head[:, :, [1, 3]] = _ascii_digits(np.arange(100), 2)
+_head[:, :, 2] = ord(".")
+_HEAD = _head.view("<u4").ravel()  # sign d0 . d1, indexed by 100 * negative + d0d1
+_tail = np.zeros((_EXPONENTS.size, 6), np.uint8)
+_tail[:, 0] = ord("e")
+_tail[:, 1] = np.where(_EXPONENTS < 0, ord("-"), ord("+"))
+_tail[:, 2:5] = _ascii_digits(np.abs(_EXPONENTS), 3)
+_tail[np.abs(_EXPONENTS) < 100, 2] = 0
+_EXP_SIGN = np.ascontiguousarray(_tail[:, :2]).view("<u2").ravel()
+_EXP_DIGITS = np.ascontiguousarray(_tail[:, 2:]).view("<u4").ravel()
+del _quads, _head, _tail
+
+
+def _format_rows(rows, separators):
+    """FLOAT_FORMAT % v for each value v of the 2-d array rows, each followed
+    by the separator of its column, as bytes."""
+    x = rows.ravel()
+    n = x.size
+    mag = np.abs(x)
+    in_range = (mag >= 1e-290) & (mag <= 1e290)
+    mag = np.where(in_range, mag, 1.0)
+    e = np.floor(np.log10(mag)).astype(np.intp)
+    np.clip(e, _EXP_MIN, _EXP_MAX, out=e)
+    e -= _EXP_MIN
+    scaled = mag * _SCALE[e]
+    mantissa = np.rint(scaled)
+    # a mis-estimated exponent puts scaled outside [1e11, 1e12), and a
+    # mantissa of 1e12 carries into the next decade
+    fallback = (~in_range | (np.abs(scaled - np.floor(scaled) - 0.5) < _TIE_MARGIN)
+                | (scaled < 1e11) | (mantissa >= 1e12))
+    # each floor of a quotient of integers below 2**53 is exact
+    groups = np.empty((4, n))
+    np.floor(mantissa / 1e10, out=groups[0])
+    rest = mantissa - groups[0] * 1e10
+    np.floor(rest / 1e6, out=groups[1])
+    rest -= groups[1] * 1e6
+    np.floor(rest / 100.0, out=groups[2])
+    np.subtract(rest, groups[2] * 100.0, out=groups[3])
+    groups[0] += 100.0 * np.signbit(x)
+    idx = groups.astype(np.intp)
+    field = np.empty((n, _FIELD), np.uint8)
+    words, halves = field.view("<u4"), field.view("<u2")
+    # mode="clip" keeps the garbage of fallback values in range
+    words[:, 0] = _HEAD.take(idx[0], mode="clip")
+    words[:, 1] = _QUADS.take(idx[1], mode="clip")
+    words[:, 2] = _QUADS.take(idx[2], mode="clip")
+    halves[:, 6] = _PAIRS.take(idx[3], mode="clip")
+    halves[:, 7] = _EXP_SIGN.take(e)
+    words[:, 4] = _EXP_DIGITS.take(e)
+    field.reshape(rows.shape + (_FIELD,))[..., -1] = separators
+    if fallback.any():
+        at = np.flatnonzero(fallback)
+        text = np.array([FLOAT_FORMAT % v for v in x[at].tolist()], f"S{_FIELD - 1}")
+        field[at, :-1] = text.view(np.uint8).reshape(at.size, _FIELD - 1)
+    return field.tobytes().translate(None, b"\0")
+
+
 def _write_csv(path, columns):
+    """Write columns, a list of (name, values), as CSV with a header line.
+
+    Every value is written as FLOAT_FORMAT % v, byte for byte. Values whose
+    rounding the float arithmetic cannot decide are formatted by that very
+    expression: zero, nan, inf, |v| outside [1e-290, 1e290], scaled
+    mantissas within _TIE_MARGIN of a half-integer, and mantissas that carry
+    into the next decade. The rest go through the vectorized field above.
+    """
     names = [c[0] for c in columns]
     arrays = [np.asarray(c[1], dtype=float) for c in columns]
-    row = ",".join([FLOAT_FORMAT] * len(arrays)) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\n")
+    separators = np.full(len(arrays), ord(","), np.uint8)
+    separators[-1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode())
         # chunked, so the formatted text never holds the whole file at once
         for lo in range(0, arrays[0].size, CSV_CHUNK_ROWS):
             chunk = np.column_stack([a[lo : lo + CSV_CHUNK_ROWS] for a in arrays])
-            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+            fh.write(_format_rows(chunk, separators))
 
 
 def _pulsed_columns(scen, n_steps, dt):

@@ -374,23 +374,23 @@ def verify_diagonal_closure(params):
         CLOSURE_N, CLOSURE_N, params.kappa1, params.N, params.Omega, gamma_p, shift_p, r_p
     )
     scale = max(params.kappa1 * (1 + params.N), params.Omega) * (CLOSURE_N + 1) ** 3
-    if worst > 1e-12 * scale:
+    if not (worst <= 1e-12 * scale):
         raise GeneratorError(
             f"a channel leaks off the diagonal (worst element {worst:.3e}); "
             "the diagonal closure of the master equation is broken"
         )
-    if np.abs(channels["l0"]).max() > 1e-12 * scale:
+    if not (np.abs(channels["l0"]).max() <= 1e-12 * scale):
         raise GeneratorError("the frequency-shift term acts on the diagonal; it must not")
     dense = (channels["in"] + channels["coll"] + channels["out"] + channels["oc"]).real
     imag_part = np.abs(channels["oc"].imag).max()
-    if imag_part > 1e-10 * scale:
+    if not (imag_part <= 1e-10 * scale):
         raise GeneratorError(f"cross-term diagonal action is not real (max imag {imag_part:.3e})")
     tpl = _templates(CLOSURE_N, CLOSURE_N, params.kappa1, params.N, params.Omega)
     G = (tpl.static + gamma_p * tpl.out + r_p.real * tpl.oc).toarray()
     n1p = CLOSURE_N + 1
     interior = [a * n1p + b for a in range(CLOSURE_N) for b in range(CLOSURE_N)]
     diff = np.abs(G[:, interior] - dense[:, interior]).max()
-    if diff > 1e-10 * scale:
+    if not (diff <= 1e-10 * scale):
         raise GeneratorError(
             f"template generator deviates from the operator algebra by {diff:.3e}"
         )

@@ -377,6 +377,19 @@ def test_removed_settings_exit_one(tmp_path, capsys, old, new, key):
     assert "config error" in err and key in err
 
 
+@pytest.mark.parametrize("line", ["tcl_order = 2", "rates = true"], ids=["tcl_order", "rates"])
+def test_pulsed_keys_rejected_for_cw(tmp_path, capsys, line):
+    # cw runs take their orders from [cw] orders; a pulsed-only key would be
+    # ignored without a word
+    cfg = tmp_path / "cw.cfg"
+    cfg.write_text(TINY_CW.replace("mode = cw\n", f"mode = cw\n{line}\n"))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    key = line.split(" ")[0]
+    assert f"config error: key '{key}' in [scenario] is only valid for mode pulsed_tcl" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_list_builtins(capsys):
     assert main(["list"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import dblquad
 from scipy.linalg import expm
 
-from atomlaser import ConfigError, NumericalFailure, ParameterError, cw, model, tcl
+from atomlaser import ConfigError, GeneratorError, NumericalFailure, ParameterError, cw, model, tcl
 from atomlaser.quad import UniformGrid
 
 from conftest import OMEGA0, cw_params, trap
@@ -142,6 +142,16 @@ def test_r_linear_in_omega_and_gamma():
 
 def test_diagonal_closure_against_operator_form():
     assert cw.verify_diagonal_closure(cw_params(trap(5e4), 4)) is True
+
+
+def test_diagonal_closure_rejects_overflowing_rates():
+    # kappa1 (1 + N) overflows the tolerance scale to inf and the algebra to
+    # NaN; the self-check must fail rather than compare NaN > inf as False
+    gm = model.gamma_markov_closed_form(trap(5e4))
+    params = cw.CwParams(trap=trap(5e4), kappa1=1e307, Omega=15 * gm, N=20.3,
+                         n0_max=6, n1_max=5, order=2)
+    with np.errstate(all="ignore"), pytest.raises(GeneratorError):
+        cw.verify_diagonal_closure(params)
 
 
 def test_build_generator_rates_required():

@@ -1,6 +1,6 @@
 """Property tests of the cw generator assembly over random small boxes and
-rates. Derandomized: every run draws the same examples, so a failure always
-reproduces."""
+rates, and of the CSV writer over arbitrary floats. Derandomized: every run
+draws the same examples, so a failure always reproduces."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomlaser import cw
+from atomlaser.cli import _write_csv
 
 from conftest import trap
+from test_cli import _write_csv_per_element
 
 GAMMA_M_5E4 = 92.62263163409446
 
@@ -85,3 +87,34 @@ def test_interior_columns_match_operator_algebra(n0c, n1c, kappa1, N, Omega, gam
     interior = [a * (n1c + 1) + b for a in range(n0c) for b in range(n1c)]
     np.testing.assert_allclose(G[:, interior], dense.real[:, interior],
                                rtol=0.0, atol=1e-11 * scale)
+
+
+def _sign(x, negative):
+    return -x if negative else x
+
+
+# any float64, nan, inf, zero and subnormals included; scaled mantissas near
+# a rounding tie; and values just below a power of ten, whose mantissa may
+# carry into the next decade
+csv_values = st.one_of(
+    st.floats(),
+    st.builds(lambda m, e, neg: _sign(float(f"{m}5e{e}"), neg),
+              st.integers(10**11, 10**12 - 1), st.integers(-330, 310), st.booleans()),
+    st.builds(lambda d, e, neg: _sign(float(f"9.99999999999{d}e{e}"), neg),
+              st.integers(0, 99_999), st.integers(-320, 308), st.booleans()),
+)
+# one row, a few rows, and more rows than one write chunk (1,024)
+csv_rows = st.one_of(st.just(1), st.integers(2, 40), st.integers(1025, 2600))
+
+
+@PROPERTY
+@given(st.lists(csv_values, min_size=1, max_size=60), csv_rows, st.integers(1, 6),
+       st.integers(0, 2**32 - 1))
+def test_csv_writer_matches_per_element(tmp_path_factory, pool, rows, n_columns, seed):
+    # the drawn values, repeated and shuffled out to the drawn shape
+    values = np.random.default_rng(seed).permutation(np.resize(pool, rows * n_columns))
+    columns = [(f"c{j}", col) for j, col in enumerate(values.reshape(n_columns, rows))]
+    out = tmp_path_factory.mktemp("csv")
+    _write_csv(out / "new.csv", columns)
+    _write_csv_per_element(out / "old.csv", columns)
+    assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
