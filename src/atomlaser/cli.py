@@ -11,7 +11,10 @@ import argparse
 import configparser
 import json
 import os
+import pickle
+import signal
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -283,6 +286,9 @@ def parse_scenario(text, source="<config>"):
                 orders.append(int(tok))
             else:
                 raise ConfigError(f"key 'orders': entries must be markov, 2 or 4; got {tok!r}")
+            if orders.count(orders[-1]) > 1:
+                # a repeated order would run twice and write one file twice
+                raise ConfigError(f"key 'orders': {tok!r} is listed more than once")
         if not orders:
             raise ConfigError("key 'orders': at least one entry required")
         scen.cw_orders = tuple(orders)
@@ -499,16 +505,97 @@ def _write_outputs(outdir, csv_name, columns, meta, refinement):
     return [csv_path, meta_path]
 
 
+def _rerun_child(write_fd, columns_of, scen, args, n_steps, dt):
+    """Body of the forked child: run columns_of at (n_steps, dt) and pickle
+    (column values, warnings, exception) into write_fd. Never returns."""
+    code = 1
+    try:
+        with os.fdopen(write_fd, "wb") as pipe:
+            values, error = None, None
+            try:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    columns, _ = columns_of(scen, *args, n_steps, dt)
+                values = [vals for _, vals in columns]
+            except Exception as exc:
+                error = exc
+            warned = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+            pickle.dump((values, warned, error), pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _replay_warning(message, category, filename, lineno):
+    """Raise again here a warning the child recorded, as warnings.warn would
+    have: under the filters and the once-per-location registry of the
+    module whose file raised it."""
+    mod = next((m for m in list(sys.modules.values())
+                if getattr(m, "__file__", None) == filename), None)
+    if mod is None:
+        warnings.warn_explicit(message, category, filename, lineno)
+    else:
+        warnings.warn_explicit(message, category, filename, lineno, mod.__name__,
+                               vars(mod).setdefault("__warningregistry__", {}))
+
+
+def _forked_rerun(columns_of, scen, args):
+    """columns_of at (n, dt) in this process and at (2n, dt/2) in a forked
+    child, at the same time. Returns the coarse columns, the coarse run's
+    second result and the fine run's column values."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_fd)
+        _rerun_child(write_fd, columns_of, scen, args, 2 * scen.n_steps, 0.5 * scen.dt)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            columns, extra = columns_of(scen, *args, scen.n_steps, scen.dt)
+            # read to the end before waiting: the result outgrows the pipe buffer
+            payload = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0:
+        raise RuntimeError(f"the dt/2 rerun process ended with exit status {status}")
+    values, warned, error = pickle.loads(payload)
+    for warning in warned:
+        _replay_warning(*warning)
+    if error is not None:
+        raise error
+    return columns, extra, values
+
+
 def _refined(columns_of, scen, *args):
     """Run columns_of(scen, *args, n, dt) on the scenario grid and at (2n, dt/2).
 
     Returns the coarse columns, the coarse run's second result and, per
     column, the worst difference between the runs on their shared points.
+
+    A cw scenario runs the dt/2 rerun in a forked child while this process
+    runs the coarse grid. The two runs are independent, and the cw solves
+    hold the GIL, so only a second process overlaps them. The child sends
+    back, pickled through a pipe, only the rerun's column values, the
+    warnings it raised and its exception, if any, and ends with os._exit.
+    It is reaped on every path; if the coarse run raises, the child is
+    killed and reaped before the error propagates. After the coarse run,
+    the child's warnings are raised again here in their order, under this
+    process's filters and the registry of the module that raised them, so
+    the warnings shown are those of the serial coarse-then-fine run, and
+    the child's exception is raised here with its type and message. A
+    pulsed run takes tens of milliseconds, less than forking costs, so it
+    reruns in-process, as does every run where os.fork does not exist.
     """
-    columns, extra = columns_of(scen, *args, scen.n_steps, scen.dt)
-    fine, _ = columns_of(scen, *args, 2 * scen.n_steps, 0.5 * scen.dt)
+    if scen.mode == "cw" and hasattr(os, "fork"):
+        columns, extra, fine = _forked_rerun(columns_of, scen, args)
+    else:
+        columns, extra = columns_of(scen, *args, scen.n_steps, scen.dt)
+        fine = [vals for _, vals in columns_of(scen, *args, 2 * scen.n_steps, 0.5 * scen.dt)[0]]
     refinement = {}
-    for (name, vals), (_, vals_f) in zip(columns, fine):
+    for (name, vals), vals_f in zip(columns, fine):
         refinement[name] = shared_points_difference(np.asarray(vals_f, float),
                                                     np.asarray(vals, float))
     return columns, extra, refinement

@@ -464,14 +464,24 @@ def stationary_distribution(params):
     """Stationary state of the Markovian generator by direct linear solve.
 
     The singular system G p = 0 is regularized by replacing the first row
-    with the normalization constraint sum p = 1.
+    with the normalization constraint sum p = 1. Row 0 of the canonical CSR
+    matrix is swapped for ones directly. The CSC matrix handed to the solver
+    must equal, array for array, what `tolil()`, `G[0, :] = 1.0` and
+    `tocsc()` give, so that the solve keeps its bits.
     """
-    gen = build_generator(params)
-    G = gen.matrix.tolil()
-    G[0, :] = 1.0
-    b = np.zeros(params.dim)
+    import scipy.sparse as sp
+
+    G = build_generator(params).matrix
+    dim = params.dim
+    tail = G.indptr[1]
+    indptr = G.indptr + (dim - tail)
+    indptr[0] = 0
+    A = sp.csr_matrix((np.concatenate((np.ones(dim), G.data[tail:])),
+                       np.concatenate((np.arange(dim, dtype=G.indices.dtype), G.indices[tail:])),
+                       indptr), shape=G.shape)
+    b = np.zeros(dim)
     b[0] = 1.0
-    p = spsolve(G.tocsc(), b)
+    p = spsolve(A.tocsc(), b)
     if not np.isfinite(p).all():
         raise NumericalFailure("the stationary solve returned a non-finite probability")
     p = p / p.sum()

@@ -3,13 +3,19 @@ output, overrides, exit codes, and determinism."""
 
 import json
 import os
+import subprocess
+import sys
+import time
+import warnings
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from atomlaser import ConfigError
-from atomlaser.cli import BUILTIN_SCENARIOS, FLOAT_FORMAT, _write_csv, main, parse_scenario
+from atomlaser import ConfigError, NumericalFailure, cli, cw
+from atomlaser.cli import (BUILTIN_SCENARIOS, FLOAT_FORMAT, _cw_columns, _write_csv, main,
+                           parse_scenario)
+from atomlaser.quad import shared_points_difference
 
 GAMMA_M_5E4 = 92.62263163409446
 
@@ -203,6 +209,151 @@ def test_jobs_flag_runs_orders_concurrently(tmp_path):
     assert rc == 0
     assert (tmp_path / "tiny_markov.csv").exists()
     assert (tmp_path / "tiny_tcl2.csv").exists()
+
+
+def test_duplicate_cw_orders_exit_one(tmp_path, capsys):
+    # a repeated order would run twice and write its file twice, at the same
+    # moment under --jobs
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text(TINY_CW.replace("orders = markov,2", "orders = 4, markov, 4")
+                          .replace("name = tiny", "name = dup"))
+    assert main(["run", str(cfg), "--out", str(tmp_path), "--jobs", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "config error: key 'orders'" in err and "'4'" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+TINY_CW3 = TINY_CW.replace("orders = markov,2", "orders = markov,2,4")
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_rerun_matches_in_process(tmp_path, monkeypatch):
+    written = {}
+
+    def recording_write_csv(path, columns):
+        written[os.path.basename(path)] = columns
+        _write_csv(path, columns)
+
+    monkeypatch.setattr(cli, "_write_csv", recording_write_csv)
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CW3)
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+    _assert_no_children()
+    scen = parse_scenario(TINY_CW3, str(cfg))
+    for order, label in (("markov", "markov"), (2, "tcl2"), (4, "tcl4")):
+        coarse, _ = _cw_columns(scen, order, scen.n_steps, scen.dt)
+        fine, _ = _cw_columns(scen, order, 2 * scen.n_steps, 0.5 * scen.dt)
+        columns = written[f"tiny_{label}.csv"]
+        assert [name for name, _ in columns] == [name for name, _ in coarse]
+        for (_, vals), (_, ref) in zip(columns, coarse):
+            assert np.array_equal(vals, ref)
+        estimates = _read_meta(str(tmp_path / f"tiny_{label}.csv"))["refinement"]["estimates"]
+        assert estimates == {name: shared_points_difference(np.asarray(f, float),
+                                                             np.asarray(c, float))
+                             for (name, c), (_, f) in zip(coarse, fine)}
+
+
+def _fail_at(monkeypatch, bad_steps, message, stall=0.0):
+    """Make cw.evolve raise NumericalFailure(message) on runs of bad_steps
+    steps, and sleep stall seconds before every other run."""
+    evolve = cw.evolve
+
+    def planted(params, p0, t_max, dt):
+        if round(t_max / dt) == bad_steps:
+            raise NumericalFailure(message)
+        time.sleep(stall)
+        return evolve(params, p0, t_max, dt)
+
+    monkeypatch.setattr(cw, "evolve", planted)
+
+
+def test_rerun_failure_in_child_exits_two(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CW3)
+    _fail_at(monkeypatch, 2 * parse_scenario(TINY_CW3).n_steps, "planted dt/2 failure")
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "atomlaser: numerical failure: planted dt/2 failure" in capsys.readouterr().err
+    _assert_no_children()
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_rerun_process_dying_exits_two(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CW3)
+    evolve, parent, fine_steps = cw.evolve, os.getpid(), 2 * parse_scenario(TINY_CW3).n_steps
+
+    def dying(params, p0, t_max, dt):
+        if round(t_max / dt) == fine_steps:
+            assert os.getpid() != parent, "the dt/2 rerun ran in the test process"
+            os._exit(3)
+        return evolve(params, p0, t_max, dt)
+
+    monkeypatch.setattr(cw, "evolve", dying)
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "the dt/2 rerun process ended with exit status 3" in capsys.readouterr().err
+    _assert_no_children()
+
+
+def test_coarse_failure_stops_the_rerun(tmp_path, monkeypatch, capsys):
+    # the child's rerun would stall for two minutes; it must be killed, not awaited
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CW3)
+    _fail_at(monkeypatch, parse_scenario(TINY_CW3).n_steps, "planted coarse failure", stall=120.0)
+    t0 = time.perf_counter()
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - t0 < 60.0
+    assert "atomlaser: numerical failure: planted coarse failure" in capsys.readouterr().err
+    _assert_no_children()
+
+
+# a box too small for the pump: every run warns about clipped probability, and
+# the order-2 and order-4 runs at dt and dt/2 warn with the same text
+CLIPPING_CW = TINY_CW3.replace("Omega_gamma = 1", "Omega_gamma = 15").replace(
+    "N = 0.5", "N = 3").replace("n0_max = 20", "n0_max = 3").replace("n1_max = 10", "n1_max = 3")
+
+
+@pytest.mark.parametrize("action", ["always", "default"])
+def test_forked_rerun_shows_the_serial_warnings(tmp_path, action):
+    # under "default" a warning repeated from one code line shows once, in the
+    # serial run and in the forked one alike
+    def shown(run):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            run()
+        return [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+    scen = parse_scenario(CLIPPING_CW)
+
+    def serial():
+        for order in scen.cw_orders:
+            _cw_columns(scen, order, scen.n_steps, scen.dt)
+            _cw_columns(scen, order, 2 * scen.n_steps, 0.5 * scen.dt)
+
+    cfg = tmp_path / "clip.cfg"
+    cfg.write_text(CLIPPING_CW)
+    expected = shown(serial)
+    assert len(expected) == (6 if action == "always" else 3)
+    assert all("boundary clipping lost" in msg for msg, *_ in expected)
+    assert shown(lambda: main(["run", str(cfg), "--out", str(tmp_path)])) == expected
+    _assert_no_children()
+
+
+def test_module_run_shows_the_rerun_warnings(tmp_path):
+    # under python -m the runner is __main__, and so is the module that the
+    # child's warnings are raised again for
+    cfg = tmp_path / "clip.cfg"
+    cfg.write_text(CLIPPING_CW)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.run([sys.executable, "-m", "atomlaser.cli", "run", str(cfg),
+                           "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("UserWarning: boundary clipping lost") == 3
 
 
 class _InlinePool:

@@ -253,6 +253,28 @@ def test_stationary_truncation_sufficient(stationary_default):
     assert abs(st_wide.mean_n0() - st.mean_n0()) / st.mean_n0() < 0.005
 
 
+def test_stationary_matrix_equals_lil_row_replacement(monkeypatch):
+    # the solver must see the very arrays of the former LIL round trip, so
+    # that spsolve returns the same bits
+    params = cw_params(trap(5e4), "markov", n0_max=9, n1_max=6)
+    reference = cw.build_generator(params).matrix.tolil()
+    reference[0, :] = 1.0
+    reference = reference.tocsc()
+    solved = []
+    spsolve = cw.spsolve
+    monkeypatch.setattr(cw, "spsolve", lambda A, b: solved.append(A) or spsolve(A, b))
+    state = cw.stationary_distribution(params)
+    A, = solved
+    assert A.format == "csc" and A.shape == reference.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(A, name), getattr(reference, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    b = np.zeros(params.dim)
+    b[0] = 1.0
+    p = spsolve(reference, b)
+    assert np.array_equal(state.p.ravel(), p / p.sum())
+
+
 def test_stationary_rejects_non_finite_solve(monkeypatch):
     params = cw_params(trap(5e4), "markov", n0_max=6, n1_max=5)
     monkeypatch.setattr(cw, "spsolve", lambda A, b: np.full(b.size, np.nan))
