@@ -12,10 +12,10 @@ import configparser
 import json
 import os
 import pickle
+import selectors
 import signal
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,7 +177,7 @@ def _check_keys(section, allowed):
 
 def parse_scenario(text, source="<config>"):
     """Parse config text into a fully resolved Scenario."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     cp.optionxform = str
     try:
         cp.read_string(text)
@@ -505,29 +505,8 @@ def _write_outputs(outdir, csv_name, columns, meta, refinement):
     return [csv_path, meta_path]
 
 
-def _rerun_child(write_fd, columns_of, scen, args, n_steps, dt):
-    """Body of the forked child: run columns_of at (n_steps, dt) and pickle
-    (column values, warnings, exception) into write_fd. Never returns."""
-    code = 1
-    try:
-        with os.fdopen(write_fd, "wb") as pipe:
-            values, error = None, None
-            try:
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    columns, _ = columns_of(scen, *args, n_steps, dt)
-                values = [vals for _, vals in columns]
-            except Exception as exc:
-                error = exc
-            warned = [(w.message, w.category, w.filename, w.lineno) for w in caught]
-            pickle.dump((values, warned, error), pipe, pickle.HIGHEST_PROTOCOL)
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def _replay_warning(message, category, filename, lineno):
-    """Raise again here a warning the child recorded, as warnings.warn would
+    """Raise again here a warning a child recorded, as warnings.warn would
     have: under the filters and the once-per-location registry of the
     module whose file raised it."""
     mod = next((m for m in list(sys.modules.values())
@@ -539,83 +518,123 @@ def _replay_warning(message, category, filename, lineno):
                                vars(mod).setdefault("__warningregistry__", {}))
 
 
-def _forked_rerun(columns_of, scen, args):
-    """columns_of at (n, dt) in this process and at (2n, dt/2) in a forked
-    child, at the same time. Returns the coarse columns, the coarse run's
-    second result and the fine run's column values."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        os.close(read_fd)
-        _rerun_child(write_fd, columns_of, scen, args, 2 * scen.n_steps, 0.5 * scen.dt)
-    os.close(write_fd)
+def _child(write_fd, fn, args):
+    """Body of a forked child: pickle (fn(*args), warnings, exception) into
+    write_fd. Never returns."""
+    code = 1
     try:
-        with os.fdopen(read_fd, "rb") as pipe:
-            columns, extra = columns_of(scen, *args, scen.n_steps, scen.dt)
-            # read to the end before waiting: the result outgrows the pipe buffer
-            payload = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
+        with os.fdopen(write_fd, "wb") as pipe:
+            result, error = None, None
+            try:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    result = fn(*args)
+            except Exception as exc:
+                error = exc
+            warned = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+            pickle.dump((result, warned, error), pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
     finally:
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status != 0:
-        raise RuntimeError(f"the dt/2 rerun process ended with exit status {status}")
-    values, warned, error = pickle.loads(payload)
-    for warning in warned:
-        _replay_warning(*warning)
-    if error is not None:
-        raise error
-    return columns, extra, values
+        os._exit(code)
 
 
-def _refined(columns_of, scen, *args):
-    """Run columns_of(scen, *args, n, dt) on the scenario grid and at (2n, dt/2).
+def _run_calls(calls):
+    """Yield fn(*args) for each (label, cost, fn, args) of calls, in order.
 
-    Returns the coarse columns, the coarse run's second result and, per
-    column, the worst difference between the runs on their shared points.
-
-    A cw scenario runs the dt/2 rerun in a forked child while this process
-    runs the coarse grid. The two runs are independent, and the cw solves
-    hold the GIL, so only a second process overlaps them. The child sends
-    back, pickled through a pipe, only the rerun's column values, the
-    warnings it raised and its exception, if any, and ends with os._exit.
-    It is reaped on every path; if the coarse run raises, the child is
-    killed and reaped before the error propagates. After the coarse run,
-    the child's warnings are raised again here in their order, under this
-    process's filters and the registry of the module that raised them, so
-    the warnings shown are those of the serial coarse-then-fine run, and
-    the child's exception is raised here with its type and message. A
-    pulsed run takes tens of milliseconds, less than forking costs, so it
-    reruns in-process, as does every run where os.fork does not exist.
+    As many calls as there are usable CPUs, and never more than there are
+    calls, run at once, each in a forked child. The first call whose outcome
+    is not in yet always runs, and the other workers take the costliest calls
+    first (Graham's LPT rule). With one worker, or without os.fork, they run
+    here in turn. Each child's pipe is drained as data arrives, since a result
+    may outgrow the pipe buffer. Outcomes are handled in call order: the
+    child's warnings are raised again here, then its exception. A failure
+    kills the running calls after it and drops the queued ones, while the
+    calls before it finish, so what is seen is what running the calls one
+    by one shows. Every child is reaped on every path.
     """
-    if scen.mode == "cw" and hasattr(os, "fork"):
-        columns, extra, fine = _forked_rerun(columns_of, scen, args)
-    else:
-        columns, extra = columns_of(scen, *args, scen.n_steps, scen.dt)
-        fine = [vals for _, vals in columns_of(scen, *args, 2 * scen.n_steps, 0.5 * scen.dt)[0]]
-    refinement = {}
-    for (name, vals), vals_f in zip(columns, fine):
-        refinement[name] = shared_points_difference(np.asarray(vals_f, float),
-                                                    np.asarray(vals, float))
-    return columns, extra, refinement
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(cpus, len(calls))
+    if workers <= 1 or not hasattr(os, "fork"):
+        for _, _, fn, args in calls:
+            yield fn(*args)
+        return
+    queue = sorted(range(len(calls)), key=lambda i: calls[i][1], reverse=True)
+    running, outcomes = {}, {}   # pipe fd -> (index, pid, chunks); index -> outcome
+    sel = selectors.DefaultSelector()
+
+    def reap(fd, kill=True):
+        i, pid, chunks = running.pop(fd)
+        sel.unregister(fd)
+        os.close(fd)
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+        return i, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), b"".join(chunks)
+
+    try:
+        for i in range(len(calls)):
+            while i not in outcomes:
+                while queue and len(running) < workers:
+                    j = i if i in queue else queue[0]   # the call waited on runs first
+                    queue.remove(j)
+                    read_fd, write_fd = os.pipe()
+                    pid = os.fork()
+                    if pid == 0:
+                        os.close(read_fd)
+                        _child(write_fd, *calls[j][2:])
+                    os.close(write_fd)
+                    running[read_fd] = (j, pid, [])
+                    sel.register(read_fd, selectors.EVENT_READ)
+                for key, _ in sel.select():
+                    if key.fd not in running:   # killed for a failure found just now
+                        continue
+                    chunk = os.read(key.fd, 1 << 16)
+                    if chunk:
+                        running[key.fd][2].append(chunk)
+                        continue
+                    j, status, payload = reap(key.fd, kill=False)
+                    outcomes[j] = pickle.loads(payload) if status == 0 else (
+                        None, [], RuntimeError(f"the process for {calls[j][0]} ended with "
+                                               f"exit status {status}"))
+                    if outcomes[j][2] is not None:   # no call after j is needed any more
+                        queue = [k for k in queue if k < j]
+                        for fd in [fd for fd, run in running.items() if run[0] > j]:
+                            reap(fd)
+            result, warned, error = outcomes.pop(i)
+            for warning in warned:
+                _replay_warning(*warning)
+            if error is not None:
+                raise error
+            yield result
+    finally:
+        for fd in list(running):
+            reap(fd)
+        sel.close()
+
+
+def _refinement(columns, fine_columns):
+    """Per column, the worst difference between a run and its dt/2 rerun on
+    their shared points."""
+    return {name: shared_points_difference(np.asarray(fine, float), np.asarray(vals, float))
+            for (name, vals), (_, fine) in zip(columns, fine_columns)}
 
 
 def _run_pulsed(scen, outdir):
-    columns, diagnostics, refinement = _refined(_pulsed_columns, scen)
+    # a pulsed run takes tens of milliseconds, less than forking costs
+    columns, diagnostics = _pulsed_columns(scen, scen.n_steps, scen.dt)
+    fine, _ = _pulsed_columns(scen, 2 * scen.n_steps, 0.5 * scen.dt)
     meta = _base_meta(scen)
     meta["pulsed"] = {"tcl_order": scen.tcl_order, "rate_columns": scen.rates, **diagnostics}
     base = scen.output or scen.name
     csv_name = base if base.endswith(".csv") else base + ".csv"
-    return _write_outputs(outdir, csv_name, columns, meta, refinement)
+    return _write_outputs(outdir, csv_name, columns, meta, _refinement(columns, fine))
 
 
 def _cw_label(order):
     return "markov" if order == "markov" else f"tcl{order}"
 
 
-def _run_cw_order(scen, order, outdir):
-    columns, traj, refinement = _refined(_cw_columns, scen, order)
+def _write_cw_order(scen, order, outdir, columns, traj, refinement):
     meta = _base_meta(scen)
     meta["cw"] = {
         "kappa1": scen.cw_kappa1,
@@ -637,22 +656,33 @@ def _run_cw_order(scen, order, outdir):
     return _write_outputs(outdir, csv_name, columns, meta, refinement)
 
 
-def run_scenario(scen, outdir=".", jobs=1):
-    """Execute a resolved Scenario; returns the list of files written."""
+def run_scenario(scen, outdir="."):
+    """Execute a resolved Scenario; returns the list of files written.
+
+    Every run is repeated at dt/2 for the refinement estimates. A cw
+    scenario's (order, grid) solves are independent and hold the GIL, so
+    they go through _run_calls, costed so that, after the solve waited on,
+    banded orders and the dt/2 grid go first; each order's files are
+    written as soon as its two runs are in.
+    """
     os.makedirs(outdir, exist_ok=True)
     if scen.mode != "cw":
         return _run_pulsed(scen, outdir)
+    # loaded here once, not by every forked child on its first solve
+    import scipy.linalg, scipy.sparse.linalg  # noqa: E401, F401
+
+    grids = (("coarse", scen.n_steps, scen.dt), ("dt/2", 2 * scen.n_steps, 0.5 * scen.dt))
+    calls = [(f"the {grid} run of order {order}", (order != "markov", n), _cw_columns,
+              (scen, order, n, dt)) for order in scen.cw_orders for grid, n, dt in grids]
+    results = _run_calls(calls)
     written = []
-    if jobs > 1 and len(scen.cw_orders) > 1:
-        # the pool starts all its workers at once, so never more than orders
-        with ProcessPoolExecutor(max_workers=min(jobs, len(scen.cw_orders))) as pool:
-            futures = [pool.submit(_run_cw_order, scen, order, outdir)
-                       for order in scen.cw_orders]
-            for fut in futures:
-                written.extend(fut.result())
-    else:
+    try:
         for order in scen.cw_orders:
-            written.extend(_run_cw_order(scen, order, outdir))
+            (columns, traj), (fine, _) = next(results), next(results)
+            written.extend(_write_cw_order(scen, order, outdir, columns, traj,
+                                           _refinement(columns, fine)))
+    finally:
+        results.close()
     return written
 
 
@@ -711,9 +741,6 @@ def _build_parser():
     run_p.add_argument("--tmax", type=float, help="override the final time in seconds")
     run_p.add_argument("--r-reading", choices=cw.R_READINGS, dest="r_reading",
                        help="reference-time reading of the cw cross-term weight")
-    run_p.add_argument("--jobs", type=int, default=1,
-                       help="run the orders of a cw scenario in up to this many "
-                            "processes (default 1)")
 
     list_p = sub.add_parser("list", help="list available scenarios")
     list_p.add_argument("--configs", default=None, metavar="DIR",
@@ -746,12 +773,10 @@ def main(argv=None):
         if args.command == "list":
             list_scenarios(args.configs)
             return 0
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         text, source = _load_config(args.target)
         scen = parse_scenario(text, source)
         _apply_overrides(scen, args)
-        written = run_scenario(scen, args.out, jobs=args.jobs)
+        written = run_scenario(scen, args.out)
         for path in written:
             print(path)
         return 0

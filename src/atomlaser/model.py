@@ -63,6 +63,13 @@ class TrapParams:
             raise ParameterError(f"sigma_k must be positive, got {self.sigma_k}")
         if self.Gamma < 0:
             raise ParameterError(f"Gamma must be non-negative, got {self.Gamma}")
+        try:
+            alpha = self.alpha
+        except OverflowError:   # sigma_k**2 beyond float range
+            alpha = np.inf
+        if not (np.isfinite(alpha) and alpha > 0):
+            raise ParameterError(f"sigma_k = {self.sigma_k} and M = {self.M} give alpha = hbar "
+                                 f"sigma_k^2 / (2 M) = {alpha}; it must be finite and positive")
 
     @property
     def alpha(self):

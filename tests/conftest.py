@@ -1,10 +1,13 @@
 """Shared fixtures. The expensive cw trajectories are session-scoped because
-several tests (module-level and acceptance) read the same runs."""
+several tests (module-level and acceptance) read the same runs, and each
+fixture computes its runs at once, one per usable CPU, through the scenario
+runner's fork scheduler."""
 
 import numpy as np
 import pytest
 
 from atomlaser import cw, model
+from atomlaser.cli import _run_calls
 from atomlaser.quad import shared_points_difference
 
 
@@ -48,33 +51,29 @@ def cw_params(t, order, n0_max=200, n1_max=60, N=20.3):
                        n0_max=n0_max, n1_max=n1_max, order=order)
 
 
+def evolve_orders(t, orders, n_steps):
+    """{order: cw.evolve from the vacuum over 8/gamma_M} at the default box,
+    the banded orders first; plus "gamma_M"."""
+    gm = model.gamma_markov_closed_form(t)
+    t_max = 8.0 / gm
+    calls = [(f"order {order}", order != "markov", cw.evolve,
+              (cw_params(t, order), cw.DiagonalState.vacuum(200, 60), t_max, t_max / n_steps))
+             for order in orders]
+    out = dict(zip(orders, list(_run_calls(calls))))
+    out["gamma_M"] = gm
+    return out
+
+
 @pytest.fixture(scope="session")
 def fig7_runs(trap5e4):
     """markov / order-2 / order-4 cw runs in the oscillation regime."""
-    gm = model.gamma_markov_closed_form(trap5e4)
-    t_max = 8.0 / gm
-    out = {}
-    for order in ("markov", 2, 4):
-        params = cw_params(trap5e4, order)
-        p0 = cw.DiagonalState.vacuum(200, 60)
-        out[order] = cw.evolve(params, p0, t_max, t_max / 800)
-    out["gamma_M"] = gm
-    return out
+    return evolve_orders(trap5e4, ("markov", 2, 4), 800)
 
 
 @pytest.fixture(scope="session")
 def weak_cw_runs():
     """order-2 / order-4 cw runs in the weak-oscillation regime."""
-    t = trap(1e4)
-    gm = model.gamma_markov_closed_form(t)
-    t_max = 8.0 / gm
-    out = {}
-    for order in (2, 4):
-        params = cw_params(t, order)
-        p0 = cw.DiagonalState.vacuum(200, 60)
-        out[order] = cw.evolve(params, p0, t_max, t_max / 2160)
-    out["gamma_M"] = gm
-    return out
+    return evolve_orders(trap(1e4), (2, 4), 2160)
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import time
 import warnings
-from concurrent.futures import Future
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,6 +16,8 @@ from atomlaser import ConfigError, NumericalFailure, cli, cw
 from atomlaser.cli import (BUILTIN_SCENARIOS, FLOAT_FORMAT, _cw_columns, _write_csv, main,
                            parse_scenario)
 from atomlaser.quad import shared_points_difference
+
+from conftest import cw_params, trap
 
 GAMMA_M_5E4 = 92.62263163409446
 
@@ -202,22 +204,12 @@ def test_repeat_runs_are_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_jobs_flag_runs_orders_concurrently(tmp_path):
-    cfg = tmp_path / "tiny.cfg"
-    cfg.write_text(TINY_CW)
-    rc = main(["run", str(cfg), "--out", str(tmp_path), "--jobs", "2"])
-    assert rc == 0
-    assert (tmp_path / "tiny_markov.csv").exists()
-    assert (tmp_path / "tiny_tcl2.csv").exists()
-
-
 def test_duplicate_cw_orders_exit_one(tmp_path, capsys):
-    # a repeated order would run twice and write its file twice, at the same
-    # moment under --jobs
+    # a repeated order would run twice and write its file twice
     cfg = tmp_path / "dup.cfg"
     cfg.write_text(TINY_CW.replace("orders = markov,2", "orders = 4, markov, 4")
                           .replace("name = tiny", "name = dup"))
-    assert main(["run", str(cfg), "--out", str(tmp_path), "--jobs", "2"]) == 1
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "config error: key 'orders'" in err and "'4'" in err
     assert not list(tmp_path.glob("*.csv"))
@@ -229,6 +221,12 @@ TINY_CW3 = TINY_CW.replace("orders = markov,2", "orders = markov,2,4")
 def _assert_no_children():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    # the runner forks, two calls at a time, on a host of any size
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 def test_forked_rerun_matches_in_process(tmp_path, monkeypatch):
@@ -281,7 +279,7 @@ def test_rerun_failure_in_child_exits_two(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
-def test_rerun_process_dying_exits_two(tmp_path, monkeypatch, capsys):
+def test_rerun_process_dying_exits_two(tmp_path, monkeypatch, capsys, two_cpus):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY_CW3)
     evolve, parent, fine_steps = cw.evolve, os.getpid(), 2 * parse_scenario(TINY_CW3).n_steps
@@ -294,12 +292,16 @@ def test_rerun_process_dying_exits_two(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cw, "evolve", dying)
     assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
-    assert "the dt/2 rerun process ended with exit status 3" in capsys.readouterr().err
+    # the first run in serial order to die is markov's
+    assert ("numerical failure: the process for the dt/2 run of order markov ended with "
+            "exit status 3") in capsys.readouterr().err
     _assert_no_children()
 
 
-def test_coarse_failure_stops_the_rerun(tmp_path, monkeypatch, capsys):
-    # the child's rerun would stall for two minutes; it must be killed, not awaited
+def test_coarse_failure_stops_the_rerun(tmp_path, monkeypatch, capsys, two_cpus):
+    # every other run would stall for two minutes; markov's coarse run, the
+    # first in serial order, must start at once, and its failure must kill
+    # the runs after it, not await them
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY_CW3)
     _fail_at(monkeypatch, parse_scenario(TINY_CW3).n_steps, "planted coarse failure", stall=120.0)
@@ -310,6 +312,37 @@ def test_coarse_failure_stops_the_rerun(tmp_path, monkeypatch, capsys):
     _assert_no_children()
 
 
+@pytest.mark.parametrize("failing, kept", [(2, ["tiny_markov.csv"]),
+                                            (4, ["tiny_markov.csv", "tiny_tcl2.csv"])])
+def test_failure_keeps_the_orders_before_it(tmp_path, monkeypatch, capsys, two_cpus,
+                                            failing, kept):
+    # as in a serial run, the orders listed before the failing one write their
+    # files and none after it does. On two workers the queue still holds
+    # order 4's coarse run when order 2's fails: it never starts. When order
+    # 4's fails, its stalled dt/2 run, if started, is killed
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CW3)
+    evolve, coarse_steps = cw.evolve, parse_scenario(TINY_CW3).n_steps
+
+    def planted(params, p0, t_max, dt):
+        steps = round(t_max / dt)
+        (tmp_path / f"started_{params.order}_{steps}").touch()
+        if params.order == failing and steps == coarse_steps:
+            raise NumericalFailure(f"planted order-{failing} failure")
+        if params.order == 4 and steps == 2 * coarse_steps:
+            time.sleep(120.0)
+        return evolve(params, p0, t_max, dt)
+
+    monkeypatch.setattr(cw, "evolve", planted)
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"atomlaser: numerical failure: planted order-{failing} failure" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == kept
+    assert (tmp_path / f"started_4_{coarse_steps}").exists() == (failing == 4)
+    _assert_no_children()
+
+
 # a box too small for the pump: every run warns about clipped probability, and
 # the order-2 and order-4 runs at dt and dt/2 warn with the same text
 CLIPPING_CW = TINY_CW3.replace("Omega_gamma = 1", "Omega_gamma = 15").replace(
@@ -317,7 +350,7 @@ CLIPPING_CW = TINY_CW3.replace("Omega_gamma = 1", "Omega_gamma = 15").replace(
 
 
 @pytest.mark.parametrize("action", ["always", "default"])
-def test_forked_rerun_shows_the_serial_warnings(tmp_path, action):
+def test_forked_rerun_shows_the_serial_warnings(tmp_path, action, two_cpus):
     # under "default" a warning repeated from one code line shows once, in the
     # serial run and in the forked one alike
     def shown(run):
@@ -356,45 +389,64 @@ def test_module_run_shows_the_rerun_warnings(tmp_path):
     assert proc.stderr.count("UserWarning: boundary clipping lost") == 3
 
 
-class _InlinePool:
-    """ProcessPoolExecutor stand-in that records its size and runs inline."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        fut = Future()
-        fut.set_result(fn(*args))
-        return fut
+def _nap(k, seconds):
+    start = time.monotonic()
+    time.sleep(seconds)
+    return k, os.getpid(), start, time.monotonic()
 
 
-def test_jobs_pool_never_exceeds_orders(tmp_path, monkeypatch):
-    # the pool forks all its workers up front; only the orders can use one
-    monkeypatch.setattr("atomlaser.cli.ProcessPoolExecutor", _InlinePool)
-    _InlinePool.sizes.clear()
-    cfg = tmp_path / "tiny.cfg"
-    cfg.write_text(TINY_CW)
-    assert main(["run", str(cfg), "--out", str(tmp_path), "--jobs", "64"]) == 0
-    assert _InlinePool.sizes == [2]
-    assert (tmp_path / "tiny_markov.csv").exists()
-    assert (tmp_path / "tiny_tcl2.csv").exists()
+def test_runner_runs_at_most_w_calls_at_once(two_cpus):
+    naps = [0.2, 0.4, 0.8, 0.2, 0.6]
+    results = list(cli._run_calls([(f"nap {k}", s, _nap, (k, s)) for k, s in enumerate(naps)]))
+    _assert_no_children()
+    assert [k for k, *_ in results] == list(range(len(naps)))
+    pids = {pid for _, pid, _, _ in results}
+    assert len(pids) == len(naps) and os.getpid() not in pids
+    spans = [(start, end) for *_, start, end in results]
+    at_once = [sum(s <= t < e for s, e in spans) for t, _ in spans]
+    assert max(at_once) == 2
+    # the first call not yet in always runs; the other worker takes the
+    # longest: 0 and 2 start together, 1 when 0 ends, 4 when 1 ends, 3 when 2 ends
+    started = sorted(range(len(naps)), key=lambda k: spans[k][0])
+    assert sorted(started[:2]) == [0, 2] and started[2:] == [1, 4, 3]
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_jobs_below_one_exits_one(tmp_path, capsys, jobs):
-    cfg = tmp_path / "tiny.cfg"
-    cfg.write_text(TINY_CW)
-    assert main(["run", str(cfg), "--out", str(tmp_path), "--jobs", jobs]) == 1
-    assert "--jobs" in capsys.readouterr().err
-    assert not list(tmp_path.glob("*.csv"))
+def _recorded(run):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run()
+    return result, [(str(w.message), w.category) for w in caught]
+
+
+def test_forked_evolve_matches_in_process(two_cpus):
+    # the box is too small for the pump, so every run warns about clipping;
+    # a forked run's warnings point at the runner, not at this caller
+    t = trap(5e4)
+    runs = [(cw_params(t, order, n0_max=20, n1_max=10), cw.DiagonalState.vacuum(20, 10),
+             0.5 / GAMMA_M_5E4, 0.5 / GAMMA_M_5E4 / 40) for order in ("markov", 2, 4)]
+    calls = [(f"order {args[0].order}", 0, cw.evolve, args) for args in runs]
+    forked, forked_warnings = _recorded(lambda: list(cli._run_calls(calls)))
+    _assert_no_children()
+    refs, ref_warnings = _recorded(lambda: [cw.evolve(*args) for args in runs])
+    assert len(ref_warnings) == 3 and forked_warnings == ref_warnings
+    for got, ref in zip(forked, refs):
+        for f in fields(ref):
+            a, b = getattr(got, f.name), getattr(ref, f.name)
+            if f.name == "final_state":
+                assert np.array_equal(a.p, b.p) and a.clipped == b.clipped
+            else:
+                assert np.array_equal(a, b), f.name
+
+
+@pytest.mark.parametrize("sigma_k", ["1e200", "1e-200"])
+def test_extreme_trap_values_exit_one(tmp_path, capsys, sigma_k):
+    # alpha = hbar sigma_k^2 / (2 M) overflows to inf or underflows to 0
+    cfg = tmp_path / "trap.cfg"
+    cfg.write_text(BUILTIN_SCENARIOS["fig2"].replace("sigma_k = 1e6", f"sigma_k = {sigma_k}"))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "atomlaser: config error: sigma_k" in err and "alpha" in err
+    assert "Traceback" not in err
 
 
 def test_overrides_tmax_dt_order(tmp_path):

@@ -1,6 +1,9 @@
 """Property tests of the cw generator assembly over random small boxes and
-rates, and of the CSV writer over arbitrary floats. Derandomized: every run
-draws the same examples, so a failure always reproduces."""
+rates, of the CSV writer over arbitrary floats, and of config parsing over
+hostile values. Derandomized: every run draws the same examples, so a
+failure always reproduces."""
+
+import re
 
 import numpy as np
 import scipy.sparse as sp
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomlaser import cw
-from atomlaser.cli import _write_csv
+from atomlaser.cli import BUILTIN_SCENARIOS, Scenario, _write_csv, parse_scenario
 
 from conftest import trap
 from test_cli import _write_csv_per_element
@@ -118,3 +121,39 @@ def test_csv_writer_matches_per_element(tmp_path_factory, pool, rows, n_columns,
     _write_csv(out / "new.csv", columns)
     _write_csv_per_element(out / "old.csv", columns)
     assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+
+# every numeric key of the [trap], [grid] and [cw] sections of fig2 and fig7,
+# plus the optional box keys of [cw]
+FUZZ_KEYS = {"fig2": ("M", "omega0", "sigma_k", "Gamma", "t_max_gamma", "n_steps"),
+             "fig7": ("M", "omega0", "sigma_k", "Gamma", "t_max_gamma", "n_steps",
+                      "kappa1_gamma", "Omega_gamma", "N", "n0_max", "n1_max")}
+# signed zeros, negatives, the edges of the float range, inf, nan, and text
+# that is not a number
+config_values = st.one_of(
+    st.sampled_from(["0", "-0", "0.0", "-0.0", "-1", "-5e4", "1e300", "-1e300", "1e-300",
+                     "-1e-300", "1e308", "5e-324", "inf", "-inf", "nan", "-nan", "", "abc",
+                     "1e", "0x10", "1,5", "5%", "%(M)s", "1_0", "true"]),
+    st.floats().map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+)
+configs = st.sampled_from(sorted(FUZZ_KEYS)).flatmap(lambda name: st.tuples(
+    st.just(name), st.dictionaries(st.sampled_from(FUZZ_KEYS[name]), config_values,
+                                   min_size=1)))
+
+
+@settings(PROPERTY, max_examples=400)
+@given(configs)
+def test_config_values_parse_or_raise_value_error(config):
+    name, values = config
+    text = BUILTIN_SCENARIOS[name]
+    if name == "fig7":
+        text += "n0_max = 200\nn1_max = 60\n"
+    for key, value in values.items():
+        text = re.sub(rf"^{key} = .*$", lambda _: f"{key} = {value}", text, flags=re.M)
+    try:
+        scen = parse_scenario(text, name)
+    except ValueError:   # ConfigError, ParameterError and the like: exit 1
+        return
+    assert isinstance(scen, Scenario)
