@@ -186,16 +186,6 @@ class _Templates(NamedTuple):
     leak_oc: np.ndarray
     dim: int
     n1p: int
-    # the three templates and the identity in LAPACK band storage (row
-    # upper + i - j holds entry (i, j)), cut to band_rows: the rows that hold a
-    # non-zero entry of some template (at most 6), plus the main diagonal
-    lower: int
-    upper: int
-    band_rows: np.ndarray
-    band_static: np.ndarray
-    band_out: np.ndarray
-    band_oc: np.ndarray
-    band_eye: np.ndarray
 
 
 # One scenario reads exactly two keys: its own (box, kappa1, N, Omega) and the
@@ -271,9 +261,32 @@ def _templates(n0_max, n1_max, kappa1, N, Omega):
     entries.append((src, src, -wp))
     oc = assemble(entries)
 
+    return _Templates(static, out, oc, leak_s, leak_oc, dim, n1p)
+
+
+def _templates_for(params):
+    return _templates(params.n0_max, params.n1_max, params.kappa1, params.N, params.Omega)
+
+
+class _BandStorage(NamedTuple):
+    # the three templates and the identity in LAPACK band storage (row
+    # upper + i - j holds entry (i, j)), cut to `rows`: the rows that hold a
+    # non-zero entry of some template (at most 6), plus the main diagonal
+    lower: int
+    upper: int
+    rows: np.ndarray
+    static: np.ndarray
+    out: np.ndarray
+    oc: np.ndarray
+    eye: np.ndarray
+
+
+def _band_storage(tpl):
+    """The templates of tpl in band storage, for the banded solves of
+    orders 2 and 4; built per run, so that no other solve holds it."""
     # collisions reach n1p - 2 diagonals below the main one, output n1p above
-    lower, upper = max(1, n1p - 2), n1p
-    coos = [m.tocoo() for m in (static, out, oc)]
+    lower, upper = max(1, tpl.n1p - 2), tpl.n1p
+    coos = [m.tocoo() for m in (tpl.static, tpl.out, tpl.oc)]
     rows = {upper}
     for coo in coos:
         rows.update((upper + coo.row - coo.col)[coo.data != 0].tolist())
@@ -282,20 +295,14 @@ def _templates(n0_max, n1_max, kappa1, N, Omega):
         raise GeneratorError(f"generator entries fall outside the ({lower}, {upper}) band")
     bands = []
     for coo in coos:
-        ab = np.zeros((len(rows), dim))
+        ab = np.zeros((len(rows), tpl.dim))
         nz = coo.data != 0
         slot = np.searchsorted(rows, upper + coo.row[nz] - coo.col[nz])
         np.add.at(ab, (slot, coo.col[nz]), coo.data[nz])
         bands.append(ab)
-    eye = np.zeros((len(rows), dim))
+    eye = np.zeros((len(rows), tpl.dim))
     eye[rows == upper] = 1.0
-
-    return _Templates(static, out, oc, leak_s, leak_oc, dim, n1p,
-                      lower, upper, rows, *bands, eye)
-
-
-def _templates_for(params):
-    return _templates(params.n0_max, params.n1_max, params.kappa1, params.N, params.Omega)
+    return _BandStorage(lower, upper, rows, *bands, eye)
 
 
 # -- dense reference implementation on a tiny space -------------------------
@@ -465,9 +472,11 @@ def stationary_distribution(params):
 
     The singular system G p = 0 is regularized by replacing the first row
     with the normalization constraint sum p = 1. Row 0 of the canonical CSR
-    matrix is swapped for ones directly. The CSC matrix handed to the solver
-    must equal, array for array, what `tolil()`, `G[0, :] = 1.0` and
-    `tocsc()` give, so that the solve keeps its bits.
+    matrix is swapped for ones directly; the CSC matrix handed to the solver
+    equals, array for array, what `tolil()`, `G[0, :] = 1.0` and `tocsc()`
+    give. SuperLU orders its columns by minimum degree on A^T + A
+    (MMD_AT_PLUS_A; George & Liu, SIAM Review 31, 1989), which on the
+    default box keeps under half the fill of the default COLAMD ordering.
     """
     import scipy.sparse as sp
 
@@ -481,7 +490,7 @@ def stationary_distribution(params):
                        indptr), shape=G.shape)
     b = np.zeros(dim)
     b[0] = 1.0
-    p = spsolve(A.tocsc(), b)
+    p = spsolve(A.tocsc(), b, permc_spec="MMD_AT_PLUS_A")
     if not np.isfinite(p).all():
         raise NumericalFailure("the stationary solve returned a non-finite probability")
     p = p / p.sum()
@@ -526,9 +535,9 @@ def evolve(params, p0, t_max, dt):
     every step, so each solve factors I - (dt/2) G(t) anew with LAPACK's
     banded gbsv. The band is (n1_max - 1) diagonals below and n1_max + 1
     above the main one, but only the few diagonals that hold a template
-    entry are stored, built once per box together with the templates; each
-    solve combines them into one reused LAPACK work array whose other rows
-    stay zero.
+    entry are stored, built once per run (_band_storage); each solve
+    combines them into one reused LAPACK work array whose other rows stay
+    zero.
     """
     grid = grid_for(t_max, dt)
     n_steps = grid.n_points - 1
@@ -578,17 +587,18 @@ def evolve(params, p0, t_max, dt):
     else:
         from scipy.linalg import get_lapack_funcs
 
-        lower, upper = tpl.lower, tpl.upper
+        bs = _band_storage(tpl)
+        lower, upper = bs.lower, bs.upper
         # gbsv's band layout: `lower` fill-in rows above the band itself
         work = np.zeros((2 * lower + upper + 1, dim), order="F")
         gbsv, = get_lapack_funcs(("gbsv",), (work,))
 
         def implicit_solve(g, rr, b):
-            band = tpl.band_eye - h * (tpl.band_static + g * tpl.band_out)
+            band = bs.eye - h * (bs.static + g * bs.out)
             if rr != 0.0:
-                band -= h * rr * tpl.band_oc
+                band -= h * rr * bs.oc
             work.fill(0.0)
-            work[lower + tpl.band_rows] = band
+            work[lower + bs.rows] = band
             _, _, x, info = gbsv(lower, upper, work, b, overwrite_ab=True)
             if info != 0:
                 raise NumericalFailure(

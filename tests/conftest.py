@@ -51,12 +51,18 @@ def cw_params(t, order, n0_max=200, n1_max=60, N=20.3):
                        n0_max=n0_max, n1_max=n1_max, order=order)
 
 
+def evolve_here(*args):
+    """cw.evolve called from this module, so that the warnings it raises
+    with stacklevel=2 name this file whether the call runs forked or not."""
+    return cw.evolve(*args)
+
+
 def evolve_orders(t, orders, n_steps):
     """{order: cw.evolve from the vacuum over 8/gamma_M} at the default box,
     the banded orders first; plus "gamma_M"."""
     gm = model.gamma_markov_closed_form(t)
     t_max = 8.0 / gm
-    calls = [(f"order {order}", order != "markov", cw.evolve,
+    calls = [(f"order {order}", order != "markov", evolve_here,
               (cw_params(t, order), cw.DiagonalState.vacuum(200, 60), t_max, t_max / n_steps))
              for order in orders]
     out = dict(zip(orders, list(_run_calls(calls))))

@@ -17,7 +17,7 @@ from atomlaser.cli import (BUILTIN_SCENARIOS, FLOAT_FORMAT, _cw_columns, _write_
                            parse_scenario)
 from atomlaser.quad import shared_points_difference
 
-from conftest import cw_params, trap
+from conftest import cw_params, evolve_here, trap
 
 GAMMA_M_5E4 = 92.62263163409446
 
@@ -415,20 +415,21 @@ def _recorded(run):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = run()
-    return result, [(str(w.message), w.category) for w in caught]
+    return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
 
 def test_forked_evolve_matches_in_process(two_cpus):
     # the box is too small for the pump, so every run warns about clipping;
-    # a forked run's warnings point at the runner, not at this caller
+    # through the conftest wrapper, forked and serial warnings name its line
     t = trap(5e4)
     runs = [(cw_params(t, order, n0_max=20, n1_max=10), cw.DiagonalState.vacuum(20, 10),
              0.5 / GAMMA_M_5E4, 0.5 / GAMMA_M_5E4 / 40) for order in ("markov", 2, 4)]
-    calls = [(f"order {args[0].order}", 0, cw.evolve, args) for args in runs]
+    calls = [(f"order {args[0].order}", 0, evolve_here, args) for args in runs]
     forked, forked_warnings = _recorded(lambda: list(cli._run_calls(calls)))
     _assert_no_children()
-    refs, ref_warnings = _recorded(lambda: [cw.evolve(*args) for args in runs])
+    refs, ref_warnings = _recorded(lambda: [evolve_here(*args) for args in runs])
     assert len(ref_warnings) == 3 and forked_warnings == ref_warnings
+    assert all(w[2].endswith("conftest.py") for w in ref_warnings)
     for got, ref in zip(forked, refs):
         for f in fields(ref):
             a, b = getattr(got, f.name), getattr(ref, f.name)
@@ -490,6 +491,19 @@ def test_bad_config_exits_one(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "config error" in err and "mode" in err
+
+
+@pytest.mark.parametrize("where", ["out", "config"])
+def test_unusable_path_exits_one(tmp_path, capsys, where):
+    # an --out below a regular file, or a config path that is a directory
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = str(blocker / "x") if where == "out" else str(tmp_path)
+    argv = ["run", "fig2", "--out", path] if where == "out" else ["run", path]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("atomlaser: file error:") and path in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("config, flags, name", [

@@ -254,15 +254,16 @@ def test_stationary_truncation_sufficient(stationary_default):
 
 
 def test_stationary_matrix_equals_lil_row_replacement(monkeypatch):
-    # the solver must see the very arrays of the former LIL round trip, so
-    # that spsolve returns the same bits
+    # the solver sees the very arrays of the former LIL round trip, and its
+    # minimum-degree ordering moves the means only by rounding
     params = cw_params(trap(5e4), "markov", n0_max=9, n1_max=6)
     reference = cw.build_generator(params).matrix.tolil()
     reference[0, :] = 1.0
     reference = reference.tocsc()
     solved = []
     spsolve = cw.spsolve
-    monkeypatch.setattr(cw, "spsolve", lambda A, b: solved.append(A) or spsolve(A, b))
+    monkeypatch.setattr(cw, "spsolve",
+                        lambda A, b, **kw: solved.append(A) or spsolve(A, b, **kw))
     state = cw.stationary_distribution(params)
     A, = solved
     assert A.format == "csc" and A.shape == reference.shape
@@ -271,15 +272,39 @@ def test_stationary_matrix_equals_lil_row_replacement(monkeypatch):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     b = np.zeros(params.dim)
     b[0] = 1.0
-    p = spsolve(reference, b)
+    p = spsolve(reference, b, permc_spec="MMD_AT_PLUS_A")
     assert np.array_equal(state.p.ravel(), p / p.sum())
+    q = spsolve(reference, b)   # SuperLU's default COLAMD ordering
+    colamd = cw.DiagonalState((q / q.sum()).reshape(state.p.shape))
+    assert state.mean_n0() == pytest.approx(colamd.mean_n0(), rel=1e-12)
+    assert state.mean_n1() == pytest.approx(colamd.mean_n1(), rel=1e-12)
 
 
 def test_stationary_rejects_non_finite_solve(monkeypatch):
     params = cw_params(trap(5e4), "markov", n0_max=6, n1_max=5)
-    monkeypatch.setattr(cw, "spsolve", lambda A, b: np.full(b.size, np.nan))
+    monkeypatch.setattr(cw, "spsolve", lambda A, b, **kw: np.full(b.size, np.nan))
     with pytest.raises(NumericalFailure, match="non-finite"):
         cw.stationary_distribution(params)
+
+
+def test_only_banded_orders_build_band_storage(monkeypatch):
+    # the stationary solve, the closure probe and markov runs never allocate
+    # the band layout; orders 2 and 4 build it once per run
+    def refuse(tpl):
+        raise AssertionError("band storage built")
+
+    monkeypatch.setattr(cw, "_band_storage", refuse)
+    monkeypatch.setattr(cw, "_closure_checked", set())
+    t = trap(5e4)
+    params = cw_params(t, "markov", n0_max=12, n1_max=8)
+    st = cw.stationary_distribution(params)
+    assert st.p.sum() == pytest.approx(1.0, abs=1e-12)
+    p0 = cw.DiagonalState.vacuum(12, 8)
+    t_max = 0.05 / GAMMA_M_5E4
+    traj = cw.evolve(params, p0, t_max, t_max / 10)
+    assert np.isfinite(traj.mean_n0).all()
+    with pytest.raises(AssertionError, match="band storage built"):
+        cw.evolve(cw_params(t, 2, n0_max=12, n1_max=8), p0, t_max, t_max / 10)
 
 
 def test_pump_only_stationary_occupancy():

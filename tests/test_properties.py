@@ -1,14 +1,16 @@
-"""Property tests of the cw generator assembly over random small boxes and
-rates, of the CSV writer over arbitrary floats, and of config parsing over
+"""Property tests of the cw generator assembly and stationary solve over
+random small boxes and rates, of the CSV writer over arbitrary floats, and of config parsing over
 hostile values. Derandomized: every run draws the same examples, so a
 failure always reproduces."""
 
 import re
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve
 
 from atomlaser import cw
 from atomlaser.cli import BUILTIN_SCENARIOS, Scenario, _write_csv, parse_scenario
@@ -29,14 +31,14 @@ gammas = st.floats(0.0, 50.0).map(lambda x: x * GAMMA_M_5E4)
 rs = st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
 
 
-def _from_band(tpl, band):
-    """The dense matrix whose LAPACK band rows tpl.band_rows are `band`;
-    entries that fall outside the matrix must be zero."""
-    dim = tpl.dim
+def _from_band(bs, band):
+    """The dense matrix whose LAPACK band rows bs.rows are `band`; entries
+    that fall outside the matrix must be zero."""
+    dim = band.shape[1]
     dense = np.zeros((dim, dim))
     j = np.arange(dim)
-    for row, vals in zip(tpl.band_rows, band):
-        i = j + (row - tpl.upper)
+    for row, vals in zip(bs.rows, band):
+        i = j + (row - bs.upper)
         inside = (i >= 0) & (i < dim)
         assert not vals[~inside].any()
         dense[i[inside], j[inside]] = vals[inside]
@@ -47,18 +49,46 @@ def _from_band(tpl, band):
 @given(boxes, boxes, kappa1s, Ns, Omegas)
 def test_band_rows_rebuild_templates(n0_max, n1_max, kappa1, N, Omega):
     tpl = cw._templates(n0_max, n1_max, kappa1, N, Omega)
-    rows = tpl.band_rows
+    bs = cw._band_storage(tpl)
+    rows = bs.rows
     assert np.all(np.diff(rows) > 0)
-    assert rows[0] >= 0 and rows[-1] <= tpl.lower + tpl.upper
-    assert tpl.upper in rows
-    pairs = ((tpl.band_static, tpl.static), (tpl.band_out, tpl.out),
-             (tpl.band_oc, tpl.oc), (tpl.band_eye, sp.identity(tpl.dim)))
+    assert rows[0] >= 0 and rows[-1] <= bs.lower + bs.upper
+    assert bs.upper in rows
+    pairs = ((bs.static, tpl.static), (bs.out, tpl.out),
+             (bs.oc, tpl.oc), (bs.eye, sp.identity(tpl.dim)))
     for band, mat in pairs:
         assert band.shape == (rows.size, tpl.dim)
-        np.testing.assert_array_equal(_from_band(tpl, band), mat.toarray())
+        np.testing.assert_array_equal(_from_band(bs, band), mat.toarray())
     # every stored row but the main diagonal holds an entry of some template
-    used = np.abs(tpl.band_static) + np.abs(tpl.band_out) + np.abs(tpl.band_oc)
-    assert np.all(used.any(axis=1) | (rows == tpl.upper))
+    used = np.abs(bs.static) + np.abs(bs.out) + np.abs(bs.oc)
+    assert np.all(used.any(axis=1) | (rows == bs.upper))
+
+
+@PROPERTY
+@given(boxes, boxes, kappa1s, Ns, Omegas)
+def test_stationary_solves_the_generator(n0_max, n1_max, kappa1, N, Omega):
+    params = cw.CwParams(trap=trap(5e4), kappa1=kappa1, Omega=Omega, N=N,
+                         n0_max=n0_max, n1_max=n1_max)
+    state = cw.stationary_distribution(params)
+    p = state.p.ravel()
+    G, leak = cw.build_generator(params)
+    assert p.min() >= -1e-15 * p.max()
+    assert p.sum() == pytest.approx(1.0, abs=1e-14)   # a few ulp of summation
+    # G p = 0 off row 0, which the normalization replaced; on a tight box
+    # row 0 carries the flux clipped at the boundary, since columns of G
+    # sum to minus the leak
+    resid = G @ p
+    resid[0] += leak @ p
+    assert np.abs(resid).max() <= 1e-12 * np.abs(G.data).max()
+    # the minimum-degree ordering agrees with SuperLU's default COLAMD
+    A = G.tolil()
+    A[0, :] = 1.0
+    b = np.zeros(params.dim)
+    b[0] = 1.0
+    q = spsolve(A.tocsc(), b)
+    colamd = cw.DiagonalState((q / q.sum()).reshape(state.p.shape))
+    assert state.mean_n0() == pytest.approx(colamd.mean_n0(), rel=1e-9)
+    assert state.mean_n1() == pytest.approx(colamd.mean_n1(), rel=1e-9)
 
 
 @PROPERTY
