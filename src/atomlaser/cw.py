@@ -178,14 +178,17 @@ def r_function(params, grid):
 
 
 class _Templates(NamedTuple):
-    # static, out and oc are scipy.sparse CSR matrices
+    # CSR matrices static, out, oc built from diags[0..2]: every channel moves
+    # a state by one fixed flat-index shift, and row k of a template's
+    # diagonals holds, for each source column j, its rate into flat index
+    # j + shifts[k] (LAPACK band row upper + shifts[k], DIA offset -shifts[k])
     static: object
     out: object
     oc: object
+    diags: np.ndarray
+    shifts: np.ndarray
     leak_static: np.ndarray
     leak_oc: np.ndarray
-    dim: int
-    n1p: int
 
 
 # One scenario reads exactly two keys: its own (box, kappa1, N, Omega) and the
@@ -197,48 +200,28 @@ def _templates(n0_max, n1_max, kappa1, N, Omega):
 
     n1p = n1_max + 1
     dim = (n0_max + 1) * n1p
-    n0g, n1g = np.meshgrid(np.arange(n0_max + 1), np.arange(n1p), indexing="ij")
-    n0f = n0g.ravel().astype(float)
-    n1f = n1g.ravel().astype(float)
-    src = (n0g * n1p + n1g).ravel()
-
-    def fidx(a, b):
-        return (a * n1p + b).astype(int)
-
-    def assemble(entries):
-        rows = np.hstack([e[0] for e in entries])
-        cols = np.hstack([e[1] for e in entries])
-        vals = np.hstack([e[2] for e in entries])
-        return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-
+    n0 = (np.arange(dim) // n1p).astype(float)
+    n1 = (np.arange(dim) % n1p).astype(float)
+    # output n1p up, collision n1p - 2 down; at n1_max = 1 or 2 the collision
+    # shift coincides with 0 or +1, and the channels sharing a row are summed
+    shifts = np.unique([-n1p, -2, -1, 0, 1, n1p - 2])
+    diags = np.zeros((3, len(shifts), dim))
+    at = {s: k for k, s in enumerate(shifts.tolist())}
+    top = n0 < n0_max
+    has = n1 >= 2
     # static part: pump gain/loss and bare collisions
-    entries = []
-    leak_s = np.zeros(dim)
-    rate = kappa1 * N * (n1f + 1.0)           # thermal absorption n1 -> n1+1
-    ok = n1g.ravel() + 1 <= n1_max
-    entries.append((fidx(n0f[ok], n1f[ok] + 1), src[ok], rate[ok]))
-    np.add.at(leak_s, src[~ok], rate[~ok])
-    entries.append((src, src, -rate))
-    rate = kappa1 * (1.0 + N) * n1f           # thermal emission n1 -> n1-1
-    ok = n1g.ravel() >= 1
-    entries.append((fidx(n0f[ok], n1f[ok] - 1), src[ok], rate[ok]))
-    entries.append((src, src, -rate))
-    w = Omega * (n0f + 1.0) * n1f * (n1f - 1.0)   # collision (n0,n1)->(n0+1,n1-2)
-    has = n1g.ravel() >= 2
-    ok = has & (n0g.ravel() + 1 <= n0_max)
-    clip = has & ~ok
-    entries.append((fidx(n0f[ok] + 1, n1f[ok] - 2), src[ok], w[ok]))
-    np.add.at(leak_s, src[clip], w[clip])
-    entries.append((src, src, -w))
-    static = assemble(entries)
+    absorb = kappa1 * N * (n1 + 1.0)          # thermal absorption n1 -> n1+1
+    emit = kappa1 * (1.0 + N) * n1            # thermal emission n1 -> n1-1
+    w = Omega * (n0 + 1.0) * n1 * (n1 - 1.0)  # collision (n0,n1)->(n0+1,n1-2)
+    diags[0, at[1]] += np.where(n1 < n1_max, absorb, 0.0)
+    diags[0, at[-1]] += emit
+    diags[0, at[n1p - 2]] += np.where(has & top, w, 0.0)
+    diags[0, at[0]] += -absorb - emit - w
+    leak_s = np.where(n1 == n1_max, absorb, 0.0) + np.where(has & ~top, w, 0.0)
 
     # output channel, weighted by gamma(t) at run time
-    entries = []
-    rate = n0f.copy()
-    ok = n0g.ravel() >= 1
-    entries.append((fidx(n0f[ok] - 1, n1f[ok]), src[ok], rate[ok]))
-    entries.append((src, src, -rate))
-    out = assemble(entries)
+    diags[1, at[-n1p]] += n0
+    diags[1, at[0]] -= n0
 
     # output-collision cross term, weighted by Re r(t) at run time.
     # Applying the cross superoperator to a diagonal projector |n0,n1><n0,n1|
@@ -246,72 +229,26 @@ def _templates(n0_max, n1_max, kappa1, N, Omega):
     #     +2w  at (n0+1, n1-2)     -2w  at (n0, n1-2)
     #     +w'  at (n0-1, n1)       -w'  on the diagonal
     # (columns sum to zero identically; the -2w entry is the non-Lindblad bit)
-    entries = []
-    leak_oc = np.zeros(dim)
-    w = (n0f + 1.0) * n1f * (n1f - 1.0)
-    has = n1g.ravel() >= 2
-    ok = has & (n0g.ravel() + 1 <= n0_max)
-    clip = has & ~ok
-    entries.append((fidx(n0f[ok] + 1, n1f[ok] - 2), src[ok], 2.0 * w[ok]))
-    np.add.at(leak_oc, src[clip], 2.0 * w[clip])
-    entries.append((fidx(n0f[has], n1f[has] - 2), src[has], -2.0 * w[has]))
-    wp = n0f * n1f * (n1f - 1.0)
-    ok = (n0g.ravel() >= 1) & (n1g.ravel() >= 2)
-    entries.append((fidx(n0f[ok] - 1, n1f[ok]), src[ok], wp[ok]))
-    entries.append((src, src, -wp))
-    oc = assemble(entries)
+    w = (n0 + 1.0) * n1 * (n1 - 1.0)
+    wp = n0 * n1 * (n1 - 1.0)
+    diags[2, at[n1p - 2]] += np.where(has & top, 2.0 * w, 0.0)
+    diags[2, at[-2]] += np.where(has, -2.0 * w, 0.0)
+    diags[2, at[-n1p]] += wp
+    diags[2, at[0]] -= wp
+    leak_oc = np.where(has & ~top, 2.0 * w, 0.0)
 
-    return _Templates(static, out, oc, leak_s, leak_oc, dim, n1p)
+    static, out, oc = (sp.dia_matrix((d, -shifts), shape=(dim, dim)).tocsr() for d in diags)
+    return _Templates(static, out, oc, diags, shifts, leak_s, leak_oc)
 
 
 def _templates_for(params):
     return _templates(params.n0_max, params.n1_max, params.kappa1, params.N, params.Omega)
 
 
-class _BandStorage(NamedTuple):
-    # the three templates and the identity in LAPACK band storage (row
-    # upper + i - j holds entry (i, j)), cut to `rows`: the rows that hold a
-    # non-zero entry of some template (at most 6), plus the main diagonal
-    lower: int
-    upper: int
-    rows: np.ndarray
-    static: np.ndarray
-    out: np.ndarray
-    oc: np.ndarray
-    eye: np.ndarray
-
-
-def _band_storage(tpl):
-    """The templates of tpl in band storage, for the banded solves of
-    orders 2 and 4; built per run, so that no other solve holds it."""
-    # collisions reach n1p - 2 diagonals below the main one, output n1p above
-    lower, upper = max(1, tpl.n1p - 2), tpl.n1p
-    coos = [m.tocoo() for m in (tpl.static, tpl.out, tpl.oc)]
-    rows = {upper}
-    for coo in coos:
-        rows.update((upper + coo.row - coo.col)[coo.data != 0].tolist())
-    rows = np.array(sorted(rows))
-    if rows[0] < 0 or rows[-1] > lower + upper:
-        raise GeneratorError(f"generator entries fall outside the ({lower}, {upper}) band")
-    bands = []
-    for coo in coos:
-        ab = np.zeros((len(rows), tpl.dim))
-        nz = coo.data != 0
-        slot = np.searchsorted(rows, upper + coo.row[nz] - coo.col[nz])
-        np.add.at(ab, (slot, coo.col[nz]), coo.data[nz])
-        bands.append(ab)
-    eye = np.zeros((len(rows), tpl.dim))
-    eye[rows == upper] = 1.0
-    return _BandStorage(lower, upper, rows, *bands, eye)
-
-
 # -- dense reference implementation on a tiny space -------------------------
 
 def _dense_ladder(nmax):
-    a = np.zeros((nmax + 1, nmax + 1))
-    for n in range(1, nmax + 1):
-        a[n - 1, n] = np.sqrt(n)
-    return a
+    return np.diag(np.sqrt(np.arange(1.0, nmax + 1)), 1)
 
 
 def _dense_channel_columns(n0c, n1c, kappa1, N, Omega, gamma, shift, r):
@@ -477,10 +414,12 @@ def stationary_distribution(params):
     give. SuperLU orders its columns by minimum degree on A^T + A
     (MMD_AT_PLUS_A; George & Liu, SIAM Review 31, 1989), which on the
     default box keeps under half the fill of the default COLAMD ordering.
+    Warns, as evolve does, when the flux clipped at the box boundary exceeds
+    CLIP_WARN of the pump flux kappa1 N (<n1> + 1).
     """
     import scipy.sparse as sp
 
-    G = build_generator(params).matrix
+    G, leak = build_generator(params)
     dim = params.dim
     tail = G.indptr[1]
     indptr = G.indptr + (dim - tail)
@@ -494,7 +433,15 @@ def stationary_distribution(params):
     if not np.isfinite(p).all():
         raise NumericalFailure("the stationary solve returned a non-finite probability")
     p = p / p.sum()
-    return DiagonalState(p.reshape(params.n0_max + 1, params.n1_max + 1))
+    state = DiagonalState(p.reshape(params.n0_max + 1, params.n1_max + 1))
+    lost = (leak @ p) / (params.kappa1 * params.N * (state.mean_n1() + 1.0))
+    if lost > CLIP_WARN:
+        warnings.warn(
+            f"the stationary state loses {lost:.3e} of the pump flux at the box boundary; "
+            "enlarge n0_max/n1_max for trustworthy output",
+            stacklevel=2,
+        )
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -534,15 +481,20 @@ def evolve(params, p0, t_max, dt):
     step serves every solve. At orders 2 and 4, gamma(t) and r(t) change
     every step, so each solve factors I - (dt/2) G(t) anew with LAPACK's
     banded gbsv. The band is (n1_max - 1) diagonals below and n1_max + 1
-    above the main one, but only the few diagonals that hold a template
-    entry are stored, built once per run (_band_storage); each solve
-    combines them into one reused LAPACK work array whose other rows stay
-    zero.
+    above the main one, but only the template diagonals (at most six) are
+    combined, into the rows upper + shifts of one reused LAPACK work array
+    whose other rows stay zero.
     """
+    dim, n1p = params.dim, params.n1_max + 1
+    p = np.asarray(p0.p, dtype=float).ravel().copy()
+    if p.size != dim:
+        raise ParameterError(
+            f"initial state has {p.size} entries, the truncated space has {dim}"
+        )
     grid = grid_for(t_max, dt)
     n_steps = grid.n_points - 1
     tpl = _templates_for(params)
-    static, out_csr, oc_csr, dim, n1p = tpl.static, tpl.out, tpl.oc, tpl.dim, tpl.n1p
+    static, out_csr, oc_csr = tpl.static, tpl.out, tpl.oc
     # rates and the cross-term weight are sampled at half steps so both the
     # endpoints and the Rannacher midpoint come from one table
     half = UniformGrid(0.0, 0.5 * dt, 2 * n_steps + 1)
@@ -555,11 +507,6 @@ def evolve(params, p0, t_max, dt):
     else:
         rr_h = np.zeros(half.n_points)
 
-    p = np.asarray(p0.p, dtype=float).ravel().copy()
-    if p.size != dim:
-        raise ParameterError(
-            f"initial state has {p.size} entries, the truncated space has {dim}"
-        )
     # one assembly through the checked path validates column balance up front
     build_generator(params, gamma_h[0], rr_h[0])
 
@@ -587,18 +534,19 @@ def evolve(params, p0, t_max, dt):
     else:
         from scipy.linalg import get_lapack_funcs
 
-        bs = _band_storage(tpl)
-        lower, upper = bs.lower, bs.upper
+        d_static, d_out, d_oc = tpl.diags
+        lower, upper = tpl.shifts[-1], -tpl.shifts[0]
         # gbsv's band layout: `lower` fill-in rows above the band itself
         work = np.zeros((2 * lower + upper + 1, dim), order="F")
         gbsv, = get_lapack_funcs(("gbsv",), (work,))
+        eye = (tpl.shifts == 0)[:, None]   # I as diagonals
 
         def implicit_solve(g, rr, b):
-            band = bs.eye - h * (bs.static + g * bs.out)
+            band = eye - h * (d_static + g * d_out)
             if rr != 0.0:
-                band -= h * rr * bs.oc
+                band -= h * rr * d_oc
             work.fill(0.0)
-            work[lower + bs.rows] = band
+            work[lower + upper + tpl.shifts] = band
             _, _, x, info = gbsv(lower, upper, work, b, overwrite_ab=True)
             if info != 0:
                 raise NumericalFailure(

@@ -287,24 +287,14 @@ def test_stationary_rejects_non_finite_solve(monkeypatch):
         cw.stationary_distribution(params)
 
 
-def test_only_banded_orders_build_band_storage(monkeypatch):
-    # the stationary solve, the closure probe and markov runs never allocate
-    # the band layout; orders 2 and 4 build it once per run
-    def refuse(tpl):
-        raise AssertionError("band storage built")
-
-    monkeypatch.setattr(cw, "_band_storage", refuse)
-    monkeypatch.setattr(cw, "_closure_checked", set())
-    t = trap(5e4)
-    params = cw_params(t, "markov", n0_max=12, n1_max=8)
-    st = cw.stationary_distribution(params)
-    assert st.p.sum() == pytest.approx(1.0, abs=1e-12)
-    p0 = cw.DiagonalState.vacuum(12, 8)
-    t_max = 0.05 / GAMMA_M_5E4
-    traj = cw.evolve(params, p0, t_max, t_max / 10)
-    assert np.isfinite(traj.mean_n0).all()
-    with pytest.raises(AssertionError, match="band storage built"):
-        cw.evolve(cw_params(t, 2, n0_max=12, n1_max=8), p0, t_max, t_max / 10)
+@pytest.mark.parametrize("n0_max, warns", [(200, False), (60, True)])
+def test_stationary_warns_on_boundary_leak(n0_max, warns):
+    # the default box loses 6.6e-22 of the pump flux at its boundary, the
+    # n0_max = 60 box 3.4e-3, above CLIP_WARN
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cw.stationary_distribution(cw_params(trap(5e4), "markov", n0_max=n0_max))
+    assert any("box boundary" in str(w.message) for w in caught) == warns
 
 
 def test_pump_only_stationary_occupancy():
@@ -394,14 +384,21 @@ def test_time_dependent_implicit_stepper_matches_dense_recurrence(order):
     assert clip > 1e-9   # the box is tight enough for the leak to count
 
 
-def test_evolve_config_errors():
-    params = cw_params(trap(5e4), "markov", n0_max=5, n1_max=5)
+def test_evolve_config_errors(monkeypatch):
+    # a bad grid or a state of the wrong size is rejected before the rate
+    # tables are built
+    def refuse(*args):
+        raise AssertionError("rate tables built")
+
+    monkeypatch.setattr(tcl, "tcl_series_rates", refuse)
+    monkeypatch.setattr(cw, "r_function", refuse)
+    params = cw_params(trap(5e4), 4, n0_max=5, n1_max=5)
     p0 = cw.DiagonalState.vacuum(5, 5)
     with pytest.raises(ConfigError):
         cw.evolve(params, p0, -1.0, 1e-5)
     with pytest.raises(ConfigError):
         cw.evolve(params, p0, 0.01, 0.0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="initial state has 25 entries"):
         cw.evolve(params, cw.DiagonalState.vacuum(4, 4), 0.01, 1e-5)
 
 

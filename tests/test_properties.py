@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
@@ -31,37 +31,34 @@ gammas = st.floats(0.0, 50.0).map(lambda x: x * GAMMA_M_5E4)
 rs = st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
 
 
-def _from_band(bs, band):
-    """The dense matrix whose LAPACK band rows bs.rows are `band`; entries
-    that fall outside the matrix must be zero."""
-    dim = band.shape[1]
-    dense = np.zeros((dim, dim))
-    j = np.arange(dim)
-    for row, vals in zip(bs.rows, band):
-        i = j + (row - bs.upper)
-        inside = (i >= 0) & (i < dim)
-        assert not vals[~inside].any()
-        dense[i[inside], j[inside]] = vals[inside]
-    return dense
+# the (n0, n1) moves of the channels: pump gain and loss, collision, output,
+# the cross term's -2w entry, and the diagonal
+MOVES = {(0, 1), (0, -1), (1, -2), (-1, 0), (0, -2), (0, 0)}
 
 
 @PROPERTY
 @given(boxes, boxes, kappa1s, Ns, Omegas)
-def test_band_rows_rebuild_templates(n0_max, n1_max, kappa1, N, Omega):
+@example(3, 1, 10 * GAMMA_M_5E4, 2.0, 15 * GAMMA_M_5E4)   # collision shift n1p - 2 = 0
+@example(3, 2, 10 * GAMMA_M_5E4, 2.0, 15 * GAMMA_M_5E4)   # collision shift n1p - 2 = +1
+def test_diagonals_rebuild_templates(n0_max, n1_max, kappa1, N, Omega):
     tpl = cw._templates(n0_max, n1_max, kappa1, N, Omega)
-    bs = cw._band_storage(tpl)
-    rows = bs.rows
-    assert np.all(np.diff(rows) > 0)
-    assert rows[0] >= 0 and rows[-1] <= bs.lower + bs.upper
-    assert bs.upper in rows
-    pairs = ((bs.static, tpl.static), (bs.out, tpl.out),
-             (bs.oc, tpl.oc), (bs.eye, sp.identity(tpl.dim)))
-    for band, mat in pairs:
-        assert band.shape == (rows.size, tpl.dim)
-        np.testing.assert_array_equal(_from_band(bs, band), mat.toarray())
-    # every stored row but the main diagonal holds an entry of some template
-    used = np.abs(bs.static) + np.abs(bs.out) + np.abs(bs.oc)
-    assert np.all(used.any(axis=1) | (rows == bs.upper))
+    shifts, dim, n1p = tpl.shifts, tpl.static.shape[0], n1_max + 1
+    assert np.all(np.diff(shifts) > 0) and 0 in shifts
+    assert shifts[-1] >= 1 and -shifts[0] >= 1   # LAPACK's lower and upper
+    assert tpl.diags.shape == (3, shifts.size, dim)
+    j = np.arange(dim)
+    for diags, mat in zip(tpl.diags, (tpl.static, tpl.out, tpl.oc)):
+        dense = np.zeros((dim, dim))
+        for s, vals in zip(shifts, diags):
+            i = j + s
+            inside = (i >= 0) & (i < dim)
+            assert not vals[~inside].any()   # no rate lands outside the matrix
+            dense[i[inside], j[inside]] = vals[inside]
+        np.testing.assert_array_equal(dense, mat.toarray())
+        # every rate moves a state to a neighbour inside the box
+        i, j_nz = np.nonzero(dense)
+        moves = set(zip(i // n1p - j_nz // n1p, i % n1p - j_nz % n1p))
+        assert moves <= MOVES
 
 
 @PROPERTY
