@@ -409,12 +409,14 @@ def _pulsed_columns(scen, n_steps, dt):
     grid = UniformGrid(0.0, dt, n_steps + 1)
     t = grid.times()
     gamma_m = model.gamma_markov_closed_form(trap)
-    traj = volterra.solve_amplitude(trap, t_max, dt)
+    # one kernel and one spectrum for the exact solve and the series rates
+    kernel = volterra.memory_kernel(trap, grid)
+    traj = volterra.solve_amplitude(trap, t_max, dt, kernel)
     columns = [("t_seconds", t), ("gammaM_t", gamma_m * t),
                ("n_exact", volterra.occupation(traj).values),
                ("n_markov", np.exp(-gamma_m * t))]
 
-    rates = tcl.tcl_series_rates(trap, grid, order_max=scen.tcl_order)
+    rates = tcl.tcl_series_rates(trap, grid, order_max=scen.tcl_order, kernel=kernel)
     for order in rates.orders():
         occ = tcl.occupation_from_rates(rates, order)
         columns.append((f"n_tcl{order}", occ.values))
@@ -731,6 +733,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# the argument parser, built by the first main call and reused by later ones
+_parser = None
+
+
 def _build_parser():
     parser = _Parser(prog="atomlaser", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -771,7 +777,10 @@ def _apply_overrides(scen, args):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         if args.command == "list":
             list_scenarios(args.configs)

@@ -127,6 +127,8 @@ def psi(params, tau):
 
 # [0, inf) quadrature: half-periods summed plainly, then Euler-averaged
 HEAD_SEGMENTS, TAIL_SEGMENTS, GAUSS_ORDER = 8, 48, 16
+# leggauss(GAUSS_ORDER), formed at first use: numpy.polynomial loads lazily
+_gauss_rule = None
 # relative targets: gamma_M by quadrature only cross-checks its closed form
 GAMMA_QUAD_RTOL, SHIFT_QUAD_RTOL = 1e-3, 1e-6
 
@@ -169,7 +171,10 @@ def _tail_accelerated_integral(func, omega0):
     truncation converges too slowly; successive half-period contributions
     alternate in sign and the tail is summed with Euler averaging.
     """
-    x, w = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+    global _gauss_rule
+    if _gauss_rule is None:
+        _gauss_rule = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+    x, w = _gauss_rule
     h = np.pi / omega0
     starts = h * np.arange(HEAD_SEGMENTS + TAIL_SEGMENTS)[:, None]
     nodes = starts + 0.5 * h * (x[None, :] + 1.0)

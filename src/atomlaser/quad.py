@@ -17,6 +17,7 @@ from .errors import ConfigError, GridError, ParameterError
 __all__ = [
     "UniformGrid",
     "SampledFunction",
+    "SampledKernel",
     "sample",
     "cumulative_integral",
     "iterated_convolution",
@@ -53,14 +54,16 @@ def grid_for(t_max, dt):
     """Smallest uniform grid from 0 covering t_max.
 
     The one place a solver turns (t_max, dt) into a grid: ConfigError names
-    the argument when either is not finite and positive.
+    the argument when either is not finite and positive. The slack that
+    keeps t_max = n dt at n + 1 points is relative, because the rounding of
+    (n dt) / dt grows like n times the machine epsilon.
     """
     for name, value in (("t_max", t_max), ("dt", dt)):
         if not (np.isfinite(value) and value > 0):
             raise ConfigError(f"{name} must be finite and positive, got {value!r}")
     if not np.isfinite(t_max / dt):
         raise ConfigError(f"t_max/dt must be finite, got {t_max / dt!r}")
-    n = int(np.ceil(t_max / dt - 1e-12)) + 1
+    n = int(np.ceil(t_max / dt * (1.0 - 1e-12))) + 1
     return UniformGrid(0.0, dt, max(n, 2))
 
 
@@ -81,6 +84,11 @@ class SampledFunction:
 
     def coarsened(self):
         return SampledFunction(self.grid.coarsened(), self.values[::2])
+
+    def convolve(self, x):
+        """First n entries of the full discrete convolution of the samples
+        with x, for x of the grid's size n."""
+        return _fftconvolve(self.values, x)[: self.grid.n_points]
 
 
 def sample(func, grid):
@@ -162,19 +170,39 @@ def _fftconvolve(a, b):
     return np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(b, m), m)[:n]
 
 
-def _convtrapz(kernel, u, dt):
-    # product-trapezoid convolution: full discrete convolution with the two
-    # endpoint samples downweighted to half
-    full = _fftconvolve(kernel, u)[: len(kernel)]
-    out = dt * (full - 0.5 * kernel[0] * u - 0.5 * kernel * u[0])
-    out[0] = 0.0  # exact for an empty interval; fft noise would leave ~1e-16
-    return out
+@dataclass
+class SampledKernel(SampledFunction):
+    """A convolution kernel sampled on a grid, transformed once.
+
+    `spectrum` is the FFT of the samples at the cyclic length that
+    `_fftconvolve` picks for complex operands of the grid's size, so every
+    `convolve` costs one transform and one inverse. For a complex kernel
+    the result is bit for bit that of SampledFunction.convolve.
+    """
+
+    spectrum: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.spectrum = fft(self.values, next_fast_len(2 * self.grid.n_points - 1, False))
+
+    def convolve(self, x):
+        size = self.spectrum.size
+        # np.multiply, not `*`: on a temporary right operand of 256 KiB or
+        # more, `*` reuses its buffer and swaps the operands, and complex
+        # multiplication with FMA rounds differently in the other order
+        return np.fft.ifft(np.multiply(self.spectrum, fft(x, size)), size)[: self.grid.n_points]
 
 
 def iterated_convolution(kernel, u):
-    """v(t) = integral_0^t kernel(tau) u(t - tau) dtau by product trapezoid."""
+    """v(t) = integral_0^t kernel(tau) u(t - tau) dtau by product trapezoid:
+    the full discrete convolution with the two endpoint samples downweighted
+    to half."""
     _same_grid(kernel, u)
-    return SampledFunction(kernel.grid, _convtrapz(kernel.values, u.values, kernel.grid.dt))
+    k, x = kernel.values, u.values
+    out = kernel.grid.dt * (kernel.convolve(x) - 0.5 * k[0] * x - 0.5 * k * x[0])
+    out[0] = 0.0  # exact for an empty interval; fft noise would leave ~1e-16
+    return SampledFunction(kernel.grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +252,8 @@ def ordered_triple_factored(a, b, pairing):
     fb = _cumtrapz(b.values, dt)
     f2b = _cumtrapz(fb, dt)
     if pairing == "outer-mid":
-        vals = fa * f2b - _convtrapz(a.values, f2b, dt) - _cumtrapz(a.values * f2b, dt)
+        vals = (fa * f2b - iterated_convolution(a, SampledFunction(a.grid, f2b)).values
+                - _cumtrapz(a.values * f2b, dt))
     elif pairing == "outer-late":
         vals = fa * f2b - _cumtrapz(fa * fb, dt)
     else:

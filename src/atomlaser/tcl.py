@@ -24,6 +24,7 @@ from . import model
 from .errors import DomainError, NumericalFailure, ParameterError
 from .quad import (
     SampledFunction,
+    SampledKernel,
     cumulative_integral,
     iterated_convolution,
     ordered_triple_direct,
@@ -167,7 +168,7 @@ def tcl4_rates(params, grid, cross_validate=False):
     return gamma4, s4
 
 
-def tcl_series_rates(params, grid, order_max=6):
+def tcl_series_rates(params, grid, order_max=6, kernel=None):
     """Rates of orders 2, 4, 6 from the Neumann expansion of the amplitude.
 
     The exact amplitude solves u = 1 - K[u] with K the memory-integral
@@ -182,11 +183,16 @@ def tcl_series_rates(params, grid, order_max=6):
     with U_m = (-1)^m u_m and D_m = (-1)^m du_m/dt. The decay rate and shift
     of order 2k are Re and -Im of g_k = -2 q_k. Division by the amplitude
     series cannot break down: its leading coefficient is identically 1.
+
+    kernel is conj(f) on grid as a SampledKernel, whose one spectrum every
+    term's convolution reads; it is sampled here when None. A caller that
+    also solves the exact amplitude on grid passes the one kernel to both.
     """
     if order_max not in (2, 4, 6):
         raise ParameterError(f"order_max must be 2, 4 or 6, got {order_max}")
     m_max = order_max // 2
-    kernel = sample(lambda t: np.conj(model.correlation_f(params, t)), grid)
+    if kernel is None:
+        kernel = SampledKernel(grid, np.conj(model.correlation_f(params, grid.times())))
     u_terms = [SampledFunction(grid, np.ones(grid.n_points, dtype=complex))]
     d_terms = []
     for _ in range(m_max):

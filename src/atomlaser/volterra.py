@@ -9,9 +9,14 @@ and the occupation is n = |u|^2. The equation is solved by second-order
 product integration (trapezoid in the memory integral) with the diagonal
 half-weight term handled implicitly, which keeps the scheme stable at strong
 coupling. The march is one lower-triangular Toeplitz system, solved by
-recursive halving with FFT convolutions between the halves (the fast
-convolution of Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6,
-1985) in O(n log^2 n); it gives the step-by-step march up to rounding.
+recursive halving (the fast convolution of Hairer, Lubich and Schlichte,
+SIAM J. Sci. Stat. Comput. 6, 1985) in O(n log^2 n): a solved half feeds the
+next through a product with a dense block of the matrix near the diagonal,
+where that is cheaper than FFT calls, and through an FFT convolution
+further out. It gives the step-by-step march up to rounding. With a
+quad.SampledKernel (memory_kernel) the history convolution reads the
+kernel's stored spectrum, which in a pulsed run also serves the series
+rates of the same grid.
 """
 
 from dataclasses import dataclass
@@ -19,12 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .errors import ConfigError, NumericalFailure
-from .quad import SampledFunction, UniformGrid, _fftconvolve, grid_for, next_fast_len
+from .errors import ConfigError, GridError, NumericalFailure
+from .quad import SampledFunction, SampledKernel, UniformGrid, grid_for, next_fast_len
 
 __all__ = [
     "AmplitudeTrajectory",
     "ExactRates",
+    "memory_kernel",
     "solve_volterra",
     "solve_amplitude",
     "occupation",
@@ -39,6 +45,12 @@ SANITY_TOL = 1e-6
 RATE_CUTOFF = 1e-6
 # rows of T solved by one product with the inverse block in _halving_solve
 LEAF = 64
+# _halving_solve couples two halves by a product with a dense block of T
+# while the second half has at most this many rows, by FFT above. On a
+# 2-core Xeon VM the 44 Toeplitz solves of a pulsed benchmark batch took
+# 218 ms with FFT couplings only, 174 ms with dense blocks up to 128 rows
+# and 278 ms up to 256 rows, whose 1 MiB blocks no longer stay in cache
+DENSE_ROWS = 128
 
 
 @dataclass
@@ -68,10 +80,11 @@ def solve_volterra(kernel, max_growth):
     weights on the memory sum, with the unknown u_j appearing only through
     the k_0 diagonal term, solved exactly. Substituting udot_{j-1} turns the
     march into one lower-triangular Toeplitz system for u_1..u_{n-1}
-    (`_toeplitz_system`), solved by recursive halving with FFT convolutions
-    for the coupling between halves (`_halving_solve`). udot then
-    comes from the same formula, with H as one FFT convolution, so rates
-    never see finite differences of u.
+    (`_toeplitz_system`), solved by recursive halving (`_halving_solve`).
+    udot then comes from the same formula, with H = k*u - k_0 u - k u_0
+    from one convolution through kernel.convolve (one pair of transforms
+    when the kernel is a SampledKernel), so rates never see finite
+    differences of u.
 
     The first step j >= 1 with |u_j| > max_growth (or a non-finite u_j)
     raises NumericalFailure.
@@ -90,9 +103,8 @@ def solve_volterra(kernel, max_growth):
         raise NumericalFailure(
             f"amplitude grew to |u| = {abs(u[j]):.6f} at step {j}; the scheme has destabilized"
         )
-    hist = np.zeros(n - 1, dtype=complex)
-    if n > 2:
-        hist[1:] = _fftconvolve(k[1 : n - 1], u[1 : n - 1])[: n - 2]
+    hist = kernel.convolve(u)[1:] - k[0] * u[1:] - k[1:]
+    hist[0] = 0.0  # H_1 is an empty sum
     udot = np.empty(n, dtype=complex)
     udot[0] = 0.0
     udot[1:] = -dt * (0.5 * k[0] * u[1:] + hist + edge[1:])
@@ -134,37 +146,57 @@ def _solve_lower_toeplitz(t, b):
     return b
 
 
-def _halving_solve(t, b, inv, spectra, lo, hi):
+def _halving_solve(t, b, inv, blocks, lo, hi):
     """Solve rows lo..hi-1 of T x = b in place, in O(n log^2 n).
 
     On entry b[lo:hi] already excludes the contribution of x[:lo]. Recursive
     halving on whole leaves: solve the first half, subtract its contribution
-    to the second half with one FFT convolution, then solve the second half.
-    spectra caches the transform of t_1..t_{size-1} per block size. (A plain
-    function, not a closure: a self-referencing closure is a reference cycle
-    that keeps every array of the solve alive until the garbage collector
-    runs.)
+    to the second half, then solve the second half. The contribution is the
+    block T[mid:hi, lo:mid] times x[lo:mid]. T is Toeplitz, so that block
+    depends only on the node's size, and blocks caches per size what the
+    product needs: up to DENSE_ROWS rows the block itself, a dense product
+    being cheaper than the FFT calls at these sizes; above, the transform of
+    t_1..t_{size-1} for an FFT middle product. (A plain function, not a
+    closure: a self-referencing closure is a reference cycle that keeps
+    every array of the solve alive until the garbage collector runs.)
     """
     if hi - lo <= LEAF:
         b[lo:hi] = inv[: hi - lo, : hi - lo] @ b[lo:hi]
         return
     mid = lo + LEAF * (-(-(hi - lo) // LEAF) // 2)
-    _halving_solve(t, b, inv, spectra, lo, mid)
-    size = hi - lo
-    if size not in spectra:
-        p = next_fast_len(size - 1, False)
-        spectra[size] = (p, np.fft.fft(t[1:size], p))
-    p, spec = spectra[size]
-    # middle product: entries mid-lo-1 .. size-2 of the linear convolution of
-    # x[lo:mid] with t_1..t_{size-1}; a cyclic length >= size-1 keeps them
-    # free of wrap-around
-    y = np.fft.ifft(np.fft.fft(b[lo:mid], p) * spec, p)
-    b[mid:hi] -= y[mid - lo - 1 : size - 1]
-    _halving_solve(t, b, inv, spectra, mid, hi)
+    _halving_solve(t, b, inv, blocks, lo, mid)
+    size, half = hi - lo, mid - lo
+    if hi - mid <= DENSE_ROWS:
+        if size not in blocks:
+            # row i, column j holds t_{half + i - j}
+            window = np.lib.stride_tricks.sliding_window_view(t[1:size], half)
+            blocks[size] = np.ascontiguousarray(window[:, ::-1])
+        b[mid:hi] -= blocks[size] @ b[lo:mid]
+    else:
+        if size not in blocks:
+            p = next_fast_len(size - 1, False)
+            blocks[size] = (p, np.fft.fft(t[1:size], p))
+        p, spec = blocks[size]
+        # middle product: entries half-1 .. size-2 of the linear convolution
+        # of x[lo:mid] with t_1..t_{size-1}; a cyclic length >= size-1 keeps
+        # them free of wrap-around
+        y = np.fft.ifft(np.fft.fft(b[lo:mid], p) * spec, p)
+        b[mid:hi] -= y[half - 1 : size - 1]
+    _halving_solve(t, b, inv, blocks, mid, hi)
 
 
-def solve_amplitude(params, t_max, dt):
-    """Exact amplitude for the physical reservoir kernel conj(f)."""
+def memory_kernel(params, grid):
+    """The reservoir kernel conj(f) of the memory equation, sampled on grid."""
+    return SampledKernel(grid, np.conj(model.correlation_f(params, grid.times())))
+
+
+def solve_amplitude(params, t_max, dt, kernel=None):
+    """Exact amplitude for the physical reservoir kernel conj(f).
+
+    kernel is memory_kernel(params, grid_for(t_max, dt)), passed by a
+    caller that shares it with the series rates; it is sampled here when
+    None.
+    """
     grid = grid_for(t_max, dt)
     dt_limit = min(0.05 / params.omega0, 0.05 / params.alpha)
     if dt > dt_limit * (1.0 + 1e-12):
@@ -172,7 +204,10 @@ def solve_amplitude(params, t_max, dt):
             f"dt = {dt:.3e} s is too coarse for this parameter set; "
             f"resolving the trap phase and the memory decay needs dt <= {dt_limit:.3e} s"
         )
-    kernel = SampledFunction(grid, np.conj(model.correlation_f(params, grid.times())))
+    if kernel is None:
+        kernel = memory_kernel(params, grid)
+    elif kernel.grid != grid:
+        raise GridError(f"kernel sampled on {kernel.grid}, not on {grid}")
     u, udot = solve_volterra(kernel, max_growth=1.0 + DIVERGENCE_TOL)
     peak = float(np.max(np.abs(u)))
     if peak > 1.0 + SANITY_TOL:

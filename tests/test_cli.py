@@ -175,6 +175,16 @@ def test_pulsed_rate_columns(tmp_path):
     assert np.abs(data["gamma_exact"][tail] / data["gamma2"][tail] - 1.0).max() < 0.05
 
 
+def test_whole_steps_keep_their_grid(tmp_path):
+    # t_max = n_steps dt, and (n_steps dt) / dt lands a few ulp above
+    # n_steps: the grid must still have n_steps + 1 points, not n_steps + 2
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(TRAP_5E4 + "[scenario]\nname = long\nmode = pulsed_tcl\ntcl_order = 4\n"
+                   "\n[grid]\nt_max_gamma = 5.87\nn_steps = 28926\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+    assert _read_csv(tmp_path / "long.csv").size == 28927
+
+
 def test_cw_writes_one_file_per_order(tmp_path):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY_CW)

@@ -1,7 +1,7 @@
 """Property tests of the cw generator assembly and stationary solve over
-random small boxes and rates, of the CSV writer over arbitrary floats, and of config parsing over
-hostile values. Derandomized: every run draws the same examples, so a
-failure always reproduces."""
+random small boxes and rates, of the CSV writer over arbitrary floats, of config parsing over
+hostile values, and of grid_for over whole numbers of steps. Derandomized: every run draws the
+same examples, so a failure always reproduces."""
 
 import re
 
@@ -14,6 +14,7 @@ from scipy.sparse.linalg import spsolve
 
 from atomlaser import cw
 from atomlaser.cli import BUILTIN_SCENARIOS, Scenario, _write_csv, parse_scenario
+from atomlaser.quad import grid_for
 
 from conftest import trap
 from test_cli import _write_csv_per_element
@@ -184,3 +185,11 @@ def test_config_values_parse_or_raise_value_error(config):
     except ValueError:   # ConfigError, ParameterError and the like: exit 1
         return
     assert isinstance(scen, Scenario)
+
+
+@PROPERTY
+@given(st.integers(1, 10**6), st.floats(1e-12, 1e3))
+@example(30620, 5.84070183228255e-07)   # (n dt) / dt rounds a few ulp above n
+@example(29286, 5.3077076661103494e-06)
+def test_grid_for_whole_steps_gives_n_plus_one_points(n, dt):
+    assert grid_for(n * dt, dt).n_points == n + 1

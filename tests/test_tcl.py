@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from atomlaser import DomainError, ParameterError, model, tcl, volterra
-from atomlaser.quad import SampledFunction, UniformGrid
+from atomlaser.quad import SampledFunction, UniformGrid, _fftconvolve, cumulative_integral
 from atomlaser.tcl import RateSeries
 
 from conftest import OMEGA0, halving_difference, trap
@@ -71,6 +71,53 @@ def test_tcl4_cross_validation_path():
     checked_g, checked_s = tcl.tcl4_rates(p, g, cross_validate=True)
     np.testing.assert_array_equal(plain_g.values, checked_g.values)
     np.testing.assert_array_equal(plain_s.values, checked_s.values)
+
+
+def _series_rates_per_term(params, grid, order_max):
+    """(gamma, S) by order, from the Neumann loop that transforms the kernel
+    afresh for every term: tcl_series_rates before it read one stored
+    kernel spectrum."""
+    k = np.conj(model.correlation_f(params, grid.times()))
+    dt = grid.dt
+    u_terms = [np.ones(grid.n_points, dtype=complex)]
+    d_terms = []
+    for _ in range(order_max // 2):
+        u = u_terms[-1]
+        full = _fftconvolve(k, u)[: k.size]
+        d = dt * (full - 0.5 * k[0] * u - 0.5 * k * u[0])
+        d[0] = 0.0
+        d_terms.append(d)
+        u_terms.append(cumulative_integral(SampledFunction(grid, d)).values)
+    U = [((-1) ** m) * u_terms[m] for m in range(len(u_terms))]
+    D = [((-1) ** (m + 1)) * d_terms[m] for m in range(len(d_terms))]
+    q = [D[0]]
+    if order_max >= 4:
+        q.append(D[1] - q[0] * U[1])
+    if order_max >= 6:
+        q.append(D[2] - q[0] * U[2] - q[1] * U[1])
+    return {2 * k: (-2.0 * qk.real, 2.0 * qk.imag) for k, qk in enumerate(q, start=1)}
+
+
+@pytest.mark.parametrize("order_max", [2, 4, 6])
+@pytest.mark.parametrize("grid_name", ["fig2", "fig4 dt/2", "cw 21", "cw 41", "fig7 half"])
+def test_series_rates_bit_identical_to_per_term_loop(order_max, grid_name):
+    # cw's gamma(t) comes from tcl_series_rates, so sharing the kernel
+    # spectrum must not move a bit of it, with or without a caller's kernel.
+    # fig4 at dt/2 transforms 21,609 points: from 256 KiB on, `a * b` with a
+    # temporary b reuses b and swaps the operands of the complex product
+    # (Gamma, horizon in units of 1/gamma_M, steps); the cw grids are the
+    # half-step grids of fig7 and of its 0.1/gamma_M cut and dt/2 rerun
+    Gamma, t_max, n_steps = {"fig2": (5e4, 4.0, 4000), "fig4 dt/2": (1e6, 10.0, 10800),
+                             "cw 21": (5e4, 0.1, 20), "cw 41": (5e4, 0.1, 40),
+                             "fig7 half": (5e4, 8.0, 1600)}[grid_name]
+    p = trap(Gamma)
+    grid = UniformGrid(0.0, t_max / model.gamma_markov_closed_form(p) / n_steps, n_steps + 1)
+    want = _series_rates_per_term(p, grid, order_max)
+    for kernel in (None, volterra.memory_kernel(p, grid)):
+        got = tcl.tcl_series_rates(p, grid, order_max, kernel=kernel)
+        for order, (gamma, shift) in want.items():
+            assert np.array_equal(got.gamma_by_order[order], gamma), order
+            assert np.array_equal(got.S_by_order[order], shift), order
 
 
 # ---------------------------------------------------------------------------

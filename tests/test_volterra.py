@@ -4,8 +4,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from atomlaser import ConfigError, NumericalFailure, model, volterra
+from atomlaser import ConfigError, GridError, NumericalFailure, model, volterra
 from atomlaser.quad import SampledFunction, UniformGrid, cumulative_integral
 from atomlaser.volterra import RATE_CUTOFF, AmplitudeTrajectory
 
@@ -85,6 +87,29 @@ def test_matches_reference_march_at_leaf_boundaries(n_points):
     t = g.times()
     kernel = SampledFunction(g, 4e4 * np.exp(-300.0 * t) * (1.0 + 0.3j * np.cos(900.0 * t)))
     _assert_matches_reference(kernel)
+
+
+# a sum of damped complex exponentials a exp(-(g - i w) tau) with a, g > 0:
+# each has a non-negative spectrum, so |u| <= 1
+exponentials = st.tuples(st.floats(0.0, 40.0), st.floats(0.1, 30.0), st.floats(-60.0, 60.0))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(1, 12), st.sampled_from([-1, 0, 1]), st.floats(0.5, 5.0),
+       st.lists(exponentials, min_size=1, max_size=3))
+@example(4, 0, 1.0, [(20.0, 1.0, 5.0)])    # 256 unknowns: the top coupling is dense
+@example(4, 1, 1.0, [(20.0, 1.0, 5.0)])    # 257 unknowns: its second half has 129 rows, FFT
+def test_toeplitz_solve_matches_reference_march(leaves, offset, t_max, terms):
+    # 64 k - 1, 64 k and 64 k + 1 unknowns u_1..u_{n-1}, up to 769: whole and
+    # split leaves, and couplings on both sides of volterra.DENSE_ROWS
+    g = UniformGrid(0.0, t_max / (64 * leaves + offset), 64 * leaves + offset + 1)
+    t = g.times()
+    k = sum(a * np.exp(-(gam - 1j * w) * t) for a, gam, w in terms)
+    kernel = SampledFunction(g, k + 0j)
+    u, udot = volterra.solve_volterra(kernel, np.inf)
+    u_ref, udot_ref = reference_march(kernel)
+    assert np.abs(u - u_ref).max() <= 1e-12 * np.abs(u_ref).max()
+    assert np.abs(udot - udot_ref).max() <= 1e-12 * max(np.abs(udot_ref).max(), 1e-300)
 
 
 def test_zero_coupling_is_free():
@@ -198,6 +223,15 @@ def test_config_errors():
     with pytest.raises(ConfigError):
         # coarser than 0.05/omega0
         volterra.solve_amplitude(p, t_max=1e-2, dt=0.2 / p.omega0)
+
+
+def test_shared_kernel_must_sit_on_the_solve_grid():
+    p = trap(5e4)
+    kernel = volterra.memory_kernel(p, UniformGrid(0.0, 1e-5, 101))
+    traj = volterra.solve_amplitude(p, 1e-3, 1e-5, kernel)
+    np.testing.assert_array_equal(traj.u, volterra.solve_amplitude(p, 1e-3, 1e-5).u)
+    with pytest.raises(GridError):
+        volterra.solve_amplitude(p, 1.01e-3, 1e-5, kernel)
 
 
 def test_divergence_detection():
