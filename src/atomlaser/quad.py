@@ -3,12 +3,13 @@
 Everything here is composite-trapezoid based (order dt^2). The memory kernel
 has unbounded derivatives as tau -> 0, which higher-order end-corrected rules
 handle poorly; second-order product integration is robust there and accuracy
-is controlled by grid halving instead.
+is controlled by grid halving instead. Every convolution is one FFT product
+with the spectrum a SampledFunction keeps of its samples.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -17,7 +18,6 @@ from .errors import ConfigError, GridError, ParameterError
 __all__ = [
     "UniformGrid",
     "SampledFunction",
-    "SampledKernel",
     "sample",
     "cumulative_integral",
     "iterated_convolution",
@@ -82,13 +82,22 @@ class SampledFunction:
             raise GridError("sampled values must be finite")
         self.values = v
 
-    def coarsened(self):
-        return SampledFunction(self.grid.coarsened(), self.values[::2])
+    @cached_property
+    def spectrum(self):
+        """FFT of the samples, long enough for a full convolution with n
+        samples; taken by the first convolve, so the samples must not change."""
+        return np.fft.fft(self.values, next_fast_len(2 * self.grid.n_points - 1))
 
     def convolve(self, x):
         """First n entries of the full discrete convolution of the samples
-        with x, for x of the grid's size n."""
-        return _fftconvolve(self.values, x)[: self.grid.n_points]
+        with x, for x of the grid's size n: one transform and one inverse.
+        Real samples and a real x give a real result."""
+        size = self.spectrum.size
+        # np.multiply, not `*`: on a temporary right operand of 256 KiB or
+        # more, `*` reuses its buffer and swaps the operands, and complex
+        # multiplication with FMA rounds differently in the other order
+        out = np.fft.ifft(np.multiply(self.spectrum, np.fft.fft(x, size)), size)[: x.size]
+        return out.real if np.isrealobj(self.values) and np.isrealobj(x) else out
 
 
 def sample(func, grid):
@@ -116,10 +125,10 @@ def cumulative_integral(f):
 
 
 @lru_cache(maxsize=None)
-def _smooth_numbers(primes, top):
-    """Sorted products of the given primes up to top."""
+def _smooth_numbers(top):
+    """Sorted 11-smooth numbers (products of 2, 3, 5, 7 and 11) up to top."""
     nums = [1]
-    for p in primes:
+    for p in (2, 3, 5, 7, 11):
         grown = []
         for f in nums:
             while f <= top:
@@ -129,69 +138,13 @@ def _smooth_numbers(primes, top):
     return tuple(sorted(nums))
 
 
-def next_fast_len(n, real):
-    """scipy.fft.next_fast_len(n, real): the smallest length >= n that is
-    5-smooth for real input and 11-smooth for complex input."""
+def next_fast_len(n):
+    """The smallest 11-smooth length >= n, as scipy.fft.next_fast_len(n)
+    gives for complex input. Every FFT length of the package comes from
+    here, and the output bits depend on it."""
     top = 1 << (n - 1).bit_length()  # a power of two, so always a candidate
-    lens = _smooth_numbers((2, 3, 5) if real else (2, 3, 5, 7, 11), top)
+    lens = _smooth_numbers(top)
     return lens[bisect_left(lens, n)]
-
-
-def fft(x, n):
-    """scipy.fft.fft(x, n), bit for bit.
-
-    On real input scipy takes the half spectrum of rfft and fills in the
-    other half by conjugate symmetry, conjugating the DC (and for even n the
-    Nyquist) entry on the way; numpy.fft.fft would do a complex transform.
-    """
-    if np.iscomplexobj(x):
-        return np.fft.fft(x, n)
-    half = np.fft.rfft(x, n)
-    spec = np.empty(n, dtype=complex)
-    spec[: half.size] = half
-    spec[n - half.size + 1 :] = half[:0:-1].conj()
-    spec[0] = half[0].conjugate()
-    return spec
-
-
-def _fftconvolve(a, b):
-    """Full discrete convolution of two 1-d arrays.
-
-    Takes the branches of scipy.signal.fftconvolve for 1-d input on
-    numpy.fft, and so gives its bits without importing scipy.
-    """
-    if a.size == 1 or b.size == 1:
-        return a * b
-    n = a.size + b.size - 1
-    if np.iscomplexobj(a) or np.iscomplexobj(b):
-        m = next_fast_len(n, False)
-        return np.fft.ifft(fft(a, m) * fft(b, m), m)[:n]
-    m = next_fast_len(n, True)
-    return np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(b, m), m)[:n]
-
-
-@dataclass
-class SampledKernel(SampledFunction):
-    """A convolution kernel sampled on a grid, transformed once.
-
-    `spectrum` is the FFT of the samples at the cyclic length that
-    `_fftconvolve` picks for complex operands of the grid's size, so every
-    `convolve` costs one transform and one inverse. For a complex kernel
-    the result is bit for bit that of SampledFunction.convolve.
-    """
-
-    spectrum: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        super().__post_init__()
-        self.spectrum = fft(self.values, next_fast_len(2 * self.grid.n_points - 1, False))
-
-    def convolve(self, x):
-        size = self.spectrum.size
-        # np.multiply, not `*`: on a temporary right operand of 256 KiB or
-        # more, `*` reuses its buffer and swaps the operands, and complex
-        # multiplication with FMA rounds differently in the other order
-        return np.fft.ifft(np.multiply(self.spectrum, fft(x, size)), size)[: self.grid.n_points]
 
 
 def iterated_convolution(kernel, u):

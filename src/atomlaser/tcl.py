@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
+from . import model, volterra
 from .errors import DomainError, NumericalFailure, ParameterError
 from .quad import (
     SampledFunction,
-    SampledKernel,
     cumulative_integral,
     iterated_convolution,
     ordered_triple_direct,
@@ -184,15 +183,15 @@ def tcl_series_rates(params, grid, order_max=6, kernel=None):
     of order 2k are Re and -Im of g_k = -2 q_k. Division by the amplitude
     series cannot break down: its leading coefficient is identically 1.
 
-    kernel is conj(f) on grid as a SampledKernel, whose one spectrum every
-    term's convolution reads; it is sampled here when None. A caller that
-    also solves the exact amplitude on grid passes the one kernel to both.
+    kernel is volterra.memory_kernel(params, grid), sampled here when None;
+    every term reads its one spectrum. A caller that also solves the exact
+    amplitude on grid passes the one kernel to both.
     """
     if order_max not in (2, 4, 6):
         raise ParameterError(f"order_max must be 2, 4 or 6, got {order_max}")
     m_max = order_max // 2
     if kernel is None:
-        kernel = SampledKernel(grid, np.conj(model.correlation_f(params, grid.times())))
+        kernel = volterra.memory_kernel(params, grid)
     u_terms = [SampledFunction(grid, np.ones(grid.n_points, dtype=complex))]
     d_terms = []
     for _ in range(m_max):
@@ -215,9 +214,21 @@ def tcl_series_rates(params, grid, order_max=6, kernel=None):
 
 
 def occupation_from_rates(rates, order_max=None):
-    """n(t) = exp(-int_0^t gamma), gamma summed through order_max."""
-    total = rates.total_gamma(order_max)
-    return SampledFunction(rates.grid, np.exp(-cumulative_integral(total).values))
+    """n(t) = exp(-int_0^t gamma), gamma summed through order_max.
+
+    NumericalFailure names the order and the first time where a diverging
+    series takes exp(-int gamma) beyond the float range.
+    """
+    order = rates.order_max if order_max is None else order_max
+    exponent = -cumulative_integral(rates.total_gamma(order)).values
+    with np.errstate(over="ignore"):
+        n = np.exp(exponent)
+    if not np.all(np.isfinite(n)):
+        j = int(np.argmin(np.isfinite(n)))
+        raise NumericalFailure(
+            f"order-{order} TCL occupation exp({exponent[j]:.3e}) leaves the float range "
+            f"at t = {rates.grid.times()[j]:.6e} s; the series diverges on this horizon")
+    return SampledFunction(rates.grid, n)
 
 
 @dataclass

@@ -13,10 +13,10 @@ recursive halving (the fast convolution of Hairer, Lubich and Schlichte,
 SIAM J. Sci. Stat. Comput. 6, 1985) in O(n log^2 n): a solved half feeds the
 next through a product with a dense block of the matrix near the diagonal,
 where that is cheaper than FFT calls, and through an FFT convolution
-further out. It gives the step-by-step march up to rounding. With a
-quad.SampledKernel (memory_kernel) the history convolution reads the
-kernel's stored spectrum, which in a pulsed run also serves the series
-rates of the same grid.
+further out. It gives the step-by-step march up to rounding. The history
+convolution reads the spectrum that the kernel (memory_kernel) takes on its
+first convolution; in a pulsed run that kernel also serves the series rates
+of the same grid, so conj f is transformed once per grid.
 """
 
 from dataclasses import dataclass
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import model
 from .errors import ConfigError, GridError, NumericalFailure
-from .quad import SampledFunction, SampledKernel, UniformGrid, grid_for, next_fast_len
+from .quad import SampledFunction, UniformGrid, grid_for, next_fast_len
 
 __all__ = [
     "AmplitudeTrajectory",
@@ -82,9 +82,8 @@ def solve_volterra(kernel, max_growth):
     march into one lower-triangular Toeplitz system for u_1..u_{n-1}
     (`_toeplitz_system`), solved by recursive halving (`_halving_solve`).
     udot then comes from the same formula, with H = k*u - k_0 u - k u_0
-    from one convolution through kernel.convolve (one pair of transforms
-    when the kernel is a SampledKernel), so rates never see finite
-    differences of u.
+    from one kernel.convolve (one pair of transforms once the kernel holds
+    its spectrum), so rates never see finite differences of u.
 
     The first step j >= 1 with |u_j| > max_growth (or a non-finite u_j)
     raises NumericalFailure.
@@ -174,7 +173,7 @@ def _halving_solve(t, b, inv, blocks, lo, hi):
         b[mid:hi] -= blocks[size] @ b[lo:mid]
     else:
         if size not in blocks:
-            p = next_fast_len(size - 1, False)
+            p = next_fast_len(size - 1)
             blocks[size] = (p, np.fft.fft(t[1:size], p))
         p, spec = blocks[size]
         # middle product: entries half-1 .. size-2 of the linear convolution
@@ -187,7 +186,7 @@ def _halving_solve(t, b, inv, blocks, lo, hi):
 
 def memory_kernel(params, grid):
     """The reservoir kernel conj(f) of the memory equation, sampled on grid."""
-    return SampledKernel(grid, np.conj(model.correlation_f(params, grid.times())))
+    return SampledFunction(grid, np.conj(model.correlation_f(params, grid.times())))
 
 
 def solve_amplitude(params, t_max, dt, kernel=None):

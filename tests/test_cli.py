@@ -571,6 +571,38 @@ orders = markov
     assert "numerical failure" in capsys.readouterr().err
 
 
+DIVERGING_PULSED = TRAP_5E4.replace("Gamma = 5e4", "Gamma = 3e6") + """\
+[scenario]
+name = diverging
+mode = pulsed_tcl
+tcl_order = 6
+
+[grid]
+t_max = 0.0216
+dt = 1.8e-5
+"""
+
+
+@pytest.mark.parametrize("order, rc", [(6, 2), (4, 0)])
+def test_diverging_series_exits_two(tmp_path, capsys, order, rc):
+    # at Gamma = 3e6 the order-6 exponent -int gamma passes 709 near 5.2 ms,
+    # so exp overflows: a numerical failure naming the order, not a config
+    # error; the same horizon at order 4 stays in range
+    cfg = tmp_path / "diverging.cfg"
+    cfg.write_text(DIVERGING_PULSED)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(cfg), "--out", str(tmp_path), "--order", str(order)]) == rc
+    err = capsys.readouterr().err
+    if rc == 2:
+        assert "numerical failure: order-6 TCL occupation" in err
+        assert "at t = 5.202000e-03 s" in err
+        assert not list(tmp_path.glob("*.csv"))
+    else:
+        assert err == ""
+        assert (tmp_path / "diverging.csv").exists()
+
+
 def test_overflowing_rates_exit_two(tmp_path, capsys):
     # kappa1 = 1e307 overflows the pump rates to inf and the generator to nan;
     # every guard must fail on nan instead of writing nan rows

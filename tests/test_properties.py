@@ -1,7 +1,8 @@
 """Property tests of the cw generator assembly and stationary solve over
 random small boxes and rates, of the CSV writer over arbitrary floats, of config parsing over
-hostile values, and of grid_for over whole numbers of steps. Derandomized: every run draws the
-same examples, so a failure always reproduces."""
+hostile values, of pulsed runs over random couplings and horizons, and of grid_for over whole
+numbers of steps. Derandomized: every run draws the same examples, so a failure always
+reproduces."""
 
 import re
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 from atomlaser import cw
-from atomlaser.cli import BUILTIN_SCENARIOS, Scenario, _write_csv, parse_scenario
+from atomlaser.cli import BUILTIN_SCENARIOS, Scenario, _write_csv, main, parse_scenario
 from atomlaser.quad import grid_for
 
 from conftest import trap
@@ -185,6 +186,25 @@ def test_config_values_parse_or_raise_value_error(config):
     except ValueError:   # ConfigError, ParameterError and the like: exit 1
         return
     assert isinstance(scen, Scenario)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.floats(np.log10(5e4), 8.0).map(lambda x: 10.0**x), st.sampled_from([2, 4, 6]),
+       st.integers(1, 1500), st.floats(0.01, 0.999), st.booleans())
+@example(3e6, 6, 1200, 1.8e-5 / 0.05 * trap(3e6).omega0, False)  # order 6 overflows exp
+def test_pulsed_runs_exit_zero_or_two(tmp_path_factory, Gamma, order, n_steps, dt_share, rates):
+    # a parsed pulsed scenario with dt inside solve_amplitude's limit either
+    # writes its outputs or fails numerically: never exit 1, never a traceback
+    p = trap(Gamma)
+    dt = dt_share * min(0.05 / p.omega0, 0.05 / p.alpha)
+    text = re.sub(r"^Gamma = .*$", f"Gamma = {Gamma!r}", BUILTIN_SCENARIOS["fig2"], flags=re.M)
+    text = text.replace("tcl_order = 4", f"tcl_order = {order}\nrates = {rates}")
+    text = text.replace("t_max_gamma = 4.0", f"t_max = {n_steps * dt!r}")
+    text = text.replace("n_steps = 4000", f"n_steps = {n_steps}")
+    out = tmp_path_factory.mktemp("pulsed")
+    cfg = out / "fuzz.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--out", str(out)]) in (0, 2)
 
 
 @PROPERTY

@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 import scipy.fft
-from scipy.signal import fftconvolve
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from atomlaser import ConfigError, GridError, ParameterError, cw, volterra
+from atomlaser import ConfigError, GridError, ParameterError, cli, cw, volterra
 from atomlaser.quad import (
     SampledFunction,
     UniformGrid,
-    _fftconvolve,
     cumulative_integral,
-    fft,
     grid_for,
     iterated_convolution,
     next_fast_len,
@@ -114,43 +113,61 @@ def test_convolution_exponential():
     np.testing.assert_allclose(v.values, 1.0 - np.exp(-t), atol=2e-6)
 
 
-@pytest.mark.parametrize("kinds", ["rr", "cc", "rc", "cr"])
-def test_fftconvolve_bit_equal_to_scipy_signal(kinds):
-    # the local routine stands in for scipy.signal.fftconvolve, whose import
-    # is slow; every rate and occupation curve depends on it giving its bits
-    rng = np.random.default_rng(7)
+# sizes 2 and 3 (a grid of one point is refused, see test_grid_validation),
+# and either side of the 11-smooth lengths that 2n - 1 reaches (n = 6: 11,
+# n = 7: 13 -> 14, n = 40: 79 -> 80, n = 41: 81)
+CONVOLVE_SIZES = st.one_of(st.sampled_from([2, 3, 6, 7, 40, 41, 2048, 2049]),
+                           st.integers(2, 300))
 
-    def draw(kind, n):
+
+@pytest.mark.parametrize("kinds", ["rr", "cc", "rc", "cr"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(n=CONVOLVE_SIZES, seed=st.integers(0, 2**32 - 1))
+def test_convolve_matches_direct_convolution(kinds, n, seed):
+    # the one FFT convolution of the package against numpy's direct sum, for
+    # real and complex samples and operands
+    rng = np.random.default_rng(seed)
+
+    def draw(kind):
         x = rng.standard_normal(n)
         return x + 1j * rng.standard_normal(n) if kind == "c" else x
 
-    for n in list(range(1, 70)) + [121, 1000, 4001, 16001]:
-        for m in (n, max(1, n - 3)):
-            a, b = draw(kinds[0], n), draw(kinds[1], m)
-            want, got = fftconvolve(a, b), _fftconvolve(a, b)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), (n, m)
+    a, b = draw(kinds[0]), draw(kinds[1])
+    got = SampledFunction(UniformGrid(0.0, 1.0, n), a).convolve(b)
+    want = np.convolve(a, b)[:n]
+    assert got.shape == (n,)
+    assert np.iscomplexobj(got) == (kinds != "rr")
+    scale = np.abs(a).sum() * np.abs(b).max()
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("real", [True, False])
-def test_next_fast_len_matches_scipy(real):
+def test_next_fast_len_matches_scipy():
     # every FFT length of the convolutions and the Volterra solve comes from
-    # here; pocketfft's bits depend on the length, so it must be scipy's
+    # here, and all operands are complex; pocketfft's bits depend on the
+    # length, so it stays scipy's complex length
     ns = range(1, 70_000)
-    mismatched = [n for n in ns if next_fast_len(n, real) != scipy.fft.next_fast_len(n, real)]
-    assert mismatched == []
+    assert [n for n in ns if next_fast_len(n) != scipy.fft.next_fast_len(n, False)] == []
 
 
-def test_fft_bit_equal_to_scipy():
-    rng = np.random.default_rng(11)
-    for n in list(range(1, 70)) + [121, 1000, 4001, 16001]:
-        x = rng.standard_normal(n)
-        z = x + 1j * rng.standard_normal(n)
-        for m in (n, n + 1, next_fast_len(n, False), 2 * n + 1):
-            for v in (x, z):
-                want, got = scipy.fft.fft(v, m), fft(v, m)
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert got.tobytes() == want.tobytes(), (n, m, v.dtype)
+def test_pulsed_run_transforms_the_kernel_once(monkeypatch):
+    # the exact solve and the series rates of one grid share one kernel
+    # spectrum: one transform of the conj f samples at the kernel length
+    scen = cli.parse_scenario(cli.BUILTIN_SCENARIOS["fig3"], "fig3")
+    n_steps, dt = 500, scen.dt
+    grid = UniformGrid(0.0, dt, n_steps + 1)
+    samples = volterra.memory_kernel(scen.trap, grid).values
+    size = next_fast_len(2 * grid.n_points - 1)
+    seen = []
+    real_fft = np.fft.fft
+
+    def counting_fft(a, n=None, *args, **kwargs):
+        if n == size and np.array_equal(a, samples):
+            seen.append(n)
+        return real_fft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    cli._pulsed_columns(scen, n_steps, dt)
+    assert seen == [size]
 
 
 def test_convolution_bilinearity_and_grid_check():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from atomlaser import DomainError, ParameterError, model, tcl, volterra
-from atomlaser.quad import SampledFunction, UniformGrid, _fftconvolve, cumulative_integral
+from atomlaser.quad import SampledFunction, UniformGrid, cumulative_integral, next_fast_len
 from atomlaser.tcl import RateSeries
 
 from conftest import OMEGA0, halving_difference, trap
@@ -79,11 +79,12 @@ def _series_rates_per_term(params, grid, order_max):
     kernel spectrum."""
     k = np.conj(model.correlation_f(params, grid.times()))
     dt = grid.dt
+    size = next_fast_len(2 * k.size - 1)
     u_terms = [np.ones(grid.n_points, dtype=complex)]
     d_terms = []
     for _ in range(order_max // 2):
         u = u_terms[-1]
-        full = _fftconvolve(k, u)[: k.size]
+        full = np.fft.ifft(np.fft.fft(k, size) * np.fft.fft(u, size), size)[: k.size]
         d = dt * (full - 0.5 * k[0] * u - 0.5 * k * u[0])
         d[0] = 0.0
         d_terms.append(d)
