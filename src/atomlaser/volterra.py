@@ -8,15 +8,15 @@ obeys
 and the occupation is n = |u|^2. The equation is solved by second-order
 product integration (trapezoid in the memory integral) with the diagonal
 half-weight term handled implicitly, which keeps the scheme stable at strong
-coupling. The march is one lower-triangular Toeplitz system, solved by
-recursive halving (the fast convolution of Hairer, Lubich and Schlichte,
-SIAM J. Sci. Stat. Comput. 6, 1985) in O(n log^2 n): a solved half feeds the
-next through a product with a dense block of the matrix near the diagonal,
-where that is cheaper than FFT calls, and through an FFT convolution
-further out. It gives the step-by-step march up to rounding. The history
-convolution reads the spectrum that the kernel (memory_kernel) takes on its
-first convolution; in a pulsed run that kernel also serves the series rates
-of the same grid, so conj f is transformed once per grid.
+coupling. The march is one lower-triangular Toeplitz system T x = b, with
+t(z) the power series of T's first column, so x = b(z)/t(z) is a
+power-series division: Newton doubling s <- s (2 - t s) for 1/t(z) (Kung,
+Numer. Math. 22, 1974) and one Karp-Markstein step (ACM TOMS 23, 1997),
+every product an FFT convolution, O(n log n) in all. It gives the
+step-by-step march up to rounding. The history convolution reads the
+spectrum that the kernel (memory_kernel) takes on its first convolution; in
+a pulsed run that kernel also serves the series rates of the same grid, so
+conj f is transformed once per grid.
 """
 
 from dataclasses import dataclass
@@ -43,14 +43,12 @@ DIVERGENCE_TOL = 1e-3
 SANITY_TOL = 1e-6
 # rate extraction stops once the amplitude is this small
 RATE_CUTOFF = 1e-6
-# rows of T solved by one product with the inverse block in _halving_solve
+# terms of 1/t(z) found by forward substitution before Newton doubling takes
+# over: every doubling costs five FFT calls whatever its size, so starting
+# at 64 terms rather than one saves six doublings per solve. On a 2-core
+# Xeon VM the 44 solves of a seed-0 pulsed benchmark batch made 1,512 rather
+# than 2,832 FFT calls and took 107 rather than 117 ms
 LEAF = 64
-# _halving_solve couples two halves by a product with a dense block of T
-# while the second half has at most this many rows, by FFT above. On a
-# 2-core Xeon VM the 44 Toeplitz solves of a pulsed benchmark batch took
-# 218 ms with FFT couplings only, 174 ms with dense blocks up to 128 rows
-# and 278 ms up to 256 rows, whose 1 MiB blocks no longer stay in cache
-DENSE_ROWS = 128
 
 
 @dataclass
@@ -80,33 +78,36 @@ def solve_volterra(kernel, max_growth):
     weights on the memory sum, with the unknown u_j appearing only through
     the k_0 diagonal term, solved exactly. Substituting udot_{j-1} turns the
     march into one lower-triangular Toeplitz system for u_1..u_{n-1}
-    (`_toeplitz_system`), solved by recursive halving (`_halving_solve`).
-    udot then comes from the same formula, with H = k*u - k_0 u - k u_0
-    from one kernel.convolve (one pair of transforms once the kernel holds
-    its spectrum), so rates never see finite differences of u.
+    (`_toeplitz_system`), solved as a power-series division
+    (`_solve_lower_toeplitz`). udot then comes from the same formula, with
+    H = k*u - k_0 u - k u_0 from one kernel.convolve (one pair of
+    transforms once the kernel holds its spectrum), so rates never see
+    finite differences of u.
 
-    The first step j >= 1 with |u_j| > max_growth (or a non-finite u_j)
-    raises NumericalFailure.
+    NumericalFailure names a zero implicit diagonal 1 + dt^2 k_0 / 4, or the
+    first step j >= 1 with |u_j| > max_growth (or a non-finite u_j).
     """
     k = np.ascontiguousarray(kernel.values, dtype=complex)
     dt = kernel.grid.dt
-    n = kernel.grid.n_points
     c = 0.5 * dt * dt
     edge = 0.5 * k  # E_j with u_0 = 1
-    u = np.empty(n, dtype=complex)
-    u[0] = 1.0
-    u[1:] = _solve_lower_toeplitz(*_toeplitz_system(k, edge, c))
-    bad = np.flatnonzero(~(np.abs(u[1:]) <= max_growth))
-    if bad.size:
-        j = int(bad[0]) + 1
-        raise NumericalFailure(
-            f"amplitude grew to |u| = {abs(u[j]):.6f} at step {j}; the scheme has destabilized"
-        )
+    t, b = _toeplitz_system(k, edge, c)
+    if t[0] == 0:
+        raise NumericalFailure(f"the implicit diagonal 1 + dt^2 k_0 / 4 is zero at dt = "
+                               f"{dt:.6e} s, k_0 = {k[0]:.6e}: the scheme is singular")
+    limit = min(max_growth, np.finfo(float).max)  # so that inf counts as growth
+    # an overflow, which the growth check reports, makes every entry non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _solve_lower_toeplitz(t, b)
+        if not (np.abs(x) <= limit).all():
+            j, size = _first_growth(t, b, limit)
+            raise NumericalFailure(
+                f"amplitude grew to |u| = {size:.6f} at step {j}; the scheme has destabilized"
+            )
+    u = np.concatenate([[1.0], x])
     hist = kernel.convolve(u)[1:] - k[0] * u[1:] - k[1:]
     hist[0] = 0.0  # H_1 is an empty sum
-    udot = np.empty(n, dtype=complex)
-    udot[0] = 0.0
-    udot[1:] = -dt * (0.5 * k[0] * u[1:] + hist + edge[1:])
+    udot = np.concatenate([[0.0], -dt * (0.5 * k[0] * u[1:] + hist + edge[1:])])
     return u, udot
 
 
@@ -132,56 +133,54 @@ def _toeplitz_system(k, edge, c):
 def _solve_lower_toeplitz(t, b):
     """Solve T x = b for the lower-triangular Toeplitz T with first column t.
 
-    Overwrites and returns b. Every leaf solves with the leading LEAF x LEAF
-    block of T, which is the same matrix for every leaf, so its inverse is
-    formed once; a shorter last leaf uses the inverse's leading sub-block,
-    which is the inverse of T's leading sub-block because T is triangular.
+    x(z) = b(z)/t(z) as power series, to n = b.size terms. Forward
+    substitution gives the first terms of s = 1/t(z), at most LEAF of them.
+    Newton doubling (Kung, Numer. Math. 22, 1974) extends k terms s to
+    k' <= 2k: t s = 1 + e z^k mod z^k', and s - s e z^k is 1/t mod z^k'.
+    With h = ceil(n/2) terms of s, x_0 = s b mod z^h is the head of x, and
+    one Karp-Markstein step (ACM TOMS 23, 1997) gives the tail from the
+    residual (b - t x_0)[h:] and the same s. Every product is a cyclic
+    convolution of a fast length p >= k' (or n), which leaves the entries
+    read free of wrap-around.
     """
-    m = min(LEAF, b.size)
-    block = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        block[i:, i] = t[: m - i]
-    _halving_solve(t, b, np.linalg.inv(block), {}, 0, b.size)
-    return b
+    n = b.size
+    sizes = [-(-n // 2)]
+    while sizes[-1] > LEAF:
+        sizes.append(-(-sizes[-1] // 2))
+    k = sizes.pop()
+    s = np.empty(k, dtype=complex)
+    s[0] = 1.0 / t[0]
+    for j in range(1, k):
+        s[j] = -s[0] * np.dot(t[j:0:-1], s[:j])
+    for size in reversed(sizes):
+        p = next_fast_len(size)
+        spec = np.fft.fft(s, p)
+        e = np.fft.ifft(np.fft.fft(t[:size], p) * spec)[k:size]
+        s = np.concatenate([s, -np.fft.ifft(np.fft.fft(e, p) * spec)[: size - k]])
+        k = size
+    p = next_fast_len(n)
+    spec = np.fft.fft(s, p)
+    head = np.fft.ifft(spec * np.fft.fft(b[:k], p))[:k]
+    rest = b[k:] - np.fft.ifft(np.fft.fft(t, p) * np.fft.fft(head, p))[k:n]
+    return np.concatenate([head, np.fft.ifft(spec * np.fft.fft(rest, p))[: n - k]])
 
 
-def _halving_solve(t, b, inv, blocks, lo, hi):
-    """Solve rows lo..hi-1 of T x = b in place, in O(n log^2 n).
+def _first_growth(t, b, limit):
+    """Step j and |u_j| = |x_{j-1}| of the first entry of T x = b past limit.
 
-    On entry b[lo:hi] already excludes the contribution of x[:lo]. Recursive
-    halving on whole leaves: solve the first half, subtract its contribution
-    to the second half, then solve the second half. The contribution is the
-    block T[mid:hi, lo:mid] times x[lo:mid]. T is Toeplitz, so that block
-    depends only on the node's size, and blocks caches per size what the
-    product needs: up to DENSE_ROWS rows the block itself, a dense product
-    being cheaper than the FFT calls at these sizes; above, the transform of
-    t_1..t_{size-1} for an FFT middle product. (A plain function, not a
-    closure: a self-referencing closure is a reference cycle that keeps
-    every array of the solve alive until the garbage collector runs.)
+    FFT products bound every entry's error by rounding times the largest
+    entry, so a huge one swamps the earlier ones. Leading rows of a
+    triangular system do not involve later unknowns: bisection finds the
+    longest leading block whose solution stays within limit.
     """
-    if hi - lo <= LEAF:
-        b[lo:hi] = inv[: hi - lo, : hi - lo] @ b[lo:hi]
-        return
-    mid = lo + LEAF * (-(-(hi - lo) // LEAF) // 2)
-    _halving_solve(t, b, inv, blocks, lo, mid)
-    size, half = hi - lo, mid - lo
-    if hi - mid <= DENSE_ROWS:
-        if size not in blocks:
-            # row i, column j holds t_{half + i - j}
-            window = np.lib.stride_tricks.sliding_window_view(t[1:size], half)
-            blocks[size] = np.ascontiguousarray(window[:, ::-1])
-        b[mid:hi] -= blocks[size] @ b[lo:mid]
-    else:
-        if size not in blocks:
-            p = next_fast_len(size - 1)
-            blocks[size] = (p, np.fft.fft(t[1:size], p))
-        p, spec = blocks[size]
-        # middle product: entries half-1 .. size-2 of the linear convolution
-        # of x[lo:mid] with t_1..t_{size-1}; a cyclic length >= size-1 keeps
-        # them free of wrap-around
-        y = np.fft.ifft(np.fft.fft(b[lo:mid], p) * spec, p)
-        b[mid:hi] -= y[half - 1 : size - 1]
-    _halving_solve(t, b, inv, blocks, mid, hi)
+    lo, hi = 0, b.size  # the solution of lo rows stays within limit, of hi rows not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (np.abs(_solve_lower_toeplitz(t[:mid], b[:mid])) <= limit).all():
+            lo = mid
+        else:
+            hi = mid
+    return hi, float(np.abs(_solve_lower_toeplitz(t[:hi], b[:hi])[lo]))
 
 
 def memory_kernel(params, grid):

@@ -1,5 +1,6 @@
 """Exact amplitude dynamics via the memory integro-differential equation."""
 
+import math
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from atomlaser.quad import SampledFunction, UniformGrid, cumulative_integral
 from atomlaser.volterra import RATE_CUTOFF, AmplitudeTrajectory
 
 from conftest import trap
+from reference import laplace_amplitude
 
 ALPHA = 2636.4295425
 GAMMA_M_5E4 = 92.62263163409446
@@ -97,11 +99,21 @@ exponentials = st.tuples(st.floats(0.0, 40.0), st.floats(0.1, 30.0), st.floats(-
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(st.integers(1, 12), st.sampled_from([-1, 0, 1]), st.floats(0.5, 5.0),
        st.lists(exponentials, min_size=1, max_size=3))
-@example(4, 0, 1.0, [(20.0, 1.0, 5.0)])    # 256 unknowns: the top coupling is dense
-@example(4, 1, 1.0, [(20.0, 1.0, 5.0)])    # 257 unknowns: its second half has 129 rows, FFT
+@example(4, 0, 1.0, [(20.0, 1.0, 5.0)])    # 256 unknowns
+@example(4, 1, 1.0, [(20.0, 1.0, 5.0)])    # 257 unknowns
+@example(0, 1, 1.0, [(20.0, 1.0, 5.0)])    # 1 unknown: no tail to the Karp-Markstein step
+@example(0, 2, 1.0, [(20.0, 1.0, 5.0)])    # 2 unknowns
+@example(0, 3, 1.0, [(20.0, 1.0, 5.0)])    # 3 unknowns: odd, the head one longer than the tail
+@example(1, -1, 2.0, [(30.0, 2.0, -8.0)])  # 63 = 2^6 - 1 unknowns
+@example(1, 1, 2.0, [(30.0, 2.0, -8.0)])   # 65 = 2^6 + 1 unknowns
+@example(2, -1, 2.0, [(30.0, 2.0, -8.0)])  # 127 = 2^7 - 1 unknowns
+@example(2, 1, 2.0, [(30.0, 2.0, -8.0)])   # 129 = 2^7 + 1: the first Newton doubling
+@example(16, -1, 3.0, [(25.0, 0.5, 40.0)])  # 1023 = 2^10 - 1 unknowns
+@example(16, 1, 3.0, [(25.0, 0.5, 40.0)])   # 1025 = 2^10 + 1 unknowns
 def test_toeplitz_solve_matches_reference_march(leaves, offset, t_max, terms):
-    # 64 k - 1, 64 k and 64 k + 1 unknowns u_1..u_{n-1}, up to 769: whole and
-    # split leaves, and couplings on both sides of volterra.DENSE_ROWS
+    # 64 k - 1, 64 k and 64 k + 1 unknowns u_1..u_{n-1}, up to 769, and the
+    # examples above: Newton doublings that start at volterra.LEAF terms or
+    # fewer, and odd and even splits of the Karp-Markstein step
     g = UniformGrid(0.0, t_max / (64 * leaves + offset), 64 * leaves + offset + 1)
     t = g.times()
     k = sum(a * np.exp(-(gam - 1j * w) * t) for a, gam, w in terms)
@@ -110,6 +122,43 @@ def test_toeplitz_solve_matches_reference_march(leaves, offset, t_max, terms):
     u_ref, udot_ref = reference_march(kernel)
     assert np.abs(u - u_ref).max() <= 1e-12 * np.abs(u_ref).max()
     assert np.abs(udot - udot_ref).max() <= 1e-12 * max(np.abs(udot_ref).max(), 1e-300)
+
+
+@pytest.mark.parametrize("unknowns", [8000, 10799])
+def test_toeplitz_solve_fft_budget(unknowns, monkeypatch):
+    # five numpy FFT calls per Newton doubling, at most ceil(log2 n) - 6
+    # doublings from a start of volterra.LEAF = 64 terms, and eight for the
+    # Karp-Markstein step: 5 ceil(log2 n) - 22 in all (43 and 48 here). The
+    # recursive halving this solve replaced made 71 and 139 calls
+    calls = []
+    for name in ("fft", "ifft"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+    t = 0.5 ** np.arange(unknowns) + 0j
+    b = np.ones(unknowns, dtype=complex)
+    x = volterra._solve_lower_toeplitz(t, b)
+    assert len(calls) <= 5 * math.ceil(math.log2(unknowns)) - 22
+    # b(z)/t(z) = (1 - z/2)/(1 - z) = 1 + z/2 + z^2/2 + ...
+    np.testing.assert_allclose(x, np.r_[1.0, np.full(unknowns - 1, 0.5)], rtol=1e-12)
+
+
+@pytest.mark.parametrize("Gamma", [5e4, 1e5, 1e6])
+def test_amplitude_converges_to_laplace_reference(Gamma):
+    # an answer reached by another road: the Laplace-domain solution of the
+    # same memory equation (tests/reference.py), sampled at 40 times in
+    # (0, 3/gamma_M] that the grids at dt = 4, 2 and 1 us share; the error
+    # falls as dt^2
+    p = trap(Gamma)
+    steps = round(3.0 / model.gamma_markov_closed_form(p) / 4e-6)
+    coarse = steps * np.arange(1, 41) // 40  # indices on the 4 us grid
+    u_ref = laplace_amplitude(p, 4e-6 * coarse)
+    errors = []
+    for m in (1, 2, 4):
+        traj = volterra.solve_amplitude(p, 4e-6 * steps, 4e-6 / m)
+        errors.append(np.abs(traj.u[m * coarse] - u_ref).max())
+    assert errors[2] < 2e-7
+    assert 3.8 < errors[0] / errors[1] < 4.2
+    assert 3.8 < errors[1] / errors[2] < 4.2
 
 
 def test_zero_coupling_is_free():
@@ -236,16 +285,26 @@ def test_shared_kernel_must_sit_on_the_solve_grid():
 
 def test_divergence_detection():
     # a negative constant kernel makes u'' = +|c| u, growing like cosh;
-    # the growth guard must abort rather than return garbage
-    c = -400.0
+    # the growth guard must abort rather than return garbage. At c = -1e6
+    # |u| passes 1.001 at step 1 and the solution overflows long before the
+    # grid ends; the report still names step 1 and its finite |u|
     g = UniformGrid(0.0, 2e-4, 5001)
-    kernel = SampledFunction(g, np.full(g.n_points, c, dtype=complex))
-    with pytest.raises(NumericalFailure) as fast:
+    step = re.compile(r"\|u\| = ([0-9.]+) at step (\d+);")
+    for c in (-400.0, -1e6):
+        kernel = SampledFunction(g, np.full(g.n_points, c, dtype=complex))
+        with pytest.raises(NumericalFailure) as fast:
+            volterra.solve_volterra(kernel, max_growth=1.001)
+        with pytest.raises(NumericalFailure) as ref:
+            reference_march(kernel, max_growth=1.001)
+        assert step.search(str(fast.value)).groups() == step.search(str(ref.value)).groups()
+
+
+def test_singular_implicit_diagonal():
+    # 1 + dt^2 k_0 / 4 = 0 for c = -1e8 at dt = 2e-4: no step can be taken
+    g = UniformGrid(0.0, 2e-4, 5001)
+    kernel = SampledFunction(g, np.full(g.n_points, -1e8, dtype=complex))
+    with pytest.raises(NumericalFailure, match="implicit diagonal .* is zero"):
         volterra.solve_volterra(kernel, max_growth=1.001)
-    with pytest.raises(NumericalFailure) as ref:
-        reference_march(kernel, max_growth=1.001)
-    step = re.compile(r"at step (\d+);")
-    assert step.search(str(fast.value)).group(1) == step.search(str(ref.value)).group(1)
 
 
 def test_rate_truncation_when_amplitude_collapses():
