@@ -405,18 +405,17 @@ def _write_csv(path, columns):
 def _pulsed_columns(scen, n_steps, dt):
     """CSV columns of one pulsed run, plus its diagnostics for the sidecar."""
     trap = scen.trap
-    t_max = n_steps * dt
     grid = UniformGrid(0.0, dt, n_steps + 1)
     t = grid.times()
     gamma_m = model.gamma_markov_closed_form(trap)
     # one kernel and one spectrum for the exact solve and the series rates
     kernel = volterra.memory_kernel(trap, grid)
-    traj = volterra.solve_amplitude(trap, t_max, dt, kernel)
+    traj = volterra.solve_amplitude(trap, kernel)
     columns = [("t_seconds", t), ("gammaM_t", gamma_m * t),
                ("n_exact", volterra.occupation(traj).values),
                ("n_markov", np.exp(-gamma_m * t))]
 
-    rates = tcl.tcl_series_rates(trap, grid, order_max=scen.tcl_order, kernel=kernel)
+    rates = tcl.tcl_series_rates(kernel, order_max=scen.tcl_order)
     for order in rates.orders():
         occ = tcl.occupation_from_rates(rates, order)
         columns.append((f"n_tcl{order}", occ.values))

@@ -10,7 +10,8 @@ p(n0, n1) and the generator a sparse rate matrix.
 At fourth order an extra output-collision cross term appears whose weight is
 the complex history integral r(t); it is not of Lindblad form (its rate matrix
 carries a negative off-diagonal entry), so small transient negativities of p
-are tolerated and flagged instead of treated as errors.
+are tolerated and flagged instead of treated as errors. Once Re r(t) grows
+large enough the generator itself turns unstable; evolve stops there.
 """
 
 import warnings
@@ -20,9 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import model, tcl
+from . import model, tcl, volterra
 from .errors import GeneratorError, NumericalFailure, ParameterError
-from .quad import SampledFunction, UniformGrid, cumulative_integral, grid_for, sample
+from .quad import SampledFunction, UniformGrid, cumulative_integral, grid_for
 
 __all__ = [
     "CwParams",
@@ -46,6 +47,9 @@ CONSERVATION_TOL = 1e-6
 NEGATIVITY_TOL = 1e-6
 # clipped boundary flux beyond this marks the truncation as too tight
 CLIP_WARN = 1e-3
+# an order-4 run whose ||p||_1 passes this (negative mass 1/2) has met an
+# unstable generator; a flagged but stable run stays far below it
+L1_BOUND = 2.0
 # implicit-stepper startup: this many leading steps are taken as pairs of
 # backward-Euler half-steps to damp the stiff transient
 RANNACHER_STEPS = 4
@@ -146,8 +150,9 @@ class DiagonalState:
         return float((self.p.sum(axis=0) * np.arange(self.p.shape[1])).sum())
 
 
-def r_function(params, grid):
-    """History weight of the output-collision cross term.
+def r_function(params, kernel):
+    """History weight of the output-collision cross term, on the grid of the
+    memory kernel conj f (volterra.memory_kernel of params.trap) it is handed.
 
     The defining double integral carries a reference time that the model
     leaves ambiguous; both readings are implemented:
@@ -158,8 +163,8 @@ def r_function(params, grid):
 
     Either way r(0) = 0 and r is linear in Omega and in Gamma.
     """
-    f_s = sample(lambda t: model.correlation_f(params.trap, t), grid)
-    F = cumulative_integral(f_s)
+    grid = kernel.grid
+    F = cumulative_integral(SampledFunction(grid, np.conj(kernel.values)))
     F2 = cumulative_integral(F)
     if params.r_reading == "outer":
         vals = params.Omega * (grid.times() * F.values - F2.values)
@@ -476,14 +481,17 @@ def evolve(params, p0, t_max, dt):
     Boundary-clipped flux is accumulated with the same trapezoid weights the
     stepping uses, so sum(p) + clipped stays at 1 to rounding.
 
+    An order-4 run stops once ||p||_1 passes L1_BOUND: the cross term has
+    then made the generator unstable, which no step size cures.
+
     How the solves are factored follows from whether G changes in time. The
-    markov generator is constant, so one sparse LU built before the first
-    step serves every solve. At orders 2 and 4, gamma(t) and r(t) change
-    every step, so each solve factors I - (dt/2) G(t) anew with LAPACK's
-    banded gbsv. The band is (n1_max - 1) diagonals below and n1_max + 1
-    above the main one, but only the template diagonals (at most six) are
-    combined, into the rows upper + shifts of one reused LAPACK work array
-    whose other rows stay zero.
+    markov generator is constant, so one sparse LU of the generator that
+    build_generator checks serves every solve. At orders 2 and 4, gamma(t)
+    and r(t) change every step, so each solve factors I - (dt/2) G(t) anew
+    with LAPACK's banded gbsv. The band is (n1_max - 1) diagonals below and
+    n1_max + 1 above the main one, but only the template diagonals (at most
+    six) are combined, into the rows upper + shifts of one reused LAPACK
+    work array whose other rows stay zero.
     """
     dim, n1p = params.dim, params.n1_max + 1
     p = np.asarray(p0.p, dtype=float).ravel().copy()
@@ -495,20 +503,20 @@ def evolve(params, p0, t_max, dt):
     n_steps = grid.n_points - 1
     tpl = _templates_for(params)
     static, out_csr, oc_csr = tpl.static, tpl.out, tpl.oc
-    # rates and the cross-term weight are sampled at half steps so both the
-    # endpoints and the Rannacher midpoint come from one table
+    # gamma(t) and r(t) read one memory kernel sampled at half steps, so the
+    # endpoints and the Rannacher midpoint of a step come from one table
     half = UniformGrid(0.0, 0.5 * dt, 2 * n_steps + 1)
+    rr_h = np.zeros(half.n_points)
     if params.order == "markov":
         gamma_h = np.full(half.n_points, model.gamma_markov_closed_form(params.trap))
     else:
-        gamma_h = tcl.tcl_series_rates(params.trap, half, params.order).total_gamma().values
-    if params.order == 4:
-        rr_h = r_function(params, half).values.real
-    else:
-        rr_h = np.zeros(half.n_points)
+        kernel = volterra.memory_kernel(params.trap, half)
+        gamma_h = tcl.tcl_series_rates(kernel, params.order).total_gamma().values
+        if params.order == 4:
+            rr_h = r_function(params, kernel).values.real
 
     # one assembly through the checked path validates column balance up front
-    build_generator(params, gamma_h[0], rr_h[0])
+    G0 = build_generator(params, gamma_h[0], rr_h[0]).matrix
 
     h = 0.5 * dt
 
@@ -527,7 +535,7 @@ def evolve(params, p0, t_max, dt):
     if params.order == "markov":
         import scipy.sparse as sp
 
-        lu = splu(sp.identity(dim, format="csc") - h * (static + gamma_h[0] * out_csr).tocsc())
+        lu = splu(sp.identity(dim, format="csc") - h * G0.tocsc())
 
         def implicit_solve(g, rr, b):
             return lu.solve(b)
@@ -587,6 +595,11 @@ def evolve(params, p0, t_max, dt):
             clip += h * (leak_dot(p, r0) + leak_dot(p_new, r1))
         p = p_new
         record(j + 1, p, clip)
+        if params.order == 4 and not (np.abs(p).sum() <= L1_BOUND):
+            raise NumericalFailure(
+                f"the order-4 generator is unstable at t = {times[j + 1]:.6e} s, Re r = "
+                f"{r1:.6e} ({params.r_reading} reading): ||p||_1 = {np.abs(p).sum():.3e} "
+                f"passed {L1_BOUND}; no step size cures this")
 
     drift = float(np.abs(prob_sum + clipped - 1.0).max())
     if not (drift <= CONSERVATION_TOL):

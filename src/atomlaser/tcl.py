@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model, volterra
+from . import model
 from .errors import DomainError, NumericalFailure, ParameterError
 from .quad import (
     SampledFunction,
@@ -167,7 +167,7 @@ def tcl4_rates(params, grid, cross_validate=False):
     return gamma4, s4
 
 
-def tcl_series_rates(params, grid, order_max=6, kernel=None):
+def tcl_series_rates(kernel, order_max=6):
     """Rates of orders 2, 4, 6 from the Neumann expansion of the amplitude.
 
     The exact amplitude solves u = 1 - K[u] with K the memory-integral
@@ -183,15 +183,14 @@ def tcl_series_rates(params, grid, order_max=6, kernel=None):
     of order 2k are Re and -Im of g_k = -2 q_k. Division by the amplitude
     series cannot break down: its leading coefficient is identically 1.
 
-    kernel is volterra.memory_kernel(params, grid), sampled here when None;
-    every term reads its one spectrum. A caller that also solves the exact
-    amplitude on grid passes the one kernel to both.
+    kernel is volterra.memory_kernel(params, grid), and the rates live on its
+    grid; every term reads its one spectrum. A pulsed run hands the same
+    kernel to the exact solve, a cw run to cw.r_function.
     """
     if order_max not in (2, 4, 6):
         raise ParameterError(f"order_max must be 2, 4 or 6, got {order_max}")
     m_max = order_max // 2
-    if kernel is None:
-        kernel = volterra.memory_kernel(params, grid)
+    grid = kernel.grid
     u_terms = [SampledFunction(grid, np.ones(grid.n_points, dtype=complex))]
     d_terms = []
     for _ in range(m_max):

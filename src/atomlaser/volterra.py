@@ -14,9 +14,9 @@ power-series division: Newton doubling s <- s (2 - t s) for 1/t(z) (Kung,
 Numer. Math. 22, 1974) and one Karp-Markstein step (ACM TOMS 23, 1997),
 every product an FFT convolution, O(n log n) in all. It gives the
 step-by-step march up to rounding. The history convolution reads the
-spectrum that the kernel (memory_kernel) takes on its first convolution; in
-a pulsed run that kernel also serves the series rates of the same grid, so
-conj f is transformed once per grid.
+spectrum that the kernel (memory_kernel) takes on its first convolution.
+The kernel carries the run's grid, and a pulsed run hands it to the series
+rates too, so conj f is sampled and transformed once per grid.
 """
 
 from dataclasses import dataclass
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import model
 from .errors import ConfigError, GridError, NumericalFailure
-from .quad import SampledFunction, UniformGrid, grid_for, next_fast_len
+from .quad import SampledFunction, UniformGrid, next_fast_len
 
 __all__ = [
     "AmplitudeTrajectory",
@@ -184,28 +184,22 @@ def _first_growth(t, b, limit):
 
 
 def memory_kernel(params, grid):
-    """The reservoir kernel conj(f) of the memory equation, sampled on grid."""
+    """The reservoir kernel conj(f) of the memory equation, sampled on grid from lag 0."""
+    if grid.t0 != 0:
+        raise GridError(f"the memory kernel is sampled from lag 0, not from t0 = {grid.t0!r}")
     return SampledFunction(grid, np.conj(model.correlation_f(params, grid.times())))
 
 
-def solve_amplitude(params, t_max, dt, kernel=None):
-    """Exact amplitude for the physical reservoir kernel conj(f).
-
-    kernel is memory_kernel(params, grid_for(t_max, dt)), passed by a
-    caller that shares it with the series rates; it is sampled here when
-    None.
-    """
-    grid = grid_for(t_max, dt)
+def solve_amplitude(params, kernel):
+    """Exact amplitude for the physical reservoir kernel conj(f), on the grid
+    of kernel = memory_kernel(params, grid)."""
+    dt = kernel.grid.dt
     dt_limit = min(0.05 / params.omega0, 0.05 / params.alpha)
     if dt > dt_limit * (1.0 + 1e-12):
         raise ConfigError(
             f"dt = {dt:.3e} s is too coarse for this parameter set; "
             f"resolving the trap phase and the memory decay needs dt <= {dt_limit:.3e} s"
         )
-    if kernel is None:
-        kernel = memory_kernel(params, grid)
-    elif kernel.grid != grid:
-        raise GridError(f"kernel sampled on {kernel.grid}, not on {grid}")
     u, udot = solve_volterra(kernel, max_growth=1.0 + DIVERGENCE_TOL)
     peak = float(np.max(np.abs(u)))
     if peak > 1.0 + SANITY_TOL:
@@ -213,7 +207,7 @@ def solve_amplitude(params, t_max, dt, kernel=None):
             f"empty-reservoir amplitude exceeded 1 by {peak - 1.0:.3e}; "
             "refine dt (the bath cannot feed the trapped mode)"
         )
-    return AmplitudeTrajectory(grid, u, udot)
+    return AmplitudeTrajectory(kernel.grid, u, udot)
 
 
 def occupation(traj):

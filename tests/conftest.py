@@ -6,9 +6,9 @@ runner's fork scheduler."""
 import numpy as np
 import pytest
 
-from atomlaser import cw, model
+from atomlaser import cw, model, tcl, volterra
 from atomlaser.cli import _run_calls
-from atomlaser.quad import shared_points_difference
+from atomlaser.quad import grid_for, shared_points_difference
 
 
 OMEGA0 = 772.8317927830892   # 2*pi*123
@@ -33,6 +33,16 @@ def trap1e5():
 @pytest.fixture(scope="session")
 def trap1e6():
     return trap(1e6)
+
+
+def amplitude(params, t_max, dt):
+    """volterra.solve_amplitude on the memory kernel of grid_for(t_max, dt)."""
+    return volterra.solve_amplitude(params, volterra.memory_kernel(params, grid_for(t_max, dt)))
+
+
+def series_rates(params, grid, order_max=6):
+    """tcl.tcl_series_rates on the memory kernel of params sampled on grid."""
+    return tcl.tcl_series_rates(volterra.memory_kernel(params, grid), order_max)
 
 
 def halving_difference(compute, grid):

@@ -22,12 +22,11 @@ from atomlaser.tcl import (
     series_breakdown_index,
     tcl2_rates,
     tcl4_rates,
-    tcl_series_rates,
     waiting_time,
 )
-from atomlaser.volterra import exact_rates, occupation, solve_amplitude
+from atomlaser.volterra import exact_rates, occupation
 
-from conftest import OMEGA0, cw_params, halving_difference, trap
+from conftest import OMEGA0, amplitude, cw_params, halving_difference, series_rates, trap
 
 STATIONARY_N0 = 99.83412993229939
 
@@ -48,7 +47,7 @@ def fig2_traj(trap5e4):
     gm = model.gamma_markov_closed_form(trap5e4)
     dt = 1e-5
     grid = _grid(3.0 / gm, dt)
-    traj = solve_amplitude(trap5e4, grid.t_end, dt)
+    traj = amplitude(trap5e4, grid.t_end, dt)
     assert traj.grid.n_points == grid.n_points
     return traj
 
@@ -81,7 +80,7 @@ def test_criterion_02_timescale_ratios(trap5e4, trap1e5):
 def test_criterion_03_series_vs_quadrature(trap5e4):
     gm = model.gamma_markov_closed_form(trap5e4)
     grid = _grid(6.0 / gm, 0.02 / OMEGA0)
-    series = tcl_series_rates(trap5e4, grid, order_max=4)
+    series = series_rates(trap5e4, grid, order_max=4)
     q2, _ = tcl2_rates(trap5e4, grid)
     q4, _ = tcl4_rates(trap5e4, grid)
 
@@ -90,11 +89,11 @@ def test_criterion_03_series_vs_quadrature(trap5e4):
     est2 = (halving_difference(lambda g: tcl2_rates(trap5e4, g)[0], grid)
             + halving_difference(
                 lambda g: SampledFunction(
-                    g, tcl_series_rates(trap5e4, g, 2).gamma_by_order[2]), grid))
+                    g, series_rates(trap5e4, g, 2).gamma_by_order[2]), grid))
     est4 = (halving_difference(lambda g: tcl4_rates(trap5e4, g)[0], grid)
             + halving_difference(
                 lambda g: SampledFunction(
-                    g, tcl_series_rates(trap5e4, g, 4).gamma_by_order[4]), grid))
+                    g, series_rates(trap5e4, g, 4).gamma_by_order[4]), grid))
     ok = dev2 <= est2 and dev4 <= est4
     _verdict(3, ok, f"order-2 routes differ by {dev2:.2e} (allowed {est2:.2e}), "
                     f"order-4 by {dev4:.2e} (allowed {est4:.2e})")
@@ -105,7 +104,7 @@ def test_criterion_04_moderate_coupling_occupations(trap5e4, fig2_traj):
     t = fig2_traj.grid.times()
     n_ex = occupation(fig2_traj).values
     n_mk = np.exp(-gm * t)
-    rates = tcl_series_rates(trap5e4, fig2_traj.grid, order_max=4)
+    rates = series_rates(trap5e4, fig2_traj.grid, order_max=4)
     n4 = occupation_from_rates(rates).values
 
     mid = (gm * t >= 1.0) & (gm * t <= 3.0)
@@ -122,11 +121,11 @@ def test_criterion_05_order6_tracks_exact(trap1e5):
     gm = model.gamma_markov_closed_form(trap1e5)
     dt = 1.5e-5
     grid = _grid(3.5 / gm, dt)
-    traj = solve_amplitude(trap1e5, grid.t_end, dt)
+    traj = amplitude(trap1e5, grid.t_end, dt)
     assert traj.grid.n_points == grid.n_points
     n_ex = occupation(traj).values
     w_exact = -np.log(n_ex)
-    rates = tcl_series_rates(trap1e5, grid, order_max=6)
+    rates = series_rates(trap1e5, grid, order_max=6)
     w6 = cumulative_integral(rates.total_gamma(6)).values
     metric = (np.abs(w6 - w_exact) / np.maximum(w_exact, 1.0)).max()
     _verdict(5, metric <= 0.10,
@@ -137,7 +136,7 @@ def test_criterion_06_collapse_revival_breakdown(trap1e6):
     gm = model.gamma_markov_closed_form(trap1e6)
     dt = 1e-6
     grid = _grid(7.0 / gm, dt)
-    traj = solve_amplitude(trap1e6, grid.t_end, dt)
+    traj = amplitude(trap1e6, grid.t_end, dt)
     t = traj.grid.times()
     n_ex = occupation(traj).values
 
@@ -149,7 +148,7 @@ def test_criterion_06_collapse_revival_breakdown(trap1e6):
     er = exact_rates(traj)
     spike = er.gamma.values[win].max()
 
-    srates = tcl_series_rates(trap1e6, _grid(7.0 / gm, 2e-6), order_max=6)
+    srates = series_rates(trap1e6, _grid(7.0 / gm, 2e-6), order_max=6)
     idx = series_breakdown_index(srates)
     t_break = gm * srates.grid.times()[idx] if idx is not None else np.inf
 
@@ -231,7 +230,7 @@ def test_criterion_10_conservation_suite(trap5e4, fig7_runs, fig2_traj):
 
     # pulsed solver converges at second order under grid halving
     t_shared = 0.00512
-    occs = [occupation(solve_amplitude(trap5e4, t_shared, dt)).values
+    occs = [occupation(amplitude(trap5e4, t_shared, dt)).values
             for dt in (1.6e-5, 8e-6, 4e-6)]
     e1 = np.abs(occs[0] - occs[1][::2]).max()
     e2 = np.abs(occs[1] - occs[2][::2]).max()

@@ -6,12 +6,15 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
+from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
-from atomlaser import ConfigError, GeneratorError, NumericalFailure, ParameterError, cw, model, tcl
+from atomlaser import (ConfigError, GeneratorError, NumericalFailure, ParameterError, cw, model,
+                       tcl, volterra)
 from atomlaser.quad import UniformGrid
 
 from conftest import OMEGA0, cw_params, trap
+from reference import reduced_cw_mean_n0, reduced_cw_stationary
 
 GAMMA_M_5E4 = 92.62263163409446
 # frozen from the replaced-row linear solve at the default (200, 60) box
@@ -78,12 +81,17 @@ def test_diagonal_state():
 # history weight r(t)
 
 
+def r_on(params, grid):
+    """cw.r_function on the memory kernel of params.trap sampled on grid."""
+    return cw.r_function(params, volterra.memory_kernel(params.trap, grid))
+
+
 def test_r_outer_matches_single_integral_reduction():
     # the double integral collapses to Omega * int_0^t tau f(tau) dtau
     t5 = trap(5e4)
     params = cw_params(t5, 4)
     g = UniformGrid(0.0, 1e-5, 401)
-    r = cw.r_function(params, g)
+    r = r_on(params, g)
     assert r.values[0] == 0.0
     t = g.times()
     fv = model.correlation_f(t5, t)
@@ -98,7 +106,7 @@ def test_r_matches_double_quadrature(reading):
     params = cw.CwParams(trap=t5, kappa1=10 * GAMMA_M_5E4, Omega=15 * GAMMA_M_5E4,
                          N=20.3, r_reading=reading)
     g = UniformGrid(0.0, 1e-5, 201)
-    r = cw.r_function(params, g)
+    r = r_on(params, g)
     T = 2e-3
 
     if reading == "outer":
@@ -118,21 +126,21 @@ def test_r_constant_kernel_quadratic():
     for reading in ("outer", "inner"):
         params = cw.CwParams(trap=toy, kappa1=1.0, Omega=3.0, N=1.0,
                              r_reading=reading)
-        r = cw.r_function(params, g)
+        r = r_on(params, g)
         np.testing.assert_allclose(r.values.real, want, rtol=1e-4, atol=1e-12)
         np.testing.assert_allclose(r.values.imag, 0.0, atol=1e-6)
 
 
 def test_r_linear_in_omega_and_gamma():
     g = UniformGrid(0.0, 1e-5, 101)
-    base = cw.r_function(cw_params(trap(5e4), 4), g).values
+    base = r_on(cw_params(trap(5e4), 4), g).values
     gm = GAMMA_M_5E4
     doubled_omega = cw.CwParams(trap=trap(5e4), kappa1=10 * gm, Omega=30 * gm, N=20.3)
-    np.testing.assert_allclose(cw.r_function(doubled_omega, g).values, 2 * base,
+    np.testing.assert_allclose(r_on(doubled_omega, g).values, 2 * base,
                                rtol=1e-12)
     # doubling Gamma doubles f pointwise, with gm rescaled to keep Omega fixed
     same_omega = cw.CwParams(trap=trap(1e5), kappa1=10 * gm, Omega=15 * gm, N=20.3)
-    np.testing.assert_allclose(cw.r_function(same_omega, g).values, 2 * base,
+    np.testing.assert_allclose(r_on(same_omega, g).values, 2 * base,
                                rtol=1e-12)
 
 
@@ -352,13 +360,13 @@ def test_time_dependent_implicit_stepper_matches_dense_recurrence(order):
     n_steps, dt = 12, 2e-3
     traj = cw.evolve(params, cw.DiagonalState.vacuum(8, 6), n_steps * dt, dt)
 
-    half = UniformGrid(0.0, 0.5 * dt, 2 * n_steps + 1)
+    kernel = volterra.memory_kernel(t5, UniformGrid(0.0, 0.5 * dt, 2 * n_steps + 1))
     if order == "markov":
-        gamma = [None] * half.n_points
+        gamma = [None] * kernel.grid.n_points
     else:
-        gamma = tcl.tcl_series_rates(t5, half, order).total_gamma().values
-    r = cw.r_function(params, half).values
-    gens = [cw.build_generator(params, gamma[k], r[k]) for k in range(half.n_points)]
+        gamma = tcl.tcl_series_rates(kernel, order).total_gamma().values
+    r = cw.r_function(params, kernel).values
+    gens = [cw.build_generator(params, gamma[k], r[k]) for k in range(kernel.grid.n_points)]
     eye = np.eye(params.dim)
 
     def step(h, k, b):
@@ -390,6 +398,7 @@ def test_evolve_config_errors(monkeypatch):
     def refuse(*args):
         raise AssertionError("rate tables built")
 
+    monkeypatch.setattr(volterra, "memory_kernel", refuse)
     monkeypatch.setattr(tcl, "tcl_series_rates", refuse)
     monkeypatch.setattr(cw, "r_function", refuse)
     params = cw_params(trap(5e4), 4, n0_max=5, n1_max=5)
@@ -467,6 +476,33 @@ def test_negativity_flagged_for_order4():
     assert traj.min_p.min() < -1e-6
 
 
+def test_order4_instability_is_named():
+    # fig7's rates and step in the inner reading, on a 40 x 12 box: as Re r
+    # grows the order-4 generator gains eigenvalues with positive real part,
+    # which no step size cures. The run stops near gamma_M t = 7.9, a point
+    # rounding moves by a few steps, so the horizon is 12/gamma_M
+    t5 = trap(5e4)
+    params = cw.CwParams(trap=t5, kappa1=10 * GAMMA_M_5E4, Omega=15 * GAMMA_M_5E4, N=20.3,
+                         n0_max=40, n1_max=12, order=4, r_reading="inner")
+    dt = 8.0 / GAMMA_M_5E4 / 800
+    with pytest.raises(NumericalFailure, match=r"unstable at t = .* \(inner reading\)") as err:
+        cw.evolve(params, cw.DiagonalState.vacuum(40, 12), 1200 * dt, dt)
+    assert "too coarse" not in str(err.value)
+
+
+def test_order4_evolve_samples_f_once(monkeypatch):
+    # the order-4 rates and cross-term weight read one memory kernel
+    calls = []
+    correlation_f = model.correlation_f
+    monkeypatch.setattr(model, "correlation_f",
+                        lambda *args: calls.append(1) or correlation_f(*args))
+    params = cw_params(trap(5e4), 4, n0_max=5, n1_max=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # the tiny box clips
+        cw.evolve(params, cw.DiagonalState.vacuum(5, 5), 1e-4, 1e-5)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # figure-regime behavior (shared session runs)
 
@@ -486,6 +522,30 @@ def test_order2_stays_within_rate_envelope_of_markov(fig7_runs):
     assert diff <= bound
     # and the difference is a real effect, not numerical noise
     assert diff > 0.01
+
+
+def test_reduced_model_stationary_mean(stationary_default):
+    # the mean-field n0 with an exact n1 chain lands 3.3e-5 from the solve;
+    # the factorized closed form of criterion 8 is 3.8% off
+    params, state = stationary_default
+    assert reduced_cw_stationary(params) == pytest.approx(state.mean_n0(), rel=1e-4)
+
+
+@pytest.mark.parametrize("order", ["markov", 2])
+def test_reduced_model_tracks_fig7_runs(fig7_runs, order):
+    # what is left is the mean-field error of the n0 fluctuations: 0.138
+    # (markov) and 0.140 (order 2) on <n0> ~ 100
+    traj = fig7_runs[order]
+    params = cw_params(trap(5e4), order)
+    if order == "markov":
+        gamma = lambda t: fig7_runs["gamma_M"]
+    else:
+        # the order-2 rate on the run's half-step grid, as evolve samples it
+        half = UniformGrid(0.0, 0.5 * (traj.times[1] - traj.times[0]), 2 * traj.times.size - 1)
+        rates = tcl.tcl_series_rates(volterra.memory_kernel(params.trap, half), 2)
+        gamma = CubicSpline(half.times(), rates.total_gamma().values)
+    m = reduced_cw_mean_n0(params, traj.times, gamma)
+    assert np.abs(m - traj.mean_n0).max() <= 2e-3 * traj.mean_n0.max()
 
 
 def test_order4_oscillates_above_markov(fig7_runs):

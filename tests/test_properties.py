@@ -1,10 +1,11 @@
 """Property tests of the cw generator assembly and stationary solve over
 random small boxes and rates, of the CSV writer over arbitrary floats, of config parsing over
-hostile values, of pulsed runs over random couplings and horizons, and of grid_for over whole
-numbers of steps. Derandomized: every run draws the same examples, so a failure always
-reproduces."""
+hostile values, of pulsed runs over random couplings and horizons, of cw runs over random small
+boxes, rates, orders and short horizons, and of grid_for over whole numbers of steps.
+Derandomized: every run draws the same examples, so a failure always reproduces."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,33 @@ def test_pulsed_runs_exit_zero_or_two(tmp_path_factory, Gamma, order, n_steps, d
     cfg = out / "fuzz.cfg"
     cfg.write_text(text)
     assert main(["run", str(cfg), "--out", str(out)]) in (0, 2)
+
+
+# each example forks one child per (order, grid) solve: 25 take about 4 s
+@settings(PROPERTY, max_examples=25)
+@given(st.floats(3.0, 6.0).map(lambda x: 10.0**x), boxes, boxes, st.integers(1, 40),
+       st.floats(0.01, 10.0), st.floats(0.5, 100.0), st.floats(0.0, 100.0), Ns,
+       st.lists(st.sampled_from(["markov", "2", "4"]), min_size=1, max_size=3, unique=True),
+       st.sampled_from(cw.R_READINGS))
+def test_cw_runs_never_end_in_a_traceback(tmp_path_factory, Gamma, n0_max, n1_max, n_steps,
+                                          t_max_gamma, kappa1_gamma, Omega_gamma, N, orders,
+                                          reading):
+    # a parsed cw scenario on a box up to 12 x 12 with at most 40 steps writes
+    # its outputs (0) or stops with a handled error (1 or 2), whatever the
+    # orders and the reading of r; main lets nothing else through
+    values = {"Gamma": repr(Gamma), "t_max_gamma": repr(t_max_gamma), "n_steps": str(n_steps),
+              "kappa1_gamma": repr(kappa1_gamma), "Omega_gamma": repr(Omega_gamma),
+              "N": repr(N), "orders": ",".join(orders)}
+    text = BUILTIN_SCENARIOS["fig7"]
+    for key, value in values.items():
+        text = re.sub(rf"^{key} = .*$", lambda _: f"{key} = {value}", text, flags=re.M)
+    text += f"n0_max = {n0_max}\nn1_max = {n1_max}\nr_reading = {reading}\n"
+    out = tmp_path_factory.mktemp("cw")
+    cfg = out / "fuzz.cfg"
+    cfg.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # pump, clipping and negativity warnings
+        assert main(["run", str(cfg), "--out", str(out)]) in (0, 1, 2)
 
 
 @PROPERTY

@@ -50,15 +50,14 @@ def test_grid_for_covers():
 @pytest.mark.parametrize("arg", ["t_max", "dt"])
 @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
 def test_solver_entry_points_reject_bad_grids(arg, bad):
-    # grid_for is the one place (t_max, dt) becomes a grid, so both solvers
-    # refuse a bad value with a ConfigError that names it
+    # grid_for is the one place (t_max, dt) becomes a grid, so cw.evolve
+    # refuses a bad value with a ConfigError that names it; the Volterra
+    # solve takes no (t_max, dt), only a kernel sampled on a grid
     good = {"t_max": 1e-3, "dt": 1e-5}
     kwargs = {**good, arg: bad}
     match = f"{arg} must be finite and positive"
     with pytest.raises(ConfigError, match=match):
         grid_for(**kwargs)
-    with pytest.raises(ConfigError, match=match):
-        volterra.solve_amplitude(trap(5e4), **kwargs)
     params = cw_params(trap(5e4), "markov", n0_max=5, n1_max=5)
     with pytest.raises(ConfigError, match=match):
         cw.evolve(params, cw.DiagonalState.vacuum(5, 5), **kwargs)

@@ -8,7 +8,7 @@ from atomlaser import DomainError, ParameterError, model, tcl, volterra
 from atomlaser.quad import SampledFunction, UniformGrid, cumulative_integral, next_fast_len
 from atomlaser.tcl import RateSeries
 
-from conftest import OMEGA0, halving_difference, trap
+from conftest import OMEGA0, amplitude, halving_difference, series_rates, trap
 
 GAMMA_M_5E4 = 92.62263163409446
 
@@ -25,7 +25,7 @@ def test_order2_series_equals_quadrature():
     p = trap(5e4)
     g = _grid(0.03, 1e-5)
     gamma2, s2 = tcl.tcl2_rates(p, g)
-    series = tcl.tcl_series_rates(p, g, order_max=2)
+    series = series_rates(p, g, order_max=2)
     np.testing.assert_allclose(series.gamma_by_order[2], gamma2.values,
                                rtol=1e-10, atol=1e-8)
     np.testing.assert_allclose(series.S_by_order[2], s2.values,
@@ -40,7 +40,7 @@ def test_order4_series_matches_quadrature_within_grid_error():
         return tcl.tcl4_rates(p, grid)[0]
 
     def by_series(grid):
-        return SampledFunction(grid, tcl.tcl_series_rates(p, grid, 4).gamma_by_order[4])
+        return SampledFunction(grid, series_rates(p, grid, 4).gamma_by_order[4])
 
     est = halving_difference(by_tables, g) + halving_difference(by_series, g)
     diff = np.max(np.abs(by_tables(g).values - by_series(g).values))
@@ -55,7 +55,7 @@ def test_order4_shift_routes_agree():
         return tcl.tcl4_rates(p, grid)[1]
 
     def by_series(grid):
-        return SampledFunction(grid, tcl.tcl_series_rates(p, grid, 4).S_by_order[4])
+        return SampledFunction(grid, series_rates(p, grid, 4).S_by_order[4])
 
     est = halving_difference(by_tables, g) + halving_difference(by_series, g)
     diff = np.max(np.abs(by_tables(g).values - by_series(g).values))
@@ -103,7 +103,7 @@ def _series_rates_per_term(params, grid, order_max):
 @pytest.mark.parametrize("grid_name", ["fig2", "fig4 dt/2", "cw 21", "cw 41", "fig7 half"])
 def test_series_rates_bit_identical_to_per_term_loop(order_max, grid_name):
     # cw's gamma(t) comes from tcl_series_rates, so sharing the kernel
-    # spectrum must not move a bit of it, with or without a caller's kernel.
+    # spectrum must not move a bit of it.
     # fig4 at dt/2 transforms 21,609 points: from 256 KiB on, `a * b` with a
     # temporary b reuses b and swaps the operands of the complex product
     # (Gamma, horizon in units of 1/gamma_M, steps); the cw grids are the
@@ -114,11 +114,10 @@ def test_series_rates_bit_identical_to_per_term_loop(order_max, grid_name):
     p = trap(Gamma)
     grid = UniformGrid(0.0, t_max / model.gamma_markov_closed_form(p) / n_steps, n_steps + 1)
     want = _series_rates_per_term(p, grid, order_max)
-    for kernel in (None, volterra.memory_kernel(p, grid)):
-        got = tcl.tcl_series_rates(p, grid, order_max, kernel=kernel)
-        for order, (gamma, shift) in want.items():
-            assert np.array_equal(got.gamma_by_order[order], gamma), order
-            assert np.array_equal(got.S_by_order[order], shift), order
+    got = tcl.tcl_series_rates(volterra.memory_kernel(p, grid), order_max)
+    for order, (gamma, shift) in want.items():
+        assert np.array_equal(got.gamma_by_order[order], gamma), order
+        assert np.array_equal(got.S_by_order[order], shift), order
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +137,7 @@ def test_constant_kernel_order_terms():
     p = toy_trap()
     g = _grid(3.0, 0.002)
     t = g.times()
-    series = tcl.tcl_series_rates(p, g, order_max=6)
+    series = series_rates(p, g, order_max=6)
     np.testing.assert_allclose(series.gamma_by_order[2], 2 * TOY_GAMMA * t,
                                rtol=1e-5, atol=1e-9)
     np.testing.assert_allclose(series.gamma_by_order[4],
@@ -164,8 +163,8 @@ def test_constant_kernel_order4_quadrature():
 def test_coupling_strength_scaling():
     # order 2k carries k kernel factors, so rates scale as Gamma^k
     g = _grid(0.02, 2e-5)
-    lo = tcl.tcl_series_rates(trap(5e4), g, order_max=6)
-    hi = tcl.tcl_series_rates(trap(1e5), g, order_max=6)
+    lo = series_rates(trap(5e4), g, order_max=6)
+    hi = series_rates(trap(1e5), g, order_max=6)
     for order, factor in ((2, 2.0), (4, 4.0), (6, 8.0)):
         a, b = lo.gamma_by_order[order], hi.gamma_by_order[order]
         mask = np.abs(a) > 1e-6 * np.max(np.abs(a))
@@ -289,10 +288,10 @@ def test_order6_occupation_close_to_exact():
     gm = model.gamma_markov_closed_form(p)
     dt = 1.5e-5
     g = _grid(np.ceil(3.5 / gm / dt) * dt, dt)
-    traj = volterra.solve_amplitude(p, t_max=g.t_end, dt=dt)
+    traj = amplitude(p, t_max=g.t_end, dt=dt)
     assert traj.grid.n_points == g.n_points
     n_exact = volterra.occupation(traj)
-    rates = tcl.tcl_series_rates(p, g, order_max=6)
+    rates = series_rates(p, g, order_max=6)
     n6 = tcl.occupation_from_rates(rates)
     assert np.max(np.abs(n6.values - n_exact.values)) <= 0.05
 
@@ -304,7 +303,7 @@ def test_series_breakdown_at_strong_coupling():
     gm = model.gamma_markov_closed_form(p)
     dt = 2e-6
     g = _grid(np.ceil(7.0 / gm / dt) * dt, dt)
-    rates = tcl.tcl_series_rates(p, g, order_max=6)
+    rates = series_rates(p, g, order_max=6)
     idx = tcl.series_breakdown_index(rates)
     assert idx is not None
     t_break = idx * dt * gm
@@ -317,7 +316,7 @@ def test_series_breakdown_at_strong_coupling():
     (5e4, 0.043, 1e-5),   # figure regime where order 4 is accurate
 ])
 def test_series_no_breakdown_below_strong_coupling(Gamma, t_max, dt):
-    rates = tcl.tcl_series_rates(trap(Gamma), _grid(t_max, dt), order_max=6)
+    rates = series_rates(trap(Gamma), _grid(t_max, dt), order_max=6)
     assert tcl.series_breakdown_index(rates) is None
 
 
@@ -329,8 +328,8 @@ def test_residual_beyond_order6_scales_as_fourth_power():
     def residual(Gamma):
         p = trap(Gamma)
         g = _grid(t_fix, dt)
-        traj = volterra.solve_amplitude(p, t_max=t_fix, dt=dt)
-        series = tcl.tcl_series_rates(p, g, order_max=6)
+        traj = amplitude(p, t_max=t_fix, dt=dt)
+        series = series_rates(p, g, order_max=6)
         return volterra.exact_rates(traj).gamma.values[-1] - series.total_gamma().values[-1]
 
     ratio = residual(1e4) / residual(5e3)
@@ -347,9 +346,9 @@ def test_occupation_ordering_at_figure_regime():
     dt = 1e-5
     t_probe = np.ceil(2.0 / gm / dt) * dt
     g = _grid(t_probe, dt)
-    traj = volterra.solve_amplitude(p, t_max=t_probe, dt=dt)
+    traj = amplitude(p, t_max=t_probe, dt=dt)
     n_exact = volterra.occupation(traj).values[-1]
-    series = tcl.tcl_series_rates(p, g, 4)
+    series = series_rates(p, g, 4)
     n2 = tcl.occupation_from_rates(series, 2).values[-1]
     n4 = tcl.occupation_from_rates(series, 4).values[-1]
     n_markov = np.exp(-gm * t_probe)

@@ -12,7 +12,7 @@ from atomlaser import ConfigError, GridError, NumericalFailure, model, volterra
 from atomlaser.quad import SampledFunction, UniformGrid, cumulative_integral
 from atomlaser.volterra import RATE_CUTOFF, AmplitudeTrajectory
 
-from conftest import trap
+from conftest import amplitude, trap
 from reference import laplace_amplitude
 
 ALPHA = 2636.4295425
@@ -154,7 +154,7 @@ def test_amplitude_converges_to_laplace_reference(Gamma):
     u_ref = laplace_amplitude(p, 4e-6 * coarse)
     errors = []
     for m in (1, 2, 4):
-        traj = volterra.solve_amplitude(p, 4e-6 * steps, 4e-6 / m)
+        traj = amplitude(p, 4e-6 * steps, 4e-6 / m)
         errors.append(np.abs(traj.u[m * coarse] - u_ref).max())
     assert errors[2] < 2e-7
     assert 3.8 < errors[0] / errors[1] < 4.2
@@ -162,7 +162,7 @@ def test_amplitude_converges_to_laplace_reference(Gamma):
 
 
 def test_zero_coupling_is_free():
-    traj = volterra.solve_amplitude(trap(0.0), t_max=1e-3, dt=1e-6)
+    traj = amplitude(trap(0.0), t_max=1e-3, dt=1e-6)
     np.testing.assert_allclose(traj.u, 1.0, atol=1e-14)
     np.testing.assert_allclose(traj.udot, 0.0, atol=1e-14)
     n = volterra.occupation(traj)
@@ -186,7 +186,7 @@ def test_short_time_quadratic_depletion():
     # n(t) ~ 1 - Gamma t^2 before the kernel decorrelates
     p = trap(5e4)
     t_probe = 1e-3 / ALPHA
-    traj = volterra.solve_amplitude(p, t_max=t_probe, dt=t_probe / 50)
+    traj = amplitude(p, t_max=t_probe, dt=t_probe / 50)
     n_end = abs(traj.u[-1]) ** 2
     expected = 1.0 - p.Gamma * traj.grid.t_end ** 2
     assert n_end == pytest.approx(expected, rel=1e-2)
@@ -197,7 +197,7 @@ def test_weak_coupling_matches_markov():
     p = trap(1e3)
     gm = model.gamma_markov_closed_form(p)
     t_max = 3.0 / gm
-    traj = volterra.solve_amplitude(p, t_max=t_max, dt=0.05 / ALPHA)
+    traj = amplitude(p, t_max=t_max, dt=0.05 / ALPHA)
     n = volterra.occupation(traj)
     markov = np.exp(-gm * traj.grid.times())
     assert np.max(np.abs(n.values - markov) / markov) < 0.02
@@ -206,13 +206,13 @@ def test_weak_coupling_matches_markov():
 def test_strong_coupling_decays_slower_than_markov():
     p = trap(5e4)
     t_probe = 2.0 / GAMMA_M_5E4
-    traj = volterra.solve_amplitude(p, t_max=t_probe, dt=1e-5)
+    traj = amplitude(p, t_max=t_probe, dt=1e-5)
     n_end = abs(traj.u[-1]) ** 2
     assert n_end > np.exp(-2.0)
 
 
 def test_exact_rates_zero_coupling():
-    traj = volterra.solve_amplitude(trap(0.0), t_max=1e-3, dt=1e-6)
+    traj = amplitude(trap(0.0), t_max=1e-3, dt=1e-6)
     rates = volterra.exact_rates(traj)
     assert rates.truncation_index is None
     np.testing.assert_allclose(rates.gamma.values, 0.0, atol=1e-14)
@@ -223,7 +223,7 @@ def test_exact_rate_early_slope():
     # gamma(t) ~ 2 Gamma t while the kernel still looks constant
     p = trap(5e4)
     t_probe = 2e-3 / ALPHA
-    traj = volterra.solve_amplitude(p, t_max=t_probe, dt=t_probe / 100)
+    traj = amplitude(p, t_max=t_probe, dt=t_probe / 100)
     rates = volterra.exact_rates(traj)
     t = rates.gamma.grid.times()[1:]
     np.testing.assert_allclose(rates.gamma.values[1:], 2.0 * p.Gamma * t, rtol=5e-3)
@@ -232,7 +232,7 @@ def test_exact_rate_early_slope():
 def test_rate_integral_reproduces_occupation():
     # internal consistency: exp(-int gamma dt) must equal |u|^2
     p = trap(5e4)
-    traj = volterra.solve_amplitude(p, t_max=2.0 / GAMMA_M_5E4, dt=1e-5)
+    traj = amplitude(p, t_max=2.0 / GAMMA_M_5E4, dt=1e-5)
     rates = volterra.exact_rates(traj)
     w = cumulative_integral(rates.gamma)
     n = volterra.occupation(traj)
@@ -245,7 +245,7 @@ def test_refinement_is_second_order():
     t_max = 0.00512
 
     def n_end(dt):
-        traj = volterra.solve_amplitude(p, t_max=t_max, dt=dt)
+        traj = amplitude(p, t_max=t_max, dt=dt)
         assert abs(traj.grid.t_end - t_max) < 1e-12
         return abs(traj.u[-1]) ** 2
 
@@ -258,7 +258,7 @@ def test_refinement_is_second_order():
 def test_monotone_decay_at_moderate_coupling():
     p = trap(1e4)
     gm = model.gamma_markov_closed_form(p)
-    traj = volterra.solve_amplitude(p, t_max=2.0 / gm, dt=1.5e-5)
+    traj = amplitude(p, t_max=2.0 / gm, dt=1.5e-5)
     n = volterra.occupation(traj).values
     assert np.all(np.diff(n) <= 1e-12)
 
@@ -266,21 +266,21 @@ def test_monotone_decay_at_moderate_coupling():
 def test_config_errors():
     p = trap(5e4)
     with pytest.raises(ConfigError):
-        volterra.solve_amplitude(p, t_max=-1.0, dt=1e-5)
+        amplitude(p, t_max=-1.0, dt=1e-5)
     with pytest.raises(ConfigError):
-        volterra.solve_amplitude(p, t_max=0.0, dt=1e-5)
+        amplitude(p, t_max=0.0, dt=1e-5)
     with pytest.raises(ConfigError):
         # coarser than 0.05/omega0
-        volterra.solve_amplitude(p, t_max=1e-2, dt=0.2 / p.omega0)
+        amplitude(p, t_max=1e-2, dt=0.2 / p.omega0)
 
 
-def test_shared_kernel_must_sit_on_the_solve_grid():
+def test_memory_kernel_starts_at_lag_zero():
+    # the kernel's samples are lags 0, dt, 2 dt, ...; a grid from t0 != 0
+    # would shift every memory integral that reads them
     p = trap(5e4)
-    kernel = volterra.memory_kernel(p, UniformGrid(0.0, 1e-5, 101))
-    traj = volterra.solve_amplitude(p, 1e-3, 1e-5, kernel)
-    np.testing.assert_array_equal(traj.u, volterra.solve_amplitude(p, 1e-3, 1e-5).u)
-    with pytest.raises(GridError):
-        volterra.solve_amplitude(p, 1.01e-3, 1e-5, kernel)
+    assert volterra.memory_kernel(p, UniformGrid(0.0, 1e-5, 101)).grid.t0 == 0.0
+    with pytest.raises(GridError, match="lag 0"):
+        volterra.memory_kernel(p, UniformGrid(1e-5, 1e-5, 101))
 
 
 def test_divergence_detection():
