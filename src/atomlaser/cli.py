@@ -29,6 +29,8 @@ __all__ = ["main", "BUILTIN_SCENARIOS", "parse_scenario", "run_scenario", "list_
 
 FLOAT_FORMAT = "%.11e"
 CSV_CHUNK_ROWS = 1024
+# an occupation column further than this outside [0, 1] draws a warning
+PROBABILITY_TOL = 1e-6
 
 MODES = ("pulsed_tcl", "cw")
 
@@ -631,7 +633,23 @@ def _run_pulsed(scen, outdir):
     meta["pulsed"] = {"tcl_order": scen.tcl_order, "rate_columns": scen.rates, **diagnostics}
     base = scen.output or scen.name
     csv_name = base if base.endswith(".csv") else base + ".csv"
-    return _write_outputs(outdir, csv_name, columns, meta, _refinement(columns, fine))
+    written = _write_outputs(outdir, csv_name, columns, meta, _refinement(columns, fine))
+    _warn_outside_probabilities(columns)
+    return written
+
+
+def _warn_outside_probabilities(columns):
+    """One stderr line per occupation column that leaves [0, 1], which a
+    diverging TCL series writes without overflowing. A print, not
+    warnings.warn: a caller's error filter must not turn it into a traceback."""
+    for name, values in columns:
+        if not name.startswith("n_"):
+            continue
+        rows = np.flatnonzero((values < -PROBABILITY_TOL) | (values > 1.0 + PROBABILITY_TOL))
+        if rows.size:
+            extreme = values[rows[np.argmax(np.abs(values[rows] - 0.5))]]
+            print(f"atomlaser: warning: column {name} leaves [0, 1] from row {rows[0]} "
+                  f"(extreme {extreme:.3e})", file=sys.stderr)
 
 
 def _cw_label(order):

@@ -1,10 +1,12 @@
 """Physical parameters and closed-form reservoir functions.
 
 The trapped mode at frequency omega0 couples to a continuum of free momentum
-states through a Gaussian momentum-space amplitude. Everything downstream
-(memory kernel, perturbative rates, cw generator) is built from the three
-functions evaluated here: the coupling amplitude kappa(k), the spectral
-density J(omega) and the reservoir correlation f(tau).
+states through a Gaussian momentum-space amplitude, whose spectral density
+J(omega) and reservoir correlation f(tau) are evaluated here. Everything
+downstream (memory kernel, perturbative rates, cw generator) is built from f;
+its imaginary quadrature psi = 2 Im f gives the frequency shift S_M. The
+coupling amplitude kappa(k), the real quadrature phi = 2 Re f and gamma_M by
+quadrature are test references (`tests/reference.py`): no run evaluates them.
 """
 
 from dataclasses import dataclass
@@ -17,14 +19,11 @@ __all__ = [
     "HBAR",
     "TrapParams",
     "MarkovConstants",
-    "coupling_kappa",
     "spectral_density",
     "correlation_f",
-    "phi",
     "psi",
     "markov_constants",
     "gamma_markov_closed_form",
-    "gamma_markov_by_quadrature",
     "timescale_ratio",
 ]
 
@@ -77,15 +76,6 @@ class TrapParams:
         return HBAR * self.sigma_k**2 / (2.0 * self.M)
 
 
-def coupling_kappa(params, k):
-    """Momentum-space coupling amplitude at wavenumber k (purely imaginary),
-    a Gaussian centred on k = 0."""
-    k = np.asarray(k, dtype=float)
-    norm = (2.0 * np.pi * params.sigma_k**2) ** -0.25
-    amp = np.sqrt(params.Gamma) * norm * np.exp(-(k**2) / (4.0 * params.sigma_k**2))
-    return 1j * amp
-
-
 def spectral_density(params, omega):
     """Reservoir spectral density J(omega) = Gamma exp(-omega/alpha)/sqrt(pi alpha omega).
 
@@ -112,11 +102,6 @@ def correlation_f(params, tau):
     return np.exp(1j * params.omega0 * tau) * params.Gamma / np.sqrt(1.0 + 1j * a * tau)
 
 
-def phi(params, tau):
-    """Real quadrature of the memory kernel, phi = 2 Re f."""
-    return 2.0 * correlation_f(params, tau).real
-
-
 def psi(params, tau):
     """Imaginary quadrature of the memory kernel, psi = 2 Im f."""
     return 2.0 * correlation_f(params, tau).imag
@@ -129,8 +114,8 @@ def psi(params, tau):
 HEAD_SEGMENTS, TAIL_SEGMENTS, GAUSS_ORDER = 8, 48, 16
 # leggauss(GAUSS_ORDER), formed at first use: numpy.polynomial loads lazily
 _gauss_rule = None
-# relative targets: gamma_M by quadrature only cross-checks its closed form
-GAMMA_QUAD_RTOL, SHIFT_QUAD_RTOL = 1e-3, 1e-6
+# relative target of the S_M quadrature
+SHIFT_QUAD_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -183,17 +168,6 @@ def _tail_accelerated_integral(func, omega0):
     head = segments[:HEAD_SEGMENTS].sum()
     partial = head + np.cumsum(segments[HEAD_SEGMENTS:])
     return _euler_accelerated_tail(partial)
-
-
-def gamma_markov_by_quadrature(params):
-    """gamma_M as the full time integral of phi, for cross-checking the closed form."""
-    value, err = _tail_accelerated_integral(lambda t: phi(params, t), params.omega0)
-    if err > GAMMA_QUAD_RTOL * max(abs(value), 1.0):
-        raise NumericalFailure(
-            f"gamma_M quadrature did not converge: achieved {err:.3e}, "
-            f"wanted {GAMMA_QUAD_RTOL:.1e} relative"
-        )
-    return value
 
 
 def markov_constants(params):

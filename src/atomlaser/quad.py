@@ -4,7 +4,9 @@ Everything here is composite-trapezoid based (order dt^2). The memory kernel
 has unbounded derivatives as tau -> 0, which higher-order end-corrected rules
 handle poorly; second-order product integration is robust there and accuracy
 is controlled by grid halving instead. Every convolution is one FFT product
-with the spectrum a SampledFunction keeps of its samples.
+with the spectrum a SampledFunction keeps of its samples. The ordered triple
+integrals of the order-4 quadrature route, which no run evaluates, are test
+references (`tests/reference.py`).
 """
 
 from bisect import bisect_left
@@ -13,16 +15,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, GridError, ParameterError
+from .errors import ConfigError, GridError
 
 __all__ = [
     "UniformGrid",
     "SampledFunction",
-    "sample",
     "cumulative_integral",
     "iterated_convolution",
-    "ordered_triple_direct",
-    "ordered_triple_factored",
 ]
 
 
@@ -44,10 +43,6 @@ class UniformGrid:
     @property
     def t_end(self):
         return self.t0 + self.dt * (self.n_points - 1)
-
-    def coarsened(self):
-        """Every other point, dt doubled. Used for halving error estimates."""
-        return UniformGrid(self.t0, 2.0 * self.dt, (self.n_points + 1) // 2)
 
 
 def grid_for(t_max, dt):
@@ -98,11 +93,6 @@ class SampledFunction:
         # multiplication with FMA rounds differently in the other order
         out = np.fft.ifft(np.multiply(self.spectrum, np.fft.fft(x, size)), size)[: x.size]
         return out.real if np.isrealobj(self.values) and np.isrealobj(x) else out
-
-
-def sample(func, grid):
-    """Evaluate a callable on the grid and wrap it."""
-    return SampledFunction(grid, np.asarray(func(grid.times())))
 
 
 def _same_grid(a, b):
@@ -156,62 +146,6 @@ def iterated_convolution(kernel, u):
     out = kernel.grid.dt * (kernel.convolve(x) - 0.5 * k[0] * x - 0.5 * k * x[0])
     out[0] = 0.0  # exact for an empty interval; fft noise would leave ~1e-16
     return SampledFunction(kernel.grid, out)
-
-
-# ---------------------------------------------------------------------------
-# Ordered triple integrals over the simplex t >= t1 >= t2 >= t3 >= 0
-
-
-def ordered_triple_direct(g, t, dt):
-    """Direct nested-trapezoid evaluation of
-    integral_0^t dt1 integral_0^t1 dt2 integral_0^t2 dt3 g(t1, t2, t3).
-
-    g receives (t1, t2, t3_array) with t3_array vectorized. O(n^3) work;
-    meant for validation on coarse grids, not production rates.
-    """
-    n = int(round(t / dt))
-    if n < 1:
-        return 0.0 + 0.0j
-    ts = dt * np.arange(n + 1)
-    outer = np.zeros(n + 1, dtype=complex)
-    for j1 in range(1, n + 1):
-        mid = np.zeros(j1 + 1, dtype=complex)
-        for j2 in range(1, j1 + 1):
-            vals = np.asarray(g(ts[j1], ts[j2], ts[: j2 + 1]), dtype=complex)
-            mid[j2] = np.trapezoid(vals, dx=dt)
-        outer[j1] = np.trapezoid(mid, dx=dt)
-    return complex(np.trapezoid(outer, dx=dt))
-
-
-def ordered_triple_factored(a, b, pairing):
-    """All values of the ordered triple integral for factorized integrands.
-
-    pairing "outer-mid":  g = a(t - t2) b(t1 - t3)
-    pairing "outer-late": g = a(t - t3) b(t1 - t2)
-
-    These are the only two couplings that occur in the fourth-order rate
-    integrands. Reducing the inner integrals to running-integral tables makes
-    the whole curve O(n^2) instead of O(n^4):
-
-        outer-mid:  F_a(t) F2_b(t) - (a * F2_b)(t) - int_0^t a F2_b
-        outer-late: F_a(t) F2_b(t) - int_0^t F_a F_b
-
-    with F the running integral, F2 the doubly-running integral and * the
-    convolution. Returns a SampledFunction on the shared grid.
-    """
-    _same_grid(a, b)
-    dt = a.grid.dt
-    fa = _cumtrapz(a.values, dt)
-    fb = _cumtrapz(b.values, dt)
-    f2b = _cumtrapz(fb, dt)
-    if pairing == "outer-mid":
-        vals = (fa * f2b - iterated_convolution(a, SampledFunction(a.grid, f2b)).values
-                - _cumtrapz(a.values * f2b, dt))
-    elif pairing == "outer-late":
-        vals = fa * f2b - _cumtrapz(fa * fb, dt)
-    else:
-        raise ParameterError(f"unknown pairing {pairing!r}")
-    return SampledFunction(a.grid, vals)
 
 
 def shared_points_difference(fine, coarse):

@@ -1,18 +1,15 @@
 """Time-convolutionless perturbative decay rates and frequency shifts.
 
-Two independent routes to the rates live here on purpose:
+A run computes the rates of orders 2, 4 and 6 one way: `tcl_series_rates`
+expands the exact amplitude in a Neumann series and reads the rates off its
+logarithmic derivative. That is the only practical generator of the order-6
+terms; the closed-form order-6 integrand is a five-fold integral of 45 terms
+and is transcribed nowhere.
 
-* direct quadrature of the printed order-2 and order-4 integrands
-  (`tcl2_rates`, `tcl4_rates`), and
-* a series route (`tcl_series_rates`) that expands the exact amplitude in a
-  Neumann series and reads the rates off the logarithmic derivative, which is
-  the only practical generator of the order-6 terms (the closed-form order-6
-  integrand is a five-fold integral of 45 terms and is not transcribed
-  anywhere in this package).
-
-Their agreement at orders 2 and 4 is the central correctness check of the
-whole rate machinery and is enforced in the test suite; `tcl4_rates` can also
-self-check its fast evaluation path against O(n^3) nested quadrature.
+The series route is checked against a second one that lives with the tests
+(`tests/reference.py`): direct quadrature of the printed order-2 and order-4
+integrands. Their agreement within the grid-halving error at orders 2 and 4
+is the central correctness check of the rate machinery.
 """
 
 import warnings
@@ -22,21 +19,11 @@ import numpy as np
 
 from . import model
 from .errors import DomainError, NumericalFailure, ParameterError
-from .quad import (
-    SampledFunction,
-    cumulative_integral,
-    iterated_convolution,
-    ordered_triple_direct,
-    ordered_triple_factored,
-    sample,
-    shared_points_difference,
-)
+from .quad import SampledFunction, cumulative_integral, iterated_convolution
 
 __all__ = [
     "RateSeries",
     "WaitingTime",
-    "tcl2_rates",
-    "tcl4_rates",
     "tcl_series_rates",
     "occupation_from_rates",
     "waiting_time",
@@ -45,8 +32,6 @@ __all__ = [
 ]
 
 BREAKDOWN_FLOOR = 0.1
-# late grid times at which tcl4_rates(cross_validate=True) runs the nested rule
-VALIDATE_POINTS = 3
 
 
 @dataclass
@@ -77,94 +62,6 @@ class RateSeries:
         for order in range(2, top + 1, 2):
             out = out + self.gamma_by_order[order]
         return SampledFunction(self.grid, out)
-
-
-def tcl2_rates(params, grid):
-    """Second-order rate and shift: running integrals of phi and psi."""
-    gamma2 = cumulative_integral(sample(lambda t: model.phi(params, t), grid))
-    s2 = cumulative_integral(sample(lambda t: model.psi(params, t), grid))
-    return gamma2, s2
-
-
-def _tcl4_from_tables(params, grid):
-    phi_s = sample(lambda t: model.phi(params, t), grid)
-    psi_s = sample(lambda t: model.psi(params, t), grid)
-
-    def mid(a, b):
-        return ordered_triple_factored(a, b, "outer-mid").values
-
-    def late(a, b):
-        return ordered_triple_factored(a, b, "outer-late").values
-
-    gamma4 = 0.5 * (mid(phi_s, phi_s) + late(phi_s, phi_s)
-                    - late(psi_s, psi_s) - mid(psi_s, psi_s))
-    s4 = 0.5 * (mid(psi_s, phi_s) + mid(phi_s, psi_s)
-                + late(psi_s, phi_s) + late(phi_s, psi_s))
-    return (SampledFunction(grid, gamma4.real), SampledFunction(grid, s4.real),
-            phi_s, psi_s)
-
-
-def _tcl4_direct_value(phi_s, psi_s, t, dt):
-    """O(n^3) nested-trapezoid value of (gamma4, S4) at one time."""
-    grid = phi_s.grid
-
-    def interp(arr, x):
-        # x is always a grid difference of grid points, so this lookup is exact
-        j = np.rint((x - grid.t0) / grid.dt).astype(int)
-        return arr[j]
-
-    pv, qv = phi_s.values, psi_s.values
-
-    def g_gamma(t1, t2, t3):
-        return (interp(pv, t - t2) * interp(pv, t1 - t3)
-                + interp(pv, t - t3) * interp(pv, t1 - t2)
-                - interp(qv, t - t3) * interp(qv, t1 - t2)
-                - interp(qv, t - t2) * interp(qv, t1 - t3))
-
-    def g_shift(t1, t2, t3):
-        return (interp(qv, t - t2) * interp(pv, t1 - t3)
-                + interp(pv, t - t2) * interp(qv, t1 - t3)
-                + interp(qv, t - t3) * interp(pv, t1 - t2)
-                + interp(pv, t - t3) * interp(qv, t1 - t2))
-
-    return (0.5 * ordered_triple_direct(g_gamma, t, dt).real,
-            0.5 * ordered_triple_direct(g_shift, t, dt).real)
-
-
-def tcl4_rates(params, grid, cross_validate=False):
-    """Fourth-order rate and shift curves.
-
-    The printed integrands are ordered triple integrals whose terms couple the
-    outer time either to the middle or to the last integration variable; both
-    couplings factorize, so the default path evaluates the O(n^2) table form.
-    With cross_validate=True the slow O(n^3) nested rule is evaluated at
-    VALIDATE_POINTS late grid times and the two paths must agree within 10x
-    a grid-halving error estimate, else NumericalFailure.
-    """
-    gamma4, s4, phi_s, psi_s = _tcl4_from_tables(params, grid)
-    if cross_validate:
-        n = grid.n_points
-        idx = np.unique(np.linspace(n // 2, n - 1, VALIDATE_POINTS, dtype=int))
-        # halving estimate for the fast path, on shared coarse points
-        coarse_g4, coarse_s4, _, _ = _tcl4_from_tables(params, grid.coarsened())
-        est_g = shared_points_difference(gamma4.values, coarse_g4.values)
-        est_s = shared_points_difference(s4.values, coarse_s4.values)
-        ts = grid.times()
-        for j in idx:
-            direct_g, direct_s = _tcl4_direct_value(phi_s, psi_s, ts[j], grid.dt)
-            if abs(direct_g - gamma4.values[j]) > 10.0 * max(est_g, 1e-300):
-                raise NumericalFailure(
-                    f"fourth-order rate paths disagree at t = {ts[j]:.6e}: "
-                    f"table {gamma4.values[j]:.6e} vs nested {direct_g:.6e} "
-                    f"(allowed {10.0 * est_g:.2e})"
-                )
-            if abs(direct_s - s4.values[j]) > 10.0 * max(est_s, 1e-300):
-                raise NumericalFailure(
-                    f"fourth-order shift paths disagree at t = {ts[j]:.6e}: "
-                    f"table {s4.values[j]:.6e} vs nested {direct_s:.6e} "
-                    f"(allowed {10.0 * est_s:.2e})"
-                )
-    return gamma4, s4
 
 
 def tcl_series_rates(kernel, order_max=6):

@@ -1,6 +1,7 @@
 """Reference solutions reached by another road than the production solvers:
-the pulsed amplitude from the Laplace domain, and a reduced cw laser with
-the lasing mode as a mean field.
+the pulsed amplitude from the Laplace domain, the TCL rates by direct
+quadrature of their printed integrands, and a reduced cw laser with the
+lasing mode as a mean field.
 
 laplace_amplitude is the exact pulsed amplitude of the memory equation
 
@@ -26,6 +27,14 @@ of Weideman and Trefethen (Math. Comp. 76, 2007). Subtracting the pole
 matters: once the contour passes to the left of w_p, Talbot's rule alone
 silently returns only cut(t).
 
+The quadrature route writes the order-2 rate and shift as running integrals
+of phi = 2 Re f and psi = 2 Im f, and the order-4 ones as ordered triple
+integrals over t >= t1 >= t2 >= t3 >= 0 whose terms couple the outer time to
+the middle or to the last variable. Both couplings factorize into running
+integral tables, O(n^2) per curve (tcl4_rates); the nested trapezoid rule
+checks the tables at single times in O(n^3) (tcl4_nested). The series route
+of atomlaser.tcl must match both orders within the halving error.
+
 The reduced cw model keeps the pumped mode n1 as an exact birth-death chain
 q(n1) on 0..n1_max, with pump gain kappa1 N (n1 + 1), pump loss
 kappa1 (1 + N) n1 and pair loss Omega (m + 1) n1 (n1 - 1), and replaces the
@@ -49,7 +58,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import wofz
 
-from atomlaser import model
+from atomlaser import ParameterError, model
+from atomlaser.quad import SampledFunction, _cumtrapz, cumulative_integral, iterated_convolution
 
 TALBOT_NODES = 32
 
@@ -95,6 +105,124 @@ def laplace_amplitude(params, times):
         cut = np.sum(np.exp(w * t) * regular * shape_slope) / 1j / t
         out.append(np.exp(-1j * params.omega0 * t) * (residue * np.exp(w_p * t) + cut))
     return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# Quadrature routes: the coupling amplitude, gamma_M and the order-2/4 TCL rates
+
+
+def coupling_kappa(params, k):
+    """Momentum-space coupling amplitude at wavenumber k (purely imaginary),
+    a Gaussian centred on k = 0."""
+    k = np.asarray(k, dtype=float)
+    norm = (2.0 * np.pi * params.sigma_k**2) ** -0.25
+    amp = np.sqrt(params.Gamma) * norm * np.exp(-(k**2) / (4.0 * params.sigma_k**2))
+    return 1j * amp
+
+
+def phi(params, tau):
+    """Real quadrature of the memory kernel, phi = 2 Re f."""
+    return 2.0 * model.correlation_f(params, tau).real
+
+
+def gamma_markov_by_quadrature(params):
+    """gamma_M as the time integral of phi over [0, inf), by the accelerated
+    rule that gives markov_constants its S_M."""
+    return model._tail_accelerated_integral(lambda t: phi(params, t), params.omega0)[0]
+
+
+def sample(func, grid):
+    """Evaluate a callable on the grid and wrap it."""
+    return SampledFunction(grid, np.asarray(func(grid.times())))
+
+
+def ordered_triple_direct(g, t, dt):
+    """Direct nested-trapezoid evaluation of
+    integral_0^t dt1 integral_0^t1 dt2 integral_0^t2 dt3 g(t1, t2, t3).
+
+    g receives (t1, t2, t3_array) with t3_array vectorized. O(n^3) work.
+    """
+    n = int(round(t / dt))
+    if n < 1:
+        return 0.0 + 0.0j
+    ts = dt * np.arange(n + 1)
+    outer = np.zeros(n + 1, dtype=complex)
+    for j1 in range(1, n + 1):
+        mid = np.zeros(j1 + 1, dtype=complex)
+        for j2 in range(1, j1 + 1):
+            vals = np.asarray(g(ts[j1], ts[j2], ts[: j2 + 1]), dtype=complex)
+            mid[j2] = np.trapezoid(vals, dx=dt)
+        outer[j1] = np.trapezoid(mid, dx=dt)
+    return complex(np.trapezoid(outer, dx=dt))
+
+
+def ordered_triple_factored(a, b, pairing):
+    """All values of the ordered triple integral for factorized integrands.
+
+    pairing "outer-mid":  g = a(t - t2) b(t1 - t3)
+    pairing "outer-late": g = a(t - t3) b(t1 - t2)
+
+    Reducing the inner integrals to running-integral tables makes the whole
+    curve O(n^2) instead of O(n^4):
+
+        outer-mid:  F_a(t) F2_b(t) - (a * F2_b)(t) - int_0^t a F2_b
+        outer-late: F_a(t) F2_b(t) - int_0^t F_a F_b
+
+    with F the running integral, F2 the doubly-running integral and * the
+    convolution. Returns a SampledFunction on the shared grid.
+    """
+    dt = a.grid.dt
+    fa = _cumtrapz(a.values, dt)
+    fb = _cumtrapz(b.values, dt)
+    f2b = _cumtrapz(fb, dt)
+    if pairing == "outer-mid":
+        vals = (fa * f2b - iterated_convolution(a, SampledFunction(a.grid, f2b)).values
+                - _cumtrapz(a.values * f2b, dt))
+    elif pairing == "outer-late":
+        vals = fa * f2b - _cumtrapz(fa * fb, dt)
+    else:
+        raise ParameterError(f"unknown pairing {pairing!r}")
+    return SampledFunction(a.grid, vals)
+
+
+def tcl2_rates(params, grid):
+    """Second-order rate and shift: running integrals of phi and psi."""
+    gamma2 = cumulative_integral(sample(lambda t: phi(params, t), grid))
+    s2 = cumulative_integral(sample(lambda t: model.psi(params, t), grid))
+    return gamma2, s2
+
+
+def tcl4_rates(params, grid):
+    """Fourth-order rate and shift curves from the running-integral tables."""
+    phi_s = sample(lambda t: phi(params, t), grid)
+    psi_s = sample(lambda t: model.psi(params, t), grid)
+
+    def mid(a, b):
+        return ordered_triple_factored(a, b, "outer-mid").values
+
+    def late(a, b):
+        return ordered_triple_factored(a, b, "outer-late").values
+
+    gamma4 = 0.5 * (mid(phi_s, phi_s) + late(phi_s, phi_s)
+                    - late(psi_s, psi_s) - mid(psi_s, psi_s))
+    s4 = 0.5 * (mid(psi_s, phi_s) + mid(phi_s, psi_s)
+                + late(psi_s, phi_s) + late(phi_s, psi_s))
+    return SampledFunction(grid, gamma4), SampledFunction(grid, s4)
+
+
+def tcl4_nested(params, t, dt):
+    """(gamma4, S4) at time t by the O(n^3) nested trapezoid rule.
+
+    With phi = 2 Re f and psi = 2 Im f the printed integrands are 4 Re and
+    4 Im of f(t - t2) f(t1 - t3) + f(t - t3) f(t1 - t2), and the rates carry
+    a factor 1/2.
+    """
+    def f(tau):
+        return model.correlation_f(params, tau)
+
+    total = ordered_triple_direct(
+        lambda t1, t2, t3: f(t - t2) * f(t1 - t3) + f(t - t3) * f(t1 - t2), t, dt)
+    return 2.0 * total.real, 2.0 * total.imag
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from atomlaser.cli import (BUILTIN_SCENARIOS, FLOAT_FORMAT, _cw_columns, _write_
 from atomlaser.quad import shared_points_difference
 
 from conftest import cw_params, evolve_here, trap
+from reference import laplace_amplitude
 
 GAMMA_M_5E4 = 92.62263163409446
 
@@ -110,10 +111,26 @@ def test_fig2_sidecar(fig2_out):
         assert 0.0 <= est[col] < 1e-3
 
 
+def test_fig2_refinement_estimate_bounds_the_error(fig2_out):
+    # under a second-order rule the coarse run's error is 4/3 of its
+    # difference from the dt/2 rerun; against the Laplace-domain amplitude
+    # the worst n_exact error measured 1.000001 times 4/3 of the estimate
+    path = os.path.join(fig2_out, "fig2.csv")
+    data = _read_csv(path)
+    est = _read_meta(path)["refinement"]["estimates"]["n_exact"]
+    u_ref = laplace_amplitude(trap(5e4), data["t_seconds"][1:])
+    err = np.abs(data["n_exact"][1:] - np.abs(u_ref) ** 2).max()
+    assert 0.99 <= err / (4.0 / 3.0 * est) <= 1.01
+
+
 @pytest.mark.parametrize("fig, breakdown", [("fig2", None), ("fig3", None),
                                             ("fig4", 2785), ("fig5", None)])
-def test_pulsed_sidecar_diagnostics(tmp_path, fig, breakdown):
+def test_pulsed_sidecar_diagnostics(tmp_path, capsys, fig, breakdown):
     assert main(["run", fig, "--out", str(tmp_path)]) == 0
+    # only fig4's order-6 column leaves [0, 1], and the run still exits 0
+    warned = ("atomlaser: warning: column n_tcl6 leaves [0, 1] from row 4799 "
+              "(extreme 3.427e+10)\n") if fig == "fig4" else ""
+    assert capsys.readouterr().err == warned
     pulsed = _read_meta(str(tmp_path / f"{fig}.csv"))["pulsed"]
     # fig4 prints order-6 columns past the point where the series broke down
     assert pulsed["series_breakdown_index"] == breakdown
@@ -587,7 +604,8 @@ dt = 1.8e-5
 def test_diverging_series_exits_two(tmp_path, capsys, order, rc):
     # at Gamma = 3e6 the order-6 exponent -int gamma passes 709 near 5.2 ms,
     # so exp overflows: a numerical failure naming the order, not a config
-    # error; the same horizon at order 4 stays in range
+    # error; the same horizon at order 4 stays in range, and its diverging
+    # occupation draws a warning
     cfg = tmp_path / "diverging.cfg"
     cfg.write_text(DIVERGING_PULSED)
     with warnings.catch_warnings():
@@ -599,7 +617,8 @@ def test_diverging_series_exits_two(tmp_path, capsys, order, rc):
         assert "at t = 5.202000e-03 s" in err
         assert not list(tmp_path.glob("*.csv"))
     else:
-        assert err == ""
+        assert err == ("atomlaser: warning: column n_tcl4 leaves [0, 1] from row 342 "
+                       "(extreme 4.261e+91)\n")
         assert (tmp_path / "diverging.csv").exists()
 
 

