@@ -580,6 +580,8 @@ def evolve(params, p0, t_max, dt):
 
     clip = 0.0
     record(0, p, clip)
+    # leak_dot(p, rr_h[2j]) at the start of step j is the previous step's
+    # endpoint value; the first step is always a Rannacher step, which sets it
     for j in range(n_steps):
         g0, g1 = gamma_h[2 * j], gamma_h[2 * j + 2]
         r0, r1 = rr_h[2 * j], rr_h[2 * j + 2]
@@ -588,11 +590,14 @@ def evolve(params, p0, t_max, dt):
             p_new = implicit_solve(gm_, rm_, p)
             clip += h * leak_dot(p_new, rm_)
             p_new = implicit_solve(g1, r1, p_new)
-            clip += h * leak_dot(p_new, r1)
+            leak = leak_dot(p_new, r1)
+            clip += h * leak
         else:
             y = p + h * rhs(p, g0, r0)
             p_new = implicit_solve(g1, r1, y)
-            clip += h * (leak_dot(p, r0) + leak_dot(p_new, r1))
+            leak_new = leak_dot(p_new, r1)
+            clip += h * (leak + leak_new)
+            leak = leak_new
         p = p_new
         record(j + 1, p, clip)
         if params.order == 4 and not (np.abs(p).sum() <= L1_BOUND):

@@ -90,11 +90,12 @@ def tcl_series_rates(kernel, order_max=6):
     grid = kernel.grid
     u_terms = [SampledFunction(grid, np.ones(grid.n_points, dtype=complex))]
     d_terms = []
-    for _ in range(m_max):
+    for m in range(m_max):
         d = iterated_convolution(kernel, u_terms[-1])
         d_terms.append(d.values)
-        u_terms.append(cumulative_integral(d))
-    U = [((-1) ** m) * u_terms[m].values for m in range(m_max + 1)]
+        if m + 1 < m_max:  # q_k reads U_1 .. U_{m_max - 1}
+            u_terms.append(cumulative_integral(d))
+    U = [((-1) ** m) * u_terms[m].values for m in range(m_max)]
     D = [((-1) ** (m + 1)) * d_terms[m] for m in range(m_max)]
     q = [D[0]]
     if m_max >= 2:
@@ -188,7 +189,7 @@ def series_breakdown_index(rates):
     W = {
         order: cumulative_integral(
             SampledFunction(rates.grid, rates.gamma_by_order[order])).values
-        for order in (2, rates.order_max - 2, rates.order_max)
+        for order in {2, rates.order_max - 2, rates.order_max}
     }
     hi = np.abs(W[rates.order_max])
     lo = np.maximum.accumulate(np.abs(W[rates.order_max - 2]))

@@ -13,13 +13,15 @@ t(z) the power series of T's first column, so x = b(z)/t(z) is a
 power-series division: Newton doubling s <- s (2 - t s) for 1/t(z) (Kung,
 Numer. Math. 22, 1974) and one Karp-Markstein step (ACM TOMS 23, 1997),
 every product an FFT convolution, O(n log n) in all. It gives the
-step-by-step march up to rounding. The history convolution reads the
-spectrum that the kernel (memory_kernel) takes on its first convolution.
-The kernel carries the run's grid, and a pulsed run hands it to the series
-rates too, so conj f is sampled and transformed once per grid.
+step-by-step march up to rounding. The kernel (memory_kernel) carries the
+run's grid, and a pulsed run hands it to the series rates too, so conj f is
+sampled and transformed once per grid. The solve returns u alone; udot,
+which only the exact rates read, is formed from u on first use by one
+history convolution with the kernel's spectrum.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,9 +55,24 @@ LEAF = 64
 
 @dataclass
 class AmplitudeTrajectory:
-    grid: UniformGrid
+    """The amplitude u that solve_volterra gives on the grid of kernel."""
+
+    kernel: SampledFunction
     u: np.ndarray
-    udot: np.ndarray
+
+    @property
+    def grid(self):
+        return self.kernel.grid
+
+    @cached_property
+    def udot(self):
+        """du/dt of the discrete scheme (see solve_volterra), formed on first
+        use: H = k*u - k_0 u - k u_0 from one kernel.convolve, so rates never
+        see finite differences of u."""
+        k, u, dt = np.asarray(self.kernel.values, dtype=complex), self.u, self.grid.dt
+        hist = self.kernel.convolve(u)[1:] - k[0] * u[1:] - k[1:]
+        hist[0] = 0.0  # H_1 is an empty sum
+        return np.concatenate([[0.0], -dt * (0.5 * k[0] * u[1:] + hist + 0.5 * k[1:])])
 
 
 @dataclass
@@ -68,7 +85,7 @@ class ExactRates:
 def solve_volterra(kernel, max_growth):
     """March the memory equation du/dt = -(kernel * u)(t) for a sampled kernel.
 
-    Returns (u, udot) arrays on the kernel's grid. The discrete scheme is
+    Returns the array u on the kernel's grid. The discrete scheme is
 
         u_j (1 + dt^2 k_0 / 4) = u_{j-1} + dt/2 udot_{j-1}
                                  - dt^2/2 (H_j + E_j),
@@ -79,10 +96,8 @@ def solve_volterra(kernel, max_growth):
     the k_0 diagonal term, solved exactly. Substituting udot_{j-1} turns the
     march into one lower-triangular Toeplitz system for u_1..u_{n-1}
     (`_toeplitz_system`), solved as a power-series division
-    (`_solve_lower_toeplitz`). udot then comes from the same formula, with
-    H = k*u - k_0 u - k u_0 from one kernel.convolve (one pair of
-    transforms once the kernel holds its spectrum), so rates never see
-    finite differences of u.
+    (`_solve_lower_toeplitz`). udot follows from the same formula, on
+    demand: AmplitudeTrajectory(kernel, u).udot.
 
     NumericalFailure names a zero implicit diagonal 1 + dt^2 k_0 / 4, or the
     first step j >= 1 with |u_j| > max_growth (or a non-finite u_j).
@@ -104,11 +119,7 @@ def solve_volterra(kernel, max_growth):
             raise NumericalFailure(
                 f"amplitude grew to |u| = {size:.6f} at step {j}; the scheme has destabilized"
             )
-    u = np.concatenate([[1.0], x])
-    hist = kernel.convolve(u)[1:] - k[0] * u[1:] - k[1:]
-    hist[0] = 0.0  # H_1 is an empty sum
-    udot = np.concatenate([[0.0], -dt * (0.5 * k[0] * u[1:] + hist + edge[1:])])
-    return u, udot
+    return np.concatenate([[1.0], x])
 
 
 def _toeplitz_system(k, edge, c):
@@ -200,14 +211,14 @@ def solve_amplitude(params, kernel):
             f"dt = {dt:.3e} s is too coarse for this parameter set; "
             f"resolving the trap phase and the memory decay needs dt <= {dt_limit:.3e} s"
         )
-    u, udot = solve_volterra(kernel, max_growth=1.0 + DIVERGENCE_TOL)
+    u = solve_volterra(kernel, max_growth=1.0 + DIVERGENCE_TOL)
     peak = float(np.max(np.abs(u)))
     if peak > 1.0 + SANITY_TOL:
         raise NumericalFailure(
             f"empty-reservoir amplitude exceeded 1 by {peak - 1.0:.3e}; "
             "refine dt (the bath cannot feed the trapped mode)"
         )
-    return AmplitudeTrajectory(kernel.grid, u, udot)
+    return AmplitudeTrajectory(kernel, u)
 
 
 def occupation(traj):

@@ -12,10 +12,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from atomlaser import ConfigError, NumericalFailure, cli, cw
+from atomlaser import ConfigError, NumericalFailure, cli, cw, model, tcl
 from atomlaser.cli import (BUILTIN_SCENARIOS, FLOAT_FORMAT, _cw_columns, _write_csv, main,
                            parse_scenario)
-from atomlaser.quad import shared_points_difference
+from atomlaser.quad import SampledFunction, shared_points_difference
 
 from conftest import cw_params, evolve_here, trap
 from reference import laplace_amplitude
@@ -136,6 +136,33 @@ def test_pulsed_sidecar_diagnostics(tmp_path, capsys, fig, breakdown):
     assert pulsed["series_breakdown_index"] == breakdown
     # fig5 writes rate columns and its amplitude never falls below the cutoff
     assert pulsed["exact_rate_truncation_index"] is None
+
+
+@pytest.mark.parametrize("fig, histories", [("fig2", 0), ("fig5", 2)])
+def test_pulsed_run_pair_does_each_job_once(tmp_path, monkeypatch, fig, histories):
+    # the run and its dt/2 rerun share one sampling of f (the other call is
+    # the psi of S_M for the sidecar), the breakdown scan reads the run grid
+    # alone, and the history convolution k*u behind udot, the one convolve
+    # the series rates do not make, runs once per grid only for rate columns
+    counts = dict.fromkeys(("f", "convolve", "series", "breakdown"), 0)
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(model, "correlation_f", counting("f", model.correlation_f))
+    monkeypatch.setattr(SampledFunction, "convolve",
+                        counting("convolve", SampledFunction.convolve))
+    monkeypatch.setattr(tcl, "iterated_convolution",
+                        counting("series", tcl.iterated_convolution))
+    monkeypatch.setattr(tcl, "series_breakdown_index",
+                        counting("breakdown", tcl.series_breakdown_index))
+    assert main(["run", fig, "--tmax", "2e-3", "--out", str(tmp_path)]) == 0
+    assert counts["f"] == 2
+    assert counts["breakdown"] == 1
+    assert counts["convolve"] - counts["series"] == histories
 
 
 def _write_csv_per_element(path, columns):

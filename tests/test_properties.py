@@ -1,8 +1,10 @@
 """Property tests of the cw generator assembly and stationary solve over
 random small boxes and rates, of the CSV writer over arbitrary floats, of config parsing over
 hostile values, of pulsed runs over random couplings and horizons, of the TCL series rates
-against their quadrature over random couplings and grids, of cw runs over random small
-boxes, rates, orders and short horizons, and of grid_for over whole numbers of steps.
+against their quadrature over random couplings and grids, of the memory kernel's samples
+under grid halving, of the exact amplitude against its Laplace-domain reference over random
+couplings, of cw runs over random small boxes, rates, orders and short horizons, and of
+grid_for over whole numbers of steps.
 Derandomized: every run draws the same examples, so a failure always reproduces."""
 
 import re
@@ -15,12 +17,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
-from atomlaser import cw, tcl
+from atomlaser import cw, model, tcl, volterra
 from atomlaser.cli import BUILTIN_SCENARIOS, Scenario, _write_csv, main, parse_scenario
 from atomlaser.quad import SampledFunction, UniformGrid, grid_for
 
-from conftest import halving_difference, series_rates, trap
-from reference import tcl2_rates, tcl4_rates
+from conftest import amplitude, halving_difference, series_rates, trap
+from reference import laplace_amplitude, tcl2_rates, tcl4_rates
 from test_cli import _write_csv_per_element
 
 GAMMA_M_5E4 = 92.62263163409446
@@ -232,6 +234,38 @@ def test_series_rates_equal_quadrature_rates(Gamma, n_steps, dt_share):
             est = halving_difference(by_quadrature, grid) + halving_difference(by_series, grid)
             diff = np.max(np.abs(by_quadrature(grid).values - by_series(grid).values))
             assert diff <= est, (order, by_order)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.floats(3.0, 6.0).map(lambda x: 10.0**x), st.integers(1, 9000), st.floats(1e-3, 1.0))
+def test_kernel_samples_survive_halving(Gamma, n, dt_share):
+    # a pulsed run samples the memory kernel once, on the dt/2 grid, and its
+    # coarse run reads the even samples: they must be the coarse grid's own
+    # samples bit for bit, since (dt/2) (2k) rounds as dt k
+    p = trap(Gamma)
+    dt = dt_share * min(0.05 / p.omega0, 0.05 / p.alpha)
+    coarse = volterra.memory_kernel(p, UniformGrid(0.0, dt, n + 1)).values
+    fine = volterra.memory_kernel(p, UniformGrid(0.0, 0.5 * dt, 2 * n + 1)).values
+    assert np.array_equal(coarse, fine[::2])
+
+
+# At dt = 1 us the worst error at the 40 times rises from 2.0e-8 at
+# Gamma = 5e4 to 1.7e-7 at 1e6. Over 302 couplings in that range it stayed
+# within 0.75-1.004 of 1.7e-7 (Gamma/1e6)^0.72; the bound is 1.5 times that
+# curve. 30 examples take about 0.3 s
+@settings(PROPERTY, max_examples=30)
+@given(st.floats(np.log10(5e4), 6.0).map(lambda x: 10.0**x))
+@example(5e4)
+@example(1e6)
+def test_amplitude_matches_laplace_reference(Gamma):
+    # solve_amplitude against the Laplace-domain solution of the same memory
+    # equation, at 40 grid times in (0, 3/gamma_M]
+    p = trap(Gamma)
+    steps = round(3.0 / model.gamma_markov_closed_form(p) / 1e-6)
+    idx = steps * np.arange(1, 41) // 40
+    traj = amplitude(p, 1e-6 * steps, 1e-6)
+    err = np.abs(traj.u[idx] - laplace_amplitude(p, 1e-6 * idx)).max()
+    assert err <= 1.5 * 1.7e-7 * (Gamma / 1e6) ** 0.72
 
 
 # each example forks one child per (order, grid) solve: 25 take about 4 s

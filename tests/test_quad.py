@@ -151,7 +151,8 @@ def test_pulsed_run_transforms_the_kernel_once(monkeypatch):
     scen = cli.parse_scenario(cli.BUILTIN_SCENARIOS["fig3"], "fig3")
     n_steps, dt = 500, scen.dt
     grid = UniformGrid(0.0, dt, n_steps + 1)
-    samples = volterra.memory_kernel(scen.trap, grid).values
+    kernel = volterra.memory_kernel(scen.trap, grid)
+    samples = kernel.values
     size = next_fast_len(2 * grid.n_points - 1)
     seen = []
     real_fft = np.fft.fft
@@ -162,7 +163,7 @@ def test_pulsed_run_transforms_the_kernel_once(monkeypatch):
         return real_fft(a, n, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "fft", counting_fft)
-    cli._pulsed_columns(scen, n_steps, dt)
+    cli._pulsed_columns(scen, kernel)
     assert seen == [size]
 
 

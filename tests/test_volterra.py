@@ -51,12 +51,15 @@ def reference_march(kernel, max_growth=None):
 
 
 def _assert_matches_reference(kernel):
-    u, udot = volterra.solve_volterra(kernel, np.inf)
+    traj = AmplitudeTrajectory(kernel, volterra.solve_volterra(kernel, np.inf))
+    u, udot = traj.u, traj.udot
     u_ref, udot_ref = reference_march(kernel)
     assert np.abs(u - u_ref).max() <= 1e-12 * np.abs(u_ref).max()
     assert np.abs(udot - udot_ref).max() <= 1e-12 * max(np.abs(udot_ref).max(), 1e-300)
-    rates = volterra.exact_rates(AmplitudeTrajectory(kernel.grid, u, udot))
-    rates_ref = volterra.exact_rates(AmplitudeTrajectory(kernel.grid, u_ref, udot_ref))
+    traj_ref = AmplitudeTrajectory(kernel, u_ref)
+    traj_ref.udot = udot_ref   # the march's own derivative
+    rates = volterra.exact_rates(traj)
+    rates_ref = volterra.exact_rates(traj_ref)
     assert rates.truncation_index == rates_ref.truncation_index
     # exact_rates keeps only the samples with |u| >= RATE_CUTOFF
     gam, gam_ref = rates.gamma.values, rates_ref.gamma.values
@@ -118,7 +121,8 @@ def test_toeplitz_solve_matches_reference_march(leaves, offset, t_max, terms):
     t = g.times()
     k = sum(a * np.exp(-(gam - 1j * w) * t) for a, gam, w in terms)
     kernel = SampledFunction(g, k + 0j)
-    u, udot = volterra.solve_volterra(kernel, np.inf)
+    u = volterra.solve_volterra(kernel, np.inf)
+    udot = AmplitudeTrajectory(kernel, u).udot
     u_ref, udot_ref = reference_march(kernel)
     assert np.abs(u - u_ref).max() <= 1e-12 * np.abs(u_ref).max()
     assert np.abs(udot - udot_ref).max() <= 1e-12 * max(np.abs(udot_ref).max(), 1e-300)
@@ -174,7 +178,8 @@ def test_constant_kernel_gives_cosine():
     c = 400.0
     g = UniformGrid(0.0, 2e-4, 5001)
     kernel = SampledFunction(g, np.full(g.n_points, c, dtype=complex))
-    u, udot = volterra.solve_volterra(kernel, np.inf)
+    u = volterra.solve_volterra(kernel, np.inf)
+    udot = AmplitudeTrajectory(kernel, u).udot
     t = g.times()
     np.testing.assert_allclose(u.real, np.cos(np.sqrt(c) * t), atol=5e-5)
     np.testing.assert_allclose(u.imag, 0.0, atol=1e-12)
@@ -312,8 +317,8 @@ def test_rate_truncation_when_amplitude_collapses():
     g = UniformGrid(0.0, 0.01, 400)
     t = g.times()
     u = np.exp(-5.0 * t) + 0j          # falls below 1e-6 near t = 2.76
-    udot = -5.0 * u
-    traj = AmplitudeTrajectory(g, u, udot)
+    traj = AmplitudeTrajectory(SampledFunction(g, np.zeros(g.n_points)), u)
+    traj.udot = -5.0 * u   # a prescribed derivative in place of the scheme's
     rates = volterra.exact_rates(traj)
     assert rates.truncation_index is not None
     assert rates.gamma.grid.n_points == rates.truncation_index
@@ -324,6 +329,6 @@ def test_rate_truncation_when_amplitude_collapses():
 def test_rates_fail_when_amplitude_dead_from_start():
     g = UniformGrid(0.0, 0.01, 50)
     u = np.full(50, 1e-9, dtype=complex)
-    traj = AmplitudeTrajectory(g, u, np.zeros(50, dtype=complex))
+    traj = AmplitudeTrajectory(SampledFunction(g, np.zeros(50)), u)   # udot = 0
     with pytest.raises(NumericalFailure):
         volterra.exact_rates(traj)
