@@ -131,10 +131,10 @@ class Scenario:
     cw_kappa1: float = 0.0
     cw_Omega: float = 0.0
     cw_N: float = 0.0
-    cw_n0_max: int = 200
-    cw_n1_max: int = 60
-    cw_orders: tuple = ("markov", 2, 4)
-    cw_r_reading: str = "outer"
+    cw_n0_max: int = cw.CwParams.n0_max
+    cw_n1_max: int = cw.CwParams.n1_max
+    cw_orders: tuple = cw.ORDERS
+    cw_r_reading: str = cw.CwParams.r_reading
     output: str = ""
     source: str = ""
 
@@ -243,11 +243,11 @@ def parse_scenario(text, source="<config>"):
         t_max=t_max,
         dt=dt,
         n_steps=n_steps,
-        description=_get(sc, "description", str, required=False, default=""),
-        tcl_order=_get(sc, "tcl_order", int, required=False, default=6),
+        description=_get(sc, "description", str, required=False, default=Scenario.description),
+        tcl_order=_get(sc, "tcl_order", int, required=False, default=Scenario.tcl_order),
         rates=_get(sc, "rates", lambda raw: cp.BOOLEAN_STATES[raw.lower()],
-                   required=False, default=False),
-        output=_get(sc, "output", str, required=False, default=""),
+                   required=False, default=Scenario.rates),
+        output=_get(sc, "output", str, required=False, default=Scenario.output),
         source=source,
     )
     if scen.tcl_order not in (2, 4, 6):
@@ -276,10 +276,12 @@ def parse_scenario(text, source="<config>"):
         scen.cw_kappa1 = rate_key("kappa1")
         scen.cw_Omega = rate_key("Omega")
         scen.cw_N = _get(cs, "N", float)
-        scen.cw_n0_max = _get(cs, "n0_max", int, required=False, default=200)
-        scen.cw_n1_max = _get(cs, "n1_max", int, required=False, default=60)
-        scen.cw_r_reading = _get(cs, "r_reading", str, required=False, default="outer")
-        raw_orders = _get(cs, "orders", str, required=False, default="markov,2,4")
+        scen.cw_n0_max = _get(cs, "n0_max", int, required=False, default=Scenario.cw_n0_max)
+        scen.cw_n1_max = _get(cs, "n1_max", int, required=False, default=Scenario.cw_n1_max)
+        scen.cw_r_reading = _get(cs, "r_reading", str, required=False,
+                                 default=Scenario.cw_r_reading)
+        raw_orders = _get(cs, "orders", str, required=False,
+                          default=",".join(map(str, Scenario.cw_orders)))
         orders = []
         for tok in raw_orders.split(","):
             tok = tok.strip()

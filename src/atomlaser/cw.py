@@ -63,7 +63,9 @@ CLOSURE_N = 3
 # because perfbench/layertrace.py (1) reads the import time of atomlaser.cw
 # from `python -X importtime -c "import atomlaser.cli"`, so cli must keep
 # importing cw, and (2) looks up `splu`, `spsolve` and `solve_banded` in cw by
-# name and rebinds them to timed wrappers. solve_banded is not called.
+# name and rebinds them to timed wrappers. Only splu is called, by evolve's
+# markov branch: the stationary solve needs no sparse solver, and the banded
+# orders call LAPACK's gbsv directly.
 def splu(A, **kwargs):
     from scipy.sparse.linalg import splu
     return splu(A, **kwargs)
@@ -409,36 +411,69 @@ def steady_state_markov(params):
     return params.kappa1 / (2.0 * gm) * (params.N - 0.5 - np.sqrt(0.25 + gm / params.Omega))
 
 
-def stationary_distribution(params):
-    """Stationary state of the Markovian generator by direct linear solve.
+def _level_blocks(G, k, n1p):
+    """Blocks (G[k, k-1], G[k, k], G[k, k+1]) of the rows of level n0 = k,
+    read from the CSR rows of G; a column outside those levels is an error."""
+    indptr = G.indptr[k * n1p:(k + 1) * n1p + 1]
+    lo, hi = indptr[0], indptr[-1]
+    # column offsets into the slab of levels k-1, k, k+1; a negative one is
+    # rejected here, before numpy indexing could wrap it around
+    cols = G.indices[lo:hi] - (k - 1) * n1p
+    if not ((cols >= 0) & (cols < 3 * n1p)).all():
+        raise GeneratorError(
+            f"generator rows of level n0 = {k} reach beyond levels {k - 1}..{k + 1}")
+    slab = np.zeros((n1p, 3 * n1p))
+    slab[np.repeat(np.arange(n1p), np.diff(indptr)), cols] = G.data[lo:hi]
+    return slab[:, :n1p], slab[:, n1p:2 * n1p], slab[:, 2 * n1p:]
 
-    The singular system G p = 0 is regularized by replacing the first row
-    with the normalization constraint sum p = 1. Row 0 of the canonical CSR
-    matrix is swapped for ones directly; the CSC matrix handed to the solver
-    equals, array for array, what `tolil()`, `G[0, :] = 1.0` and `tocsc()`
-    give. SuperLU orders its columns by minimum degree on A^T + A
-    (MMD_AT_PLUS_A; George & Liu, SIAM Review 31, 1989), which on the
-    default box keeps under half the fill of the default COLAMD ordering.
+
+def stationary_distribution(params):
+    """Stationary state of the Markovian generator by block elimination over
+    the n0 levels.
+
+    The singular system G p = 0 is regularized by replacing its first row
+    with the normalization constraint sum p = 1. Every channel moves n0 by
+    at most one, so G is block tridiagonal in the levels n0 = k, with square
+    blocks G[k, l] of side n1_max + 1, and the linear level reduction
+    (Gaver, Jacobs & Latouche, Adv. Appl. Probab. 16, 1984; Latouche &
+    Ramaswami, Introduction to Matrix Analytic Methods, SIAM 1999) solves it
+    with dense block work and no fill. From the top level down,
+
+        S_top = G[top, top],  R_k = -S_k^-1 G[k, k-1],
+        S_{k-1} = G[k-1, k-1] + G[k-1, k] R_k,
+
+    so that p_k = R_k p_{k-1}, recovered upward. The weights c = 1 + c R_k,
+    accumulated on the way down, turn sum p into c p_0, and level 0 solves
+    S_0 p_0 = e_0 with row 0 of S_0 replaced by c: in exact arithmetic the
+    row-0 replacement of the whole G. At the markov order every -S_k is a
+    nonsingular M-matrix, so R_k >= 0 and nothing cancels. The R_k take
+    (n0_max + 1)(n1_max + 1)^2 doubles, 5.7 MiB on the default box.
     Warns, as evolve does, when the flux clipped at the box boundary exceeds
     CLIP_WARN of the pump flux kappa1 N (<n1> + 1).
     """
-    import scipy.sparse as sp
-
     G, leak = build_generator(params)
-    dim = params.dim
-    tail = G.indptr[1]
-    indptr = G.indptr + (dim - tail)
-    indptr[0] = 0
-    A = sp.csr_matrix((np.concatenate((np.ones(dim), G.data[tail:])),
-                       np.concatenate((np.arange(dim, dtype=G.indices.dtype), G.indices[tail:])),
-                       indptr), shape=G.shape)
-    b = np.zeros(dim)
-    b[0] = 1.0
-    p = spsolve(A.tocsc(), b, permc_spec="MMD_AT_PLUS_A")
+    levels, n1p = params.n0_max + 1, params.n1_max + 1
+    # one array per level: blocks this small come from the reused heap,
+    # where one (levels, n1p, n1p) array raised the peak RSS of repeated
+    # solves on the default box by 3 MiB
+    R = [None] * levels
+    c = np.ones(n1p)
+    below, S, _ = _level_blocks(G, levels - 1, n1p)
+    for k in range(levels - 1, 0, -1):
+        R[k] = -np.linalg.solve(S, below)
+        c = 1.0 + c @ R[k]
+        below, diag, above = _level_blocks(G, k - 1, n1p)
+        S = diag + above @ R[k]
+    S[0] = c
+    p = np.empty((levels, n1p))
+    p[0] = np.linalg.solve(S, np.eye(1, n1p)[0])
+    for k in range(1, levels):
+        p[k] = R[k] @ p[k - 1]
+    p = p.ravel()
     if not np.isfinite(p).all():
         raise NumericalFailure("the stationary solve returned a non-finite probability")
     p = p / p.sum()
-    state = DiagonalState(p.reshape(params.n0_max + 1, params.n1_max + 1))
+    state = DiagonalState(p.reshape(levels, n1p))
     lost = (leak @ p) / (params.kappa1 * params.N * (state.mean_n1() + 1.0))
     if lost > CLIP_WARN:
         warnings.warn(

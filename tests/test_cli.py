@@ -735,3 +735,13 @@ def test_parse_scenario_validation():
     assert scen.cw_orders == ("markov", 2, 4)
     assert scen.cw_N == 20.3
     assert scen.n_steps == 800
+    # an omitted key takes the default of the dataclass that runs it
+    text = TINY_CW
+    for line in ("n0_max = 20\n", "n1_max = 10\n", "orders = markov,2\n"):
+        text = text.replace(line, "")
+    scen = parse_scenario(text)
+    defaults = cw.CwParams(trap(5e4), kappa1=1e4, Omega=1.0, N=1.0)
+    assert (scen.cw_n0_max, scen.cw_n1_max) == (defaults.n0_max, defaults.n1_max)
+    assert scen.cw_r_reading == defaults.r_reading
+    assert scen.cw_orders == cw.ORDERS
+    assert parse_scenario(TINY_PULSED.replace("tcl_order = 2\n", "")).tcl_order == 6

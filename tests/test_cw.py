@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import dblquad
 from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
+from scipy.sparse.linalg import spsolve
 
 from atomlaser import (ConfigError, GeneratorError, NumericalFailure, ParameterError, cw, model,
                        tcl, volterra)
@@ -261,38 +262,75 @@ def test_stationary_truncation_sufficient(stationary_default):
     assert abs(st_wide.mean_n0() - st.mean_n0()) / st.mean_n0() < 0.005
 
 
-def test_stationary_matrix_equals_lil_row_replacement(monkeypatch):
-    # the solver sees the very arrays of the former LIL round trip, and its
-    # minimum-degree ordering moves the means only by rounding
-    params = cw_params(trap(5e4), "markov", n0_max=9, n1_max=6)
+def _markov_params(Gamma, n0_max, n1_max, Omega_gamma=15.0):
+    # the rates of cw_params in units of the Gamma = 5e4 gamma_M, so that
+    # Gamma = 0 keeps a pump and collisions
+    return cw.CwParams(trap=trap(Gamma), kappa1=10 * GAMMA_M_5E4,
+                       Omega=Omega_gamma * GAMMA_M_5E4, N=20.3,
+                       n0_max=n0_max, n1_max=n1_max)
+
+
+@pytest.mark.parametrize("params", [
+    _markov_params(5e4, 9, 6),
+    _markov_params(0.0, 6, 5),        # Gamma = 0, Omega > 0: no output
+    _markov_params(0.0, 200, 60),
+    _markov_params(5e4, 9, 6, Omega_gamma=0.0),
+    _markov_params(5e4, 1, 1),        # collision shift n1p - 2 = 0
+    _markov_params(5e4, 3, 2),        # collision shift n1p - 2 = +1
+    _markov_params(5e4, 400, 60),
+], ids=["9x6", "Gamma0-6x5", "Gamma0-200x60", "Omega0", "1x1", "3x2", "400x60"])
+def test_stationary_matrix_equals_lil_row_replacement(params):
+    # the block elimination agrees to rounding with SuperLU on the former
+    # LIL round trip, row 0 of G replaced by ones, under both its minimum
+    # degree and its default COLAMD column orderings
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")    # small boxes and Gamma = 0 leak at the boundary
+        state = cw.stationary_distribution(params)
     reference = cw.build_generator(params).matrix.tolil()
     reference[0, :] = 1.0
     reference = reference.tocsc()
-    solved = []
-    spsolve = cw.spsolve
-    monkeypatch.setattr(cw, "spsolve",
-                        lambda A, b, **kw: solved.append(A) or spsolve(A, b, **kw))
-    state = cw.stationary_distribution(params)
-    A, = solved
-    assert A.format == "csc" and A.shape == reference.shape
-    for name in ("indptr", "indices", "data"):
-        got, want = getattr(A, name), getattr(reference, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
     b = np.zeros(params.dim)
     b[0] = 1.0
-    p = spsolve(reference, b, permc_spec="MMD_AT_PLUS_A")
-    assert np.array_equal(state.p.ravel(), p / p.sum())
-    q = spsolve(reference, b)   # SuperLU's default COLAMD ordering
-    colamd = cw.DiagonalState((q / q.sum()).reshape(state.p.shape))
-    assert state.mean_n0() == pytest.approx(colamd.mean_n0(), rel=1e-12)
-    assert state.mean_n1() == pytest.approx(colamd.mean_n1(), rel=1e-12)
+    p = state.p.ravel()
+    for permc_spec in ("MMD_AT_PLUS_A", "COLAMD"):
+        q = spsolve(reference, b, permc_spec=permc_spec)
+        q = q / q.sum()
+        assert np.abs(p - q).max() <= 1e-12 * q.max()
+        superlu = cw.DiagonalState(q.reshape(state.p.shape))
+        assert state.mean_n0() == pytest.approx(superlu.mean_n0(), rel=1e-12)
+        assert state.mean_n1() == pytest.approx(superlu.mean_n1(), rel=1e-12)
 
 
 def test_stationary_rejects_non_finite_solve(monkeypatch):
     params = cw_params(trap(5e4), "markov", n0_max=6, n1_max=5)
-    monkeypatch.setattr(cw, "spsolve", lambda A, b, **kw: np.full(b.size, np.nan))
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(np.shape(b), np.nan))
     with pytest.raises(NumericalFailure, match="non-finite"):
         cw.stationary_distribution(params)
+
+
+@pytest.mark.parametrize("entry", [(0, 14), (69, 0)], ids=["above", "below"])
+def test_stationary_rejects_entries_beyond_neighbour_levels(monkeypatch, entry):
+    # on the (9, 6) box a level holds 7 states: row 0 (level 0) may reach
+    # columns 0..13 only, and row 69 (level 9, the top) columns 56..69; the
+    # second entry would wrap around silently in numpy indexing
+    params = cw_params(trap(5e4), "markov", n0_max=9, n1_max=6)
+    gen = cw.build_generator(params)
+    G = gen.matrix.tolil()
+    G[entry] = 1.0
+    monkeypatch.setattr(cw, "build_generator", lambda params: gen._replace(matrix=G.tocsr()))
+    with pytest.raises(GeneratorError, match="beyond levels"):
+        cw.stationary_distribution(params)
+
+
+def test_stationary_needs_no_sparse_solver(monkeypatch):
+    # the level elimination is dense block work: no SuperLU call remains
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the stationary solve called a sparse solver")
+
+    monkeypatch.setattr(cw, "spsolve", forbidden)
+    monkeypatch.setattr(cw, "splu", forbidden)
+    state = cw.stationary_distribution(cw_params(trap(5e4), "markov"))
+    assert state.mean_n0() == pytest.approx(STATIONARY_N0, rel=1e-9)
 
 
 @pytest.mark.parametrize("n0_max, warns", [(200, False), (60, True)])
