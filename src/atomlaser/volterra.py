@@ -8,16 +8,17 @@ obeys
 and the occupation is n = |u|^2. The equation is solved by second-order
 product integration (trapezoid in the memory integral) with the diagonal
 half-weight term handled implicitly, which keeps the scheme stable at strong
-coupling. The march is one lower-triangular Toeplitz system T x = b, with
-t(z) the power series of T's first column, so x = b(z)/t(z) is a
-power-series division: Newton doubling s <- s (2 - t s) for 1/t(z) (Kung,
-Numer. Math. 22, 1974) and one Karp-Markstein step (ACM TOMS 23, 1997),
-every product an FFT convolution, O(n log n) in all. It gives the
-step-by-step march up to rounding. The kernel (memory_kernel) carries the
-run's grid, and a pulsed run hands it to the series rates too, so conj f is
-sampled and transformed once per grid. The solve returns u alone; udot,
-which only the exact rates read, is formed from u on first use by one
-history convolution with the kernel's spectrum.
+coupling. In the Laplace domain the exact solution is the resolvent
+1/(p + k(p)); on the grid the march obeys the same law as power series,
+u(z) = 1/2 + (den/2)(1 + z)/t(z), with t the transfer series of the kernel.
+So the solve is one reciprocal 1/t(z): forward substitution for its first
+LEAF terms, then Newton doubling (Kung, Numer. Math. 22, 1974), every
+product an FFT convolution, O(n log n) in all. It gives the step-by-step
+march up to rounding. The kernel (memory_kernel) carries the run's grid,
+and a pulsed run hands it to the series rates too, so conj f is sampled and
+transformed once per grid. The solve returns u alone; udot, which only the
+exact rates read, is formed from u on first use by one history convolution
+with the kernel's spectrum.
 """
 
 from dataclasses import dataclass
@@ -47,9 +48,8 @@ SANITY_TOL = 1e-6
 RATE_CUTOFF = 1e-6
 # terms of 1/t(z) found by forward substitution before Newton doubling takes
 # over: every doubling costs five FFT calls whatever its size, so starting
-# at 64 terms rather than one saves six doublings per solve. On a 2-core
-# Xeon VM the 44 solves of a seed-0 pulsed benchmark batch made 1,512 rather
-# than 2,832 FFT calls and took 107 rather than 117 ms
+# at 64 terms rather than one saves six doublings per solve. The 44 solves
+# of a seed-0 pulsed benchmark batch make 1,380 rather than 2,700 FFT calls
 LEAF = 64
 
 
@@ -94,68 +94,61 @@ def solve_volterra(kernel, max_growth):
     with H_j = sum_{m=1}^{j-1} k_m u_{j-m} and E_j = k_j u_0 / 2: trapezoid
     weights on the memory sum, with the unknown u_j appearing only through
     the k_0 diagonal term, solved exactly. Substituting udot_{j-1} turns the
-    march into one lower-triangular Toeplitz system for u_1..u_{n-1}
-    (`_toeplitz_system`), solved as a power-series division
-    (`_solve_lower_toeplitz`). udot follows from the same formula, on
-    demand: AmplitudeTrajectory(kernel, u).udot.
+    march into u(z) = 1/2 + (den/2)(1 + z)/t(z) as power series, with
+    den = 1 + dt^2 k_0 / 4 and t the transfer series (`_transfer_series`):
+    the grid's twin of the resolvent 1/(p + k(p)). So u_0 = 1 and
+    u_j = (den/2)(s_j + s_{j-1}) with s = 1/t(z) (`_reciprocal`). udot
+    follows from the scheme, on demand: AmplitudeTrajectory(kernel, u).udot.
 
     NumericalFailure names a zero implicit diagonal 1 + dt^2 k_0 / 4, or the
     first step j >= 1 with |u_j| > max_growth (or a non-finite u_j).
     """
     k = np.ascontiguousarray(kernel.values, dtype=complex)
     dt = kernel.grid.dt
-    c = 0.5 * dt * dt
-    edge = 0.5 * k  # E_j with u_0 = 1
-    t, b = _toeplitz_system(k, edge, c)
+    t = _transfer_series(k, 0.5 * dt * dt)
     if t[0] == 0:
         raise NumericalFailure(f"the implicit diagonal 1 + dt^2 k_0 / 4 is zero at dt = "
                                f"{dt:.6e} s, k_0 = {k[0]:.6e}: the scheme is singular")
     limit = min(max_growth, np.finfo(float).max)  # so that inf counts as growth
     # an overflow, which the growth check reports, makes every entry non-finite
     with np.errstate(over="ignore", invalid="ignore"):
-        x = _solve_lower_toeplitz(t, b)
-        if not (np.abs(x) <= limit).all():
-            j, size = _first_growth(t, b, limit)
+        u = _amplitude(t)
+        if not (np.abs(u[1:]) <= limit).all():
+            j, size = _first_growth(t, limit)
             raise NumericalFailure(
                 f"amplitude grew to |u| = {size:.6f} at step {j}; the scheme has destabilized"
             )
-    return np.concatenate([[1.0], x])
+    return u
 
 
-def _toeplitz_system(k, edge, c):
-    """First column t and right-hand side b of T u[1:] = b.
-
-    With den = 1 + c k_0 / 2, and 1 - c k_0 / 2 = 2 - den:
-    t_0 = den, t_1 = c k_1 - (2 - den), t_m = c (k_m + k_{m-1}) for m >= 2;
-    b_1 = u_0 - c E_1 and b_j = -c (E_{j-1} + E_j) for j >= 2.
-    """
-    n = k.size
-    den = 1.0 + 0.5 * c * k[0]
-    t = np.empty(n - 1, dtype=complex)
-    t[0] = den
-    if n > 2:
+def _transfer_series(k, c):
+    """The march's transfer series, one term per grid point: the march reads
+    t(z) (u(z) - 1/2) = (den/2)(1 + z) with t_0 = den = 1 + c k_0 / 2,
+    t_1 = c k_1 - (2 - den) and t_m = c (k_m + k_{m-1}) for m >= 2."""
+    t = np.empty(k.size, dtype=complex)
+    t[0] = den = 1.0 + 0.5 * c * k[0]
+    t[1:] = c * (k[1:] + k[:-1])
+    if k.size > 1:
         t[1] = c * k[1] - (2.0 - den)
-        t[2:] = c * (k[2 : n - 1] + k[1 : n - 2])
-    b = -c * (edge[:-1] + edge[1:])
-    b[0] = 1.0 - c * edge[1]
-    return t, b
+    return t
 
 
-def _solve_lower_toeplitz(t, b):
-    """Solve T x = b for the lower-triangular Toeplitz T with first column t.
+def _amplitude(t):
+    """u_0 = 1 and u_j = (den/2)(s_j + s_{j-1}) with s = 1/t(z), den = t_0."""
+    s = _reciprocal(t)
+    return np.concatenate([[1.0], 0.5 * t[0] * (s[1:] + s[:-1])])
 
-    x(z) = b(z)/t(z) as power series, to n = b.size terms. Forward
-    substitution gives the first terms of s = 1/t(z), at most LEAF of them.
-    Newton doubling (Kung, Numer. Math. 22, 1974) extends k terms s to
+
+def _reciprocal(t):
+    """The first t.size terms of s = 1/t(z).
+
+    Forward substitution gives the first terms, at most LEAF of them.
+    Newton doubling (Kung, Numer. Math. 22, 1974) extends k terms to
     k' <= 2k: t s = 1 + e z^k mod z^k', and s - s e z^k is 1/t mod z^k'.
-    With h = ceil(n/2) terms of s, x_0 = s b mod z^h is the head of x, and
-    one Karp-Markstein step (ACM TOMS 23, 1997) gives the tail from the
-    residual (b - t x_0)[h:] and the same s. Every product is a cyclic
-    convolution of a fast length p >= k' (or n), which leaves the entries
-    read free of wrap-around.
+    Every product is a cyclic convolution of a fast length p >= k', which
+    leaves the entries read free of wrap-around: five FFT calls a doubling.
     """
-    n = b.size
-    sizes = [-(-n // 2)]
+    sizes = [t.size]
     while sizes[-1] > LEAF:
         sizes.append(-(-sizes[-1] // 2))
     k = sizes.pop()
@@ -169,29 +162,25 @@ def _solve_lower_toeplitz(t, b):
         e = np.fft.ifft(np.fft.fft(t[:size], p) * spec)[k:size]
         s = np.concatenate([s, -np.fft.ifft(np.fft.fft(e, p) * spec)[: size - k]])
         k = size
-    p = next_fast_len(n)
-    spec = np.fft.fft(s, p)
-    head = np.fft.ifft(spec * np.fft.fft(b[:k], p))[:k]
-    rest = b[k:] - np.fft.ifft(np.fft.fft(t, p) * np.fft.fft(head, p))[k:n]
-    return np.concatenate([head, np.fft.ifft(spec * np.fft.fft(rest, p))[: n - k]])
+    return s
 
 
-def _first_growth(t, b, limit):
-    """Step j and |u_j| = |x_{j-1}| of the first entry of T x = b past limit.
+def _first_growth(t, limit):
+    """Step j and |u_j| of the first amplitude past limit, for j >= 1.
 
     FFT products bound every entry's error by rounding times the largest
-    entry, so a huge one swamps the earlier ones. Leading rows of a
-    triangular system do not involve later unknowns: bisection finds the
-    longest leading block whose solution stays within limit.
+    entry, so a huge one swamps the earlier ones. u_0..u_{m-1} read only
+    t_0..t_{m-1}: bisection finds the longest prefix whose amplitude stays
+    within limit.
     """
-    lo, hi = 0, b.size  # the solution of lo rows stays within limit, of hi rows not
+    lo, hi = 1, t.size  # the amplitude on lo points stays within limit, on hi not
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if (np.abs(_solve_lower_toeplitz(t[:mid], b[:mid])) <= limit).all():
+        if (np.abs(_amplitude(t[:mid])[1:]) <= limit).all():
             lo = mid
         else:
             hi = mid
-    return hi, float(np.abs(_solve_lower_toeplitz(t[:hi], b[:hi])[lo]))
+    return lo, float(np.abs(_amplitude(t[:hi])[lo]))
 
 
 def memory_kernel(params, grid):

@@ -23,7 +23,7 @@ def reference_march(kernel, max_growth=None):
     """Step-by-step march of the discrete scheme, one history dot per step.
 
     O(n^2) reference for solve_volterra, which solves the same scheme as one
-    Toeplitz system; the two agree up to rounding.
+    power-series reciprocal; the two agree up to rounding.
     """
     k = np.ascontiguousarray(kernel.values, dtype=complex)
     dt = kernel.grid.dt
@@ -104,9 +104,9 @@ exponentials = st.tuples(st.floats(0.0, 40.0), st.floats(0.1, 30.0), st.floats(-
        st.lists(exponentials, min_size=1, max_size=3))
 @example(4, 0, 1.0, [(20.0, 1.0, 5.0)])    # 256 unknowns
 @example(4, 1, 1.0, [(20.0, 1.0, 5.0)])    # 257 unknowns
-@example(0, 1, 1.0, [(20.0, 1.0, 5.0)])    # 1 unknown: no tail to the Karp-Markstein step
+@example(0, 1, 1.0, [(20.0, 1.0, 5.0)])    # 1 unknown: a 2-term reciprocal
 @example(0, 2, 1.0, [(20.0, 1.0, 5.0)])    # 2 unknowns
-@example(0, 3, 1.0, [(20.0, 1.0, 5.0)])    # 3 unknowns: odd, the head one longer than the tail
+@example(0, 3, 1.0, [(20.0, 1.0, 5.0)])    # 3 unknowns
 @example(1, -1, 2.0, [(30.0, 2.0, -8.0)])  # 63 = 2^6 - 1 unknowns
 @example(1, 1, 2.0, [(30.0, 2.0, -8.0)])   # 65 = 2^6 + 1 unknowns
 @example(2, -1, 2.0, [(30.0, 2.0, -8.0)])  # 127 = 2^7 - 1 unknowns
@@ -115,8 +115,8 @@ exponentials = st.tuples(st.floats(0.0, 40.0), st.floats(0.1, 30.0), st.floats(-
 @example(16, 1, 3.0, [(25.0, 0.5, 40.0)])   # 1025 = 2^10 + 1 unknowns
 def test_toeplitz_solve_matches_reference_march(leaves, offset, t_max, terms):
     # 64 k - 1, 64 k and 64 k + 1 unknowns u_1..u_{n-1}, up to 769, and the
-    # examples above: Newton doublings that start at volterra.LEAF terms or
-    # fewer, and odd and even splits of the Karp-Markstein step
+    # examples above: reciprocals of n terms, by forward substitution alone
+    # up to volterra.LEAF and by Newton doublings of odd and even sizes past it
     g = UniformGrid(0.0, t_max / (64 * leaves + offset), 64 * leaves + offset + 1)
     t = g.times()
     k = sum(a * np.exp(-(gam - 1j * w) * t) for a, gam, w in terms)
@@ -128,22 +128,21 @@ def test_toeplitz_solve_matches_reference_march(leaves, offset, t_max, terms):
     assert np.abs(udot - udot_ref).max() <= 1e-12 * max(np.abs(udot_ref).max(), 1e-300)
 
 
-@pytest.mark.parametrize("unknowns", [8000, 10799])
-def test_toeplitz_solve_fft_budget(unknowns, monkeypatch):
-    # five numpy FFT calls per Newton doubling, at most ceil(log2 n) - 6
-    # doublings from a start of volterra.LEAF = 64 terms, and eight for the
-    # Karp-Markstein step: 5 ceil(log2 n) - 22 in all (43 and 48 here). The
-    # recursive halving this solve replaced made 71 and 139 calls
+@pytest.mark.parametrize("terms", [8000, 10799])
+def test_toeplitz_solve_fft_budget(terms, monkeypatch):
+    # the solve is one reciprocal 1/t(z): five numpy FFT calls per Newton
+    # doubling, and at most ceil(log2 n) - 6 doublings from a start of
+    # volterra.LEAF = 64 terms, so 5 ceil(log2 n) - 30 in all (35 and 40
+    # here). The division b(z)/t(z) it replaced made 43 and 48 calls, the
+    # recursive halving before that 71 and 139
     calls = []
     for name in ("fft", "ifft"):
         fn = getattr(np.fft, name)
         monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
-    t = 0.5 ** np.arange(unknowns) + 0j
-    b = np.ones(unknowns, dtype=complex)
-    x = volterra._solve_lower_toeplitz(t, b)
-    assert len(calls) <= 5 * math.ceil(math.log2(unknowns)) - 22
-    # b(z)/t(z) = (1 - z/2)/(1 - z) = 1 + z/2 + z^2/2 + ...
-    np.testing.assert_allclose(x, np.r_[1.0, np.full(unknowns - 1, 0.5)], rtol=1e-12)
+    s = volterra._reciprocal(0.5 ** np.arange(terms) + 0j)
+    assert len(calls) <= 5 * math.ceil(math.log2(terms)) - 30
+    # 1/sum (z/2)^m = 1 - z/2
+    np.testing.assert_allclose(s, np.r_[1.0, -0.5, np.zeros(terms - 2)], rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("Gamma", [5e4, 1e5, 1e6])
