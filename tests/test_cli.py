@@ -429,15 +429,18 @@ def test_forked_rerun_shows_the_serial_warnings(tmp_path, action, two_cpus):
     _assert_no_children()
 
 
+def _subprocess_env(**extra):
+    return {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__)), **extra}
+
+
 def test_module_run_shows_the_rerun_warnings(tmp_path):
     # under python -m the runner is __main__, and so is the module that the
     # child's warnings are raised again for
     cfg = tmp_path / "clip.cfg"
     cfg.write_text(CLIPPING_CW)
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     proc = subprocess.run([sys.executable, "-m", "atomlaser.cli", "run", str(cfg),
                            "--out", str(tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=_subprocess_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("UserWarning: boundary clipping lost") == 3
@@ -491,6 +494,54 @@ def test_forked_evolve_matches_in_process(two_cpus):
                 assert np.array_equal(a.p, b.p) and a.clipped == b.clipped
             else:
                 assert np.array_equal(a, b), f.name
+
+
+BLAS_THREADS_PROBE = """\
+import json
+from atomlaser import cli
+
+def threads():
+    getters = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads")
+    return [getattr(lib, name)() for lib in cli._bundled_openblas()
+            for name in getters if hasattr(lib, name)]
+
+before = threads()
+children = list(cli._run_calls([("probe 0", 0, threads, ()), ("probe 1", 0, threads, ())]))
+print(json.dumps([before, children, threads()]))
+"""
+
+
+def test_forked_calls_run_one_blas_thread():
+    # both bundled OpenBLAS copies start two threads here, from the
+    # environment; each forked call reads one back from both, and the parent,
+    # which only waits, keeps its two
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one usable CPU: the runner does not fork")
+    if len(cli._bundled_openblas()) < 2:
+        pytest.skip("numpy and scipy do not both bundle an OpenBLAS here")
+    proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE], capture_output=True,
+                          text=True, env=_subprocess_env(OPENBLAS_NUM_THREADS="2"), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, children, after = json.loads(proc.stdout)
+    assert before == after == [2, 2]
+    assert children == [[1, 1], [1, 1]]
+
+
+def test_cw_outputs_do_not_depend_on_the_blas_threads(tmp_path):
+    # fig7 cut to two coarse steps on the default (200, 60) box, every order
+    cfg = tmp_path / "two_steps.cfg"
+    cfg.write_text(BUILTIN_SCENARIOS["fig7"].replace("t_max_gamma = 8.0", "t_max_gamma = 0.02")
+                   .replace("n_steps = 800", "n_steps = 2"))
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = subprocess.run([sys.executable, "-m", "atomlaser.cli", "run", str(cfg),
+                               "--out", str(out)], capture_output=True, text=True,
+                              env=_subprocess_env(OPENBLAS_NUM_THREADS=threads), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        written[threads] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert len(written["1"]) == 6
+    assert written["1"] == written["2"]
 
 
 @pytest.mark.parametrize("sigma_k", ["1e200", "1e-200"])
