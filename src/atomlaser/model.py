@@ -3,12 +3,17 @@
 The trapped mode at frequency omega0 couples to a continuum of free momentum
 states through a Gaussian momentum-space amplitude, whose spectral density
 J(omega) and reservoir correlation f(tau) are evaluated here. Everything
-downstream (memory kernel, perturbative rates, cw generator) is built from f;
-its imaginary quadrature psi = 2 Im f gives the frequency shift S_M. The
-coupling amplitude kappa(k), the real quadrature phi = 2 Re f and gamma_M by
-quadrature are test references (`tests/reference.py`): no run evaluates them.
+downstream (memory kernel, perturbative rates, cw generator) is built from f.
+The Born-Markov constants are its Laplace transform at -i omega0, in closed
+form: 2 integral_0^inf f dtau = gamma_M + i S_M with, for x = omega0/alpha,
+gamma_M = Gamma sqrt(4 pi/(alpha omega0)) exp(-x) and
+S_M = 4 Gamma D(sqrt(x))/sqrt(alpha omega0), D being Dawson's integral.
+The coupling amplitude kappa(k), the quadratures phi = 2 Re f and
+psi = 2 Im f, and the Markov constants by quadrature and by the wofz Laplace
+route are test references (`tests/reference.py`): no run evaluates them.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,13 +26,12 @@ __all__ = [
     "MarkovConstants",
     "spectral_density",
     "correlation_f",
-    "psi",
     "markov_constants",
     "gamma_markov_closed_form",
     "timescale_ratio",
 ]
 
-from .errors import DomainError, NumericalFailure, ParameterError
+from .errors import DomainError, ParameterError
 
 
 def _require_finite(obj, names):
@@ -102,20 +106,8 @@ def correlation_f(params, tau):
     return np.exp(1j * params.omega0 * tau) * params.Gamma / np.sqrt(1.0 + 1j * a * tau)
 
 
-def psi(params, tau):
-    """Imaginary quadrature of the memory kernel, psi = 2 Im f."""
-    return 2.0 * correlation_f(params, tau).imag
-
-
 # ---------------------------------------------------------------------------
 # Markovian constants
-
-# [0, inf) quadrature: half-periods summed plainly, then Euler-averaged
-HEAD_SEGMENTS, TAIL_SEGMENTS, GAUSS_ORDER = 8, 48, 16
-# leggauss(GAUSS_ORDER), formed at first use: numpy.polynomial loads lazily
-_gauss_rule = None
-# relative target of the S_M quadrature
-SHIFT_QUAD_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -131,62 +123,41 @@ def gamma_markov_closed_form(params):
     return params.Gamma * np.sqrt(4.0 * np.pi / (params.omega0 * a)) * np.exp(-params.omega0 / a)
 
 
-def _euler_accelerated_tail(partial_sums):
-    """Limit of an alternating-tail sequence by repeated pairwise averaging.
-
-    Returns (value, spread) where spread is the change in the final entry
-    over the last averaging level, used as the convergence estimate.
-    """
-    row = np.asarray(partial_sums, dtype=float)
-    last_entries = [row[-1]]
-    while row.size >= 2:
-        row = 0.5 * (row[:-1] + row[1:])
-        last_entries.append(row[-1])
-    diffs = np.abs(np.diff(last_entries))
-    if diffs.size == 0:
-        return last_entries[-1], np.inf
-    i = int(np.argmin(diffs)) + 1
-    return last_entries[i], diffs[i - 1]
-
-
-def _tail_accelerated_integral(func, omega0):
-    """Integral of an oscillatory, slowly decaying func over [0, inf).
-
-    The integrand oscillates at omega0 with a t^(-1/2) envelope, so plain
-    truncation converges too slowly; successive half-period contributions
-    alternate in sign and the tail is summed with Euler averaging.
-    """
-    global _gauss_rule
-    if _gauss_rule is None:
-        _gauss_rule = np.polynomial.legendre.leggauss(GAUSS_ORDER)
-    x, w = _gauss_rule
-    h = np.pi / omega0
-    starts = h * np.arange(HEAD_SEGMENTS + TAIL_SEGMENTS)[:, None]
-    nodes = starts + 0.5 * h * (x[None, :] + 1.0)
-    # integrals over consecutive half-periods [j, j+1] pi/omega0
-    segments = 0.5 * h * (func(nodes) * w[None, :]).sum(axis=1)
-    head = segments[:HEAD_SEGMENTS].sum()
-    partial = head + np.cumsum(segments[HEAD_SEGMENTS:])
-    return _euler_accelerated_tail(partial)
+def _dawson(y):
+    """Dawson's integral D(y) = exp(-y^2) integral_0^y exp(t^2) dt for y >= 0 (DLMF 7.2.5)."""
+    y2 = y * y
+    if y <= 8.0:
+        # sum_n exp(-y^2) y^(2n+1) / (n! (2n+1)): positive terms, peaked near n = y^2
+        term, total = y * math.exp(-y2), 0.0
+        for n in range(int(y2 + 10.0 * y + 40.0)):
+            total += term / (2 * n + 1)
+            term *= y2 / (n + 1)
+        return total
+    # asymptotic sum_k (2k-1)!! / (2^(k+1) y^(2k+1)); 40 terms fall below 1e-25 relative
+    term, total = 0.5 / y, 0.0
+    for k in range(40):
+        total += term
+        term *= (2 * k + 1) / (2.0 * y2)
+    return total
 
 
 def markov_constants(params):
     """Markovian decay rate, frequency shift and reservoir memory time.
 
-    gamma_M comes from the closed form; no closed form exists for S_M, so it
-    is the accelerated quadrature of psi over [0, inf). t_res is the fixed
-    conventional value 0.4/omega0 (a measured half-width, not computed here).
+    gamma_M + i S_M = 2 integral_0^inf f dtau, and with x = omega0/alpha the
+    Laplace transform of (1 + i alpha tau)^(-1/2) at -i omega0 gives
+
+        integral_0^inf exp(i omega0 tau) (1 + i alpha tau)^(-1/2) dtau
+            = sqrt(pi / (alpha omega0)) exp(-x) erfc(-i sqrt(x)),
+
+    where erfc(-i y) = 1 + 2i exp(y^2) D(y) / sqrt(pi). The real part is
+    gamma_markov_closed_form, and S_M = 4 Gamma D(sqrt(x)) / sqrt(alpha omega0).
+    t_res is the fixed conventional value 0.4/omega0 (a measured half-width,
+    not computed here).
     """
-    gamma_m = gamma_markov_closed_form(params)
-    if params.Gamma == 0.0:
-        return MarkovConstants(0.0, 0.0, 0.4 / params.omega0)
-    s_m, err = _tail_accelerated_integral(lambda t: psi(params, t), params.omega0)
-    if err > SHIFT_QUAD_RTOL * max(abs(s_m), 1.0):
-        raise NumericalFailure(
-            f"S_M quadrature did not converge: achieved {err:.3e}, "
-            f"wanted {SHIFT_QUAD_RTOL:.1e} relative"
-        )
-    return MarkovConstants(gamma_m, s_m, 0.4 / params.omega0)
+    a, w0 = params.alpha, params.omega0
+    s_m = 4.0 * params.Gamma * _dawson(math.sqrt(w0 / a)) / math.sqrt(a * w0)
+    return MarkovConstants(gamma_markov_closed_form(params), s_m, 0.4 / w0)
 
 
 def timescale_ratio(params):

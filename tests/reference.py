@@ -54,7 +54,7 @@ the default box the mass there is about 1e-20.
 """
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 from scipy.special import wofz
 
@@ -108,7 +108,8 @@ def laplace_amplitude(params, times):
 
 
 # ---------------------------------------------------------------------------
-# Quadrature routes: the coupling amplitude, gamma_M and the order-2/4 TCL rates
+# Quadrature routes: the coupling amplitude, the Markov constants and the
+# order-2/4 TCL rates
 
 
 def coupling_kappa(params, k):
@@ -125,10 +126,30 @@ def phi(params, tau):
     return 2.0 * model.correlation_f(params, tau).real
 
 
-def gamma_markov_by_quadrature(params):
-    """gamma_M as the time integral of phi over [0, inf), by the accelerated
-    rule that gives markov_constants its S_M."""
-    return model._tail_accelerated_integral(lambda t: phi(params, t), params.omega0)[0]
+def psi(params, tau):
+    """Imaginary quadrature of the memory kernel, psi = 2 Im f."""
+    return 2.0 * model.correlation_f(params, tau).imag
+
+
+def markov_constants_by_quadrature(params):
+    """(gamma_M, S_M) = 2 integral_0^inf (Re f, Im f) dtau by QUADPACK's QAWF.
+
+    With A + i B = (1 + i alpha tau)^(-1/2), Re f = Gamma (A cos - B sin) and
+    Im f = Gamma (A sin + B cos) at omega0 tau: Fourier integrals of the
+    non-oscillating A and B, which QAWF sums cycle by cycle.
+    """
+    def part(take, weight):
+        return quad(lambda t: take(1.0 / np.sqrt(1.0 + 1j * params.alpha * t)), 0.0, np.inf,
+                    weight=weight, wvar=params.omega0, limlst=200)[0]
+
+    a_cos, a_sin = part(np.real, "cos"), part(np.real, "sin")
+    b_cos, b_sin = part(np.imag, "cos"), part(np.imag, "sin")
+    return 2.0 * params.Gamma * (a_cos - b_sin), 2.0 * params.Gamma * (a_sin + b_cos)
+
+
+def markov_constants_by_laplace(params):
+    """(gamma_M - i S_M) / 2 = Gamma F(i omega0), the kernel's transform at s = 0."""
+    return params.Gamma * _f_and_slope(1j * params.omega0, -1j * params.alpha)[0]
 
 
 def sample(func, grid):
@@ -188,14 +209,14 @@ def ordered_triple_factored(a, b, pairing):
 def tcl2_rates(params, grid):
     """Second-order rate and shift: running integrals of phi and psi."""
     gamma2 = cumulative_integral(sample(lambda t: phi(params, t), grid))
-    s2 = cumulative_integral(sample(lambda t: model.psi(params, t), grid))
+    s2 = cumulative_integral(sample(lambda t: psi(params, t), grid))
     return gamma2, s2
 
 
 def tcl4_rates(params, grid):
     """Fourth-order rate and shift curves from the running-integral tables."""
     phi_s = sample(lambda t: phi(params, t), grid)
-    psi_s = sample(lambda t: model.psi(params, t), grid)
+    psi_s = sample(lambda t: psi(params, t), grid)
 
     def mid(a, b):
         return ordered_triple_factored(a, b, "outer-mid").values

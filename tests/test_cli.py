@@ -21,6 +21,7 @@ from conftest import cw_params, evolve_here, trap
 from reference import laplace_amplitude
 
 GAMMA_M_5E4 = 92.62263163409446
+S_M_5E4 = 62.6369815367   # Cauchy-weight quadrature, as in test_model.py
 
 TRAP_5E4 = """\
 [trap]
@@ -102,6 +103,7 @@ def test_fig2_sidecar(fig2_out):
     assert tuple(meta["columns"]) == data.dtype.names
     assert meta["grid"]["n_steps"] == 4000
     assert meta["derived"]["gamma_M"] == pytest.approx(GAMMA_M_5E4, rel=1e-12)
+    assert meta["derived"]["S_M"] == pytest.approx(S_M_5E4, rel=1e-10)
     assert meta["trap"]["Gamma"] == 5e4
     assert meta["pulsed"]["tcl_order"] == 4
     est = meta["refinement"]["estimates"]
@@ -140,8 +142,8 @@ def test_pulsed_sidecar_diagnostics(tmp_path, capsys, fig, breakdown):
 
 @pytest.mark.parametrize("fig, histories", [("fig2", 0), ("fig5", 2)])
 def test_pulsed_run_pair_does_each_job_once(tmp_path, monkeypatch, fig, histories):
-    # the run and its dt/2 rerun share one sampling of f (the other call is
-    # the psi of S_M for the sidecar), the breakdown scan reads the run grid
+    # the run and its dt/2 rerun share one sampling of f (the sidecar's S_M
+    # is a closed form and samples none), the breakdown scan reads the run grid
     # alone, and the history convolution k*u behind udot, the one convolve
     # the series rates do not make, runs once per grid only for rate columns
     counts = dict.fromkeys(("f", "convolve", "series", "breakdown"), 0)
@@ -160,7 +162,7 @@ def test_pulsed_run_pair_does_each_job_once(tmp_path, monkeypatch, fig, historie
     monkeypatch.setattr(tcl, "series_breakdown_index",
                         counting("breakdown", tcl.series_breakdown_index))
     assert main(["run", fig, "--tmax", "2e-3", "--out", str(tmp_path)]) == 0
-    assert counts["f"] == 2
+    assert counts["f"] == 1
     assert counts["breakdown"] == 1
     assert counts["convolve"] - counts["series"] == histories
 

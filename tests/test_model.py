@@ -8,15 +8,18 @@ weight principal-value integral for the frequency shift) and hard-coded here.
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import dawsn
 
 from atomlaser import DomainError, ParameterError, model
 
-from conftest import OMEGA0, trap
-from reference import coupling_kappa, gamma_markov_by_quadrature, phi
+from conftest import M_ATOM, OMEGA0, SIGMA_K, trap
+from reference import (coupling_kappa, decaying_pole, markov_constants_by_laplace,
+                       markov_constants_by_quadrature, phi, psi)
 
 ALPHA = 2636.4295425                    # hbar*sigma_k^2/(2M) by hand
 GAMMA_M_5E4 = 92.62263163409446         # Gamma*sqrt(4pi/(omega0*alpha))*exp(-omega0/alpha)
 S_M_5E4 = 62.6369815367                 # 2*PV int J(w)/(omega0-w) dw, Cauchy-weight quadrature
+                                       # (within 1e-11 of the Dawson closed form)
 J_AT_OMEGA0_5E4 = 14.74134966674589
 KAPPA0_SQ_5E4 = 0.01994711402007163     # Gamma/sqrt(2*pi*sigma_k^2)
 RATIO_5E4 = 16.68775285582815           # 2*omega0/gamma_M
@@ -123,11 +126,11 @@ def test_correlation_is_transform_of_spectral_density():
 def test_phi_psi():
     p = trap(5e4)
     assert phi(p, 0.0) == pytest.approx(2 * 5e4, rel=1e-12)
-    assert model.psi(p, 0.0) == 0.0
+    assert psi(p, 0.0) == 0.0
     tau = 2.2 / ALPHA
     f = model.correlation_f(p, tau)
     assert phi(p, tau) == pytest.approx(2 * f.real, rel=1e-12)
-    assert model.psi(p, tau) == pytest.approx(2 * f.imag, rel=1e-12)
+    assert psi(p, tau) == pytest.approx(2 * f.imag, rel=1e-12)
 
 
 def test_markov_rate_closed_form():
@@ -140,16 +143,16 @@ def test_markov_rate_closed_form():
 
 
 def test_markov_rate_quadrature_route():
-    # independent route through the oscillatory-tail quadrature
+    # independent route: QUADPACK's Fourier-integral rule QAWF
     p = trap(5e4)
-    assert gamma_markov_by_quadrature(p) == pytest.approx(GAMMA_M_5E4, rel=1e-3)
+    assert markov_constants_by_quadrature(p)[0] == pytest.approx(GAMMA_M_5E4, rel=1e-3)
 
 
 def test_markov_constants():
     p = trap(5e4)
     mc = model.markov_constants(p)
     assert mc.gamma_M == pytest.approx(GAMMA_M_5E4, rel=1e-12)
-    assert mc.S_M == pytest.approx(S_M_5E4, rel=1e-5)
+    assert mc.S_M == pytest.approx(S_M_5E4, rel=1e-10)
     assert mc.t_res == pytest.approx(0.4 / OMEGA0, rel=1e-12)
     # shift scales linearly in Gamma as well
     mc2 = model.markov_constants(trap(1e5))
@@ -161,6 +164,48 @@ def test_markov_constants_zero_coupling():
     assert mc.gamma_M == 0.0
     assert mc.S_M == 0.0
     assert mc.t_res > 0.0
+
+
+def trap_at(omega0, Gamma=5e4):
+    """The default trap's alpha with the trap frequency moved to omega0."""
+    return model.TrapParams(M=M_ATOM, omega0=omega0, sigma_k=SIGMA_K, Gamma=Gamma)
+
+
+@pytest.mark.parametrize("omega0", [1e-6 * ALPHA, 1e-4 * ALPHA, 1.0, 1e-2 * ALPHA, 100.0, OMEGA0,
+                                    ALPHA, 8.0 * ALPHA, 64.0 * ALPHA, 1e3 * ALPHA])
+def test_markov_constants_match_laplace_route(omega0):
+    # the closed form against Gamma F(i omega0) through wofz, from deep
+    # memory (omega0/alpha = 1e-6) past the Dawson helper's switch at 64
+    p = trap_at(omega0)
+    mc = model.markov_constants(p)
+    want = markov_constants_by_laplace(p)
+    assert mc.S_M == pytest.approx(-2.0 * want.imag, rel=1e-12)
+    assert mc.gamma_M == pytest.approx(2.0 * want.real, rel=1e-12)
+
+
+@pytest.mark.parametrize("omega0", [1.0, 4e-4 * ALPHA, 100.0, OMEGA0, 2.0 * ALPHA])
+def test_markov_shift_matches_fourier_quadrature(omega0):
+    p = trap_at(omega0)
+    assert model.markov_constants(p).S_M == pytest.approx(
+        markov_constants_by_quadrature(p)[1], rel=1e-6)
+
+
+def test_dawson_matches_scipy():
+    # both sides of the switch from the power series to the asymptotic one at 8
+    ys = np.concatenate([np.geomspace(1e-9, 1e6, 301),
+                         8.0 + np.array([-1e-3, -1e-12, 0.0, 1e-12, 1e-3])])
+    got = np.array([model._dawson(float(y)) for y in ys])
+    np.testing.assert_allclose(got, dawsn(ys), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("omega0", [OMEGA0, 100.0])
+def test_exact_pole_has_the_markov_limit(omega0):
+    # (w_p - i omega0)/Gamma -> -(gamma_M - i S_M)/(2 Gamma) as Gamma -> 0;
+    # Gamma = 1 and 2 give the limit by one Richardson step
+    slope = [(decaying_pole(trap_at(omega0, G))[0] - 1j * omega0) / G for G in (1.0, 2.0)]
+    mc = model.markov_constants(trap_at(omega0, 1.0))
+    want = -(mc.gamma_M - 1j * mc.S_M) / 2.0
+    assert abs(2.0 * slope[0] - slope[1] - want) <= 1e-8 * abs(want)
 
 
 def test_timescale_ratio():

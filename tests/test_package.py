@@ -37,15 +37,18 @@ def test_bare_import_loads_no_numpy_or_scipy():
 
 
 def test_pulsed_cli_run_loads_no_scipy(tmp_path):
-    # a pulsed run needs numpy only; scipy serves cw runs and the tests
+    # a pulsed run needs numpy only; scipy serves cw runs and the tests, and
+    # numpy.polynomial no run at all
     code = ("import json, sys; from atomlaser import cli; "
             f"after_import = {SCIPY_LOADED}; "
             "status = cli.main(['run', 'fig2', '--tmax', '2e-3', '--out', sys.argv[1]]); "
-            f"print(json.dumps([after_import, status, {SCIPY_LOADED}]))")
-    after_import, status, after_run = _run(code, str(tmp_path))
+            f"print(json.dumps([after_import, status, {SCIPY_LOADED}, "
+            "'numpy.polynomial' in sys.modules]))")
+    after_import, status, after_run, polynomial = _run(code, str(tmp_path))
     assert after_import == []
     assert status == 0 and (tmp_path / "fig2.csv").is_file()
     assert after_run == []
+    assert not polynomial
 
 
 def test_cw_import_loads_no_scipy():
