@@ -141,21 +141,65 @@ class Scenario:
     source: str = ""
 
 
-def _get(section, key, conv, required=True, default=None):
+def _get(section, key, conv):
     if key not in section:
-        if required:
-            raise ConfigError(f"missing key '{key}' in section [{section.name}]")
-        return default
+        raise ConfigError(f"missing key '{key}' in section [{section.name}]")
     raw = section[key]
     try:
         return conv(raw)
+    except ConfigError:   # a converter's own message, as for orders
+        raise
     except (ValueError, TypeError, KeyError):
         raise ConfigError(f"key '{key}' in [{section.name}]: cannot parse {raw!r}") from None
 
 
+def _one_of(section, key, alt, alt_conv=float):
+    """(value of key, None) or (None, value of alt), as section holds one."""
+    if (key in section) == (alt in section):
+        raise ConfigError(f"section [{section.name}] needs exactly one of '{key}' and '{alt}'")
+    return ((_get(section, key, float), None) if key in section
+            else (None, _get(section, alt, alt_conv)))
+
+
+def _cw_orders(raw):
+    orders = []
+    for tok in map(str.strip, raw.split(",")):
+        if tok not in _CW_ORDERS:
+            raise ConfigError(f"key 'orders': entries must be markov, 2 or 4; got {tok!r}")
+        if _CW_ORDERS[tok] in orders:
+            # a repeated order would run twice and write one file twice
+            raise ConfigError(f"key 'orders': {tok!r} is listed more than once")
+        orders.append(_CW_ORDERS[tok])
+    return tuple(orders)
+
+
+# the keys each section may hold; [cw] is read in mode cw only
+_KEYS = {
+    "scenario": ("name", "description", "mode", "tcl_order", "rates", "output"),
+    "trap": ("M", "omega0", "sigma_k", "Gamma"),
+    "grid": ("t_max", "t_max_gamma", "dt", "n_steps"),
+    "cw": ("kappa1", "kappa1_gamma", "Omega", "Omega_gamma", "N", "n0_max", "n1_max",
+           "orders", "r_reading"),
+}
+_CW_ORDERS = {"markov": "markov", "2": 2, "4": 4}
+# (section, key, Scenario field, converter): the field is set if the key is given
+_OPTIONAL = (
+    ("scenario", "name", "name", str),
+    ("scenario", "description", "description", str),
+    ("scenario", "tcl_order", "tcl_order", int),
+    ("scenario", "rates", "rates",
+     lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]),
+    ("scenario", "output", "output", str),
+    ("cw", "n0_max", "cw_n0_max", int),
+    ("cw", "n1_max", "cw_n1_max", int),
+    ("cw", "orders", "cw_orders", _cw_orders),
+    ("cw", "r_reading", "cw_r_reading", str),
+)
+
+
 def _require_positive(value, name):
     if not (np.isfinite(value) and value > 0):
-        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+        raise ConfigError(f"{name} must be finite and positive, got {float(value)!r}")
 
 
 def _resolve_grid(t_max, dt, t_name, dt_name, ratio_name):
@@ -165,19 +209,13 @@ def _resolve_grid(t_max, dt, t_name, dt_name, ratio_name):
     """
     _require_positive(t_max, t_name)
     _require_positive(dt, dt_name)
-    ratio = t_max / dt
+    ratio = float(t_max) / dt   # a plain float overflows to inf without a warning
     if not np.isfinite(ratio):
         raise ConfigError(f"{ratio_name} must be finite, got {ratio!r}")
     n_steps = int(round(ratio))
     if n_steps < 1:
         raise ConfigError(f"{ratio_name} resolves to zero steps; shrink dt or grow t_max")
     return n_steps * dt, dt, n_steps
-
-
-def _check_keys(section, allowed):
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{key}' in section [{section.name}]")
 
 
 def parse_scenario(text, source="<config>"):
@@ -192,44 +230,33 @@ def parse_scenario(text, source="<config>"):
     for required in ("scenario", "trap", "grid"):
         if required not in cp:
             raise ConfigError(f"missing section [{required}]")
+    for section, allowed in _KEYS.items():
+        for key in cp[section] if section in cp else ():
+            if key not in allowed:
+                raise ConfigError(f"unknown key '{key}' in section [{section}]")
 
-    sc = cp["scenario"]
-    _check_keys(sc, {"name", "description", "mode", "tcl_order", "rates", "output"})
+    sc, gr = cp["scenario"], cp["grid"]
     mode = _get(sc, "mode", str)
     if mode not in MODES:
         raise ConfigError(f"key 'mode': must be one of {MODES}, got {mode!r}")
-    if mode == "cw":
-        for key in ("tcl_order", "rates"):
-            if key in sc:
-                raise ConfigError(f"key '{key}' in [scenario] is only valid for mode "
-                                  "pulsed_tcl, not cw")
-    name = _get(sc, "name", str, required=False, default=os.path.splitext(os.path.basename(source))[0])
+    for key in ("tcl_order", "rates") if mode == "cw" else ():
+        if key in sc:
+            raise ConfigError(f"key '{key}' in [scenario] is only valid for mode "
+                              "pulsed_tcl, not cw")
+    if (mode == "cw") != ("cw" in cp):
+        raise ConfigError("mode cw needs a [cw] section" if mode == "cw"
+                          else f"section [cw] is only valid for mode cw, not {mode}")
 
-    tr = cp["trap"]
-    _check_keys(tr, {"M", "omega0", "sigma_k", "Gamma"})
-    trap = model.TrapParams(
-        M=_get(tr, "M", float),
-        omega0=_get(tr, "omega0", float),
-        sigma_k=_get(tr, "sigma_k", float),
-        Gamma=_get(tr, "Gamma", float),
-    )
+    trap = model.TrapParams(**{key: _get(cp["trap"], key, float) for key in _KEYS["trap"]})
     gamma_m = model.gamma_markov_closed_form(trap)
-
-    gr = cp["grid"]
-    _check_keys(gr, {"t_max", "t_max_gamma", "dt", "n_steps"})
-    t_max = _get(gr, "t_max", float, required=False)
-    t_max_gamma = _get(gr, "t_max_gamma", float, required=False)
-    if (t_max is None) == (t_max_gamma is None):
-        raise ConfigError("section [grid] needs exactly one of 't_max' and 't_max_gamma'")
+    t_max, t_max_gamma = _one_of(gr, "t_max", "t_max_gamma")
+    t_name = "key 't_max'" if t_max_gamma is None else "key 't_max_gamma'"
     if t_max is None:
         if gamma_m <= 0:
             raise ConfigError("key 't_max_gamma' needs Gamma > 0; give 't_max' in seconds")
+        _require_positive(t_max_gamma, t_name)   # as written, before it is in seconds
         t_max = t_max_gamma / gamma_m
-    t_name = "key 't_max'" if t_max_gamma is None else "key 't_max_gamma'"
-    dt = _get(gr, "dt", float, required=False)
-    n_steps = _get(gr, "n_steps", int, required=False)
-    if (dt is None) == (n_steps is None):
-        raise ConfigError("section [grid] needs exactly one of 'dt' and 'n_steps'")
+    dt, n_steps = _one_of(gr, "dt", "n_steps", int)
     if dt is None:
         _require_positive(t_max, t_name)
         if n_steps < 1:
@@ -238,69 +265,27 @@ def parse_scenario(text, source="<config>"):
     else:
         t_max, dt, n_steps = _resolve_grid(t_max, dt, t_name, "key 'dt'", "t_max/dt")
 
-    scen = Scenario(
-        name=name,
-        mode=mode,
-        trap=trap,
-        t_max=t_max,
-        dt=dt,
-        n_steps=n_steps,
-        description=_get(sc, "description", str, required=False, default=Scenario.description),
-        tcl_order=_get(sc, "tcl_order", int, required=False, default=Scenario.tcl_order),
-        rates=_get(sc, "rates", lambda raw: cp.BOOLEAN_STATES[raw.lower()],
-                   required=False, default=Scenario.rates),
-        output=_get(sc, "output", str, required=False, default=Scenario.output),
-        source=source,
-    )
+    scen = Scenario(name=os.path.splitext(os.path.basename(source))[0], mode=mode, trap=trap,
+                    t_max=t_max, dt=dt, n_steps=n_steps, source=source)
+    for section, key, field, conv in _OPTIONAL:
+        if section in cp and key in cp[section]:
+            setattr(scen, field, _get(cp[section], key, conv))
     if scen.tcl_order not in (2, 4, 6):
         raise ConfigError(f"key 'tcl_order': must be 2, 4 or 6, got {scen.tcl_order}")
+    for key in ("name", "output"):
+        # the run writes its files into the output directory under this name
+        value = getattr(scen, key)
+        if key in sc and (value in ("", ".", "..") or os.path.basename(value) != value):
+            raise ConfigError(f"key '{key}' in [scenario] must be a plain file name, "
+                              f"got {value!r}")
 
     if mode == "cw":
-        if "cw" not in cp:
-            raise ConfigError("mode cw needs a [cw] section")
-        cs = cp["cw"]
-        _check_keys(cs, {"kappa1", "kappa1_gamma", "Omega", "Omega_gamma", "N",
-                         "n0_max", "n1_max", "orders", "r_reading"})
-
-        def rate_key(base):
-            absolute = _get(cs, base, float, required=False)
-            relative = _get(cs, base + "_gamma", float, required=False)
-            if (absolute is None) == (relative is None):
-                raise ConfigError(
-                    f"section [cw] needs exactly one of '{base}' and '{base}_gamma'"
-                )
-            if absolute is not None:
-                return absolute
-            if gamma_m <= 0:
+        for base in ("kappa1", "Omega"):
+            absolute, relative = _one_of(cp["cw"], base, base + "_gamma")
+            if absolute is None and gamma_m <= 0:
                 raise ConfigError(f"key '{base}_gamma' needs Gamma > 0")
-            return relative * gamma_m
-
-        scen.cw_kappa1 = rate_key("kappa1")
-        scen.cw_Omega = rate_key("Omega")
-        scen.cw_N = _get(cs, "N", float)
-        scen.cw_n0_max = _get(cs, "n0_max", int, required=False, default=Scenario.cw_n0_max)
-        scen.cw_n1_max = _get(cs, "n1_max", int, required=False, default=Scenario.cw_n1_max)
-        scen.cw_r_reading = _get(cs, "r_reading", str, required=False,
-                                 default=Scenario.cw_r_reading)
-        raw_orders = _get(cs, "orders", str, required=False,
-                          default=",".join(map(str, Scenario.cw_orders)))
-        orders = []
-        for tok in raw_orders.split(","):
-            tok = tok.strip()
-            if tok == "markov":
-                orders.append("markov")
-            elif tok in ("2", "4"):
-                orders.append(int(tok))
-            else:
-                raise ConfigError(f"key 'orders': entries must be markov, 2 or 4; got {tok!r}")
-            if orders.count(orders[-1]) > 1:
-                # a repeated order would run twice and write one file twice
-                raise ConfigError(f"key 'orders': {tok!r} is listed more than once")
-        if not orders:
-            raise ConfigError("key 'orders': at least one entry required")
-        scen.cw_orders = tuple(orders)
-    elif "cw" in cp:
-        raise ConfigError(f"section [cw] is only valid for mode cw, not {mode}")
+            setattr(scen, "cw_" + base, absolute if relative is None else relative * gamma_m)
+        scen.cw_N = _get(cp["cw"], "N", float)
     return scen
 
 

@@ -3,6 +3,7 @@ output, overrides, exit codes, and determinism."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -247,6 +248,32 @@ def test_cw_writes_one_file_per_order(tmp_path):
         meta = _read_meta(str(path))
         assert meta["cw"]["order"] == order
         assert meta["cw"]["stepper"] == "cn"
+
+
+def test_output_key_names_the_files(tmp_path):
+    for mode, text, written in (
+            ("pulsed", TINY_PULSED, "results.csv"),
+            ("cw", TINY_CW.replace("orders = markov,2", "orders = markov"), "results_markov.csv")):
+        cfg = tmp_path / f"{mode}.cfg"
+        cfg.write_text(text.replace("[scenario]\n", "[scenario]\noutput = results\n"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / mode)]) == 0
+        assert sorted(os.listdir(tmp_path / mode)) == [written, written + ".meta.json"]
+
+
+@pytest.mark.parametrize("key, value", [("name", ""), ("name", "."), ("name", ".."),
+                                        ("name", "sub/x"), ("output", ""),
+                                        ("output", "{tmp}/elsewhere/x")])
+def test_file_name_keys_must_be_plain(tmp_path, capsys, key, value):
+    # the files go into --out under this name: an empty name wrote out/.csv,
+    # and an absolute output path wrote outside --out
+    line = f"{key} = {value.format(tmp=tmp_path)}\n"
+    cfg = tmp_path / "named.cfg"
+    cfg.write_text(TINY_PULSED.replace("name = tinyp\n", line if key == "name"
+                                       else "name = tinyp\n" + line))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: key '{key}' in [scenario] must be a plain file name" in err
+    assert os.listdir(tmp_path) == ["named.cfg"]
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):
@@ -624,8 +651,11 @@ def test_unusable_path_exits_one(tmp_path, capsys, where):
     (TINY_PULSED, ["--tmax", "1e300", "--dt", "1e-300"], "--tmax/--dt"),
     (TINY_PULSED, ["--dt", "0"], "--dt"),
     (TINY_PULSED.replace("n_steps = 20", "dt = -1"), [], "key 'dt'"),
+    (TINY_CW.replace("t_max_gamma = 0.05", "t_max_gamma = -2"), [], "key 't_max_gamma'"),
+    (TINY_CW.replace("t_max_gamma = 0.05", "t_max_gamma = 1e300")
+     .replace("n_steps = 40", "dt = 1e-300"), [], "t_max/dt"),
 ], ids=["t_max", "t_max_gamma", "dt", "t_max/dt", "--tmax", "--dt", "--tmax/--dt",
-        "--dt=0", "dt=-1"])
+        "--dt=0", "dt=-1", "t_max_gamma=-2", "t_max_gamma/dt"])
 def test_non_finite_grid_exits_one(tmp_path, capsys, config, flags, name):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(config)
@@ -633,7 +663,8 @@ def test_non_finite_grid_exits_one(tmp_path, capsys, config, flags, name):
     assert rc == 1
     err = capsys.readouterr().err
     assert f"atomlaser: config error: {name} must be finite" in err
-    assert "Traceback" not in err
+    # the value as a plain float, as written for a key in units of 1/gamma_M
+    assert "np.float64" not in err and "Traceback" not in err
 
 
 def test_unknown_target_exits_one(tmp_path, capsys):
@@ -798,3 +829,20 @@ def test_parse_scenario_validation():
     assert scen.cw_r_reading == defaults.r_reading
     assert scen.cw_orders == cw.ORDERS
     assert parse_scenario(TINY_PULSED.replace("tcl_order = 2\n", "")).tcl_order == 6
+    # a key is checked against its own section's keys, not all of them
+    for section, key, text in (("grid", "Gamma", TINY_PULSED), ("scenario", "N", TINY_CW),
+                               ("trap", "mode", TINY_PULSED), ("cw", "n_steps", TINY_CW)):
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n")
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"unknown key '{key}' in section [{section}]")):
+            parse_scenario(text)
+    # a grid key in units of 1/gamma_M is checked as written
+    with pytest.raises(ConfigError, match=r"key 't_max_gamma' must .* got -2\.0$"):
+        parse_scenario(TINY_CW.replace("t_max_gamma = 0.05", "t_max_gamma = -2"))
+    # t_max is a quotient by gamma_M, not a product with its reciprocal, which
+    # moves fig4's t_max by one ulp
+    for name, text in BUILTIN_SCENARIOS.items():
+        scen = parse_scenario(text, name)
+        t_max_gamma = float(re.search(r"^t_max_gamma = (.*)$", text, re.M).group(1))
+        assert scen.t_max == t_max_gamma / model.gamma_markov_closed_form(scen.trap)
+        assert scen.dt == scen.t_max / scen.n_steps
