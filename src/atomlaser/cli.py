@@ -220,13 +220,19 @@ def _resolve_grid(t_max, dt, t_name, dt_name, ratio_name):
 
 def parse_scenario(text, source="<config>"):
     """Parse config text into a fully resolved Scenario."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    # no header names the default section "", so [DEFAULT] is an ordinary
+    # section, rejected below, not one whose keys every section inherits
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None,
+                                   default_section="")
     cp.optionxform = str
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config is not parseable: {exc}") from None
 
+    for section in cp.sections():
+        if section not in _KEYS:
+            raise ConfigError(f"unknown section [{section}]")
     for required in ("scenario", "trap", "grid"):
         if required not in cp:
             raise ConfigError(f"missing section [{required}]")
@@ -578,9 +584,7 @@ def _run_calls(calls):
     calls before it finish, so what is seen is what running the calls one
     by one shows. Every child is reaped on every path.
     """
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(cpus, len(calls))
+    workers = min(cw.usable_cpus(), len(calls))
     if workers <= 1 or not hasattr(os, "fork"):
         for _, _, fn, args in calls:
             yield fn(*args)

@@ -14,7 +14,10 @@ are tolerated and flagged instead of treated as errors. Once Re r(t) grows
 large enough the generator itself turns unstable; evolve stops there.
 """
 
+import os
 import warnings
+from collections import deque
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -57,6 +60,14 @@ RANNACHER_STEPS = 4
 CLOSURE_N = 3
 
 
+def usable_cpus():
+    """The number of CPUs this process may run on: os.sched_getaffinity,
+    else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 # scipy loads on the first cw solve, not when cw is imported: `import
 # atomlaser.cli` imports cw, and a pulsed run needs numpy only. These three
 # names stay module-level callables, called through this module's globals,
@@ -65,7 +76,7 @@ CLOSURE_N = 3
 # importing cw, and (2) looks up `splu`, `spsolve` and `solve_banded` in cw by
 # name and rebinds them to timed wrappers. Only splu is called, by evolve's
 # markov branch: the stationary solve needs no sparse solver, and the banded
-# orders call LAPACK's gbsv directly.
+# orders call LAPACK's gbtrf and gbtrs directly (_banded_solves).
 def splu(A, **kwargs):
     from scipy.sparse.linalg import splu
     return splu(A, **kwargs)
@@ -188,7 +199,8 @@ class _Templates(NamedTuple):
     # CSR matrices static, out, oc built from diags[0..2]: every channel moves
     # a state by one fixed flat-index shift, and row k of a template's
     # diagonals holds, for each source column j, its rate into flat index
-    # j + shifts[k] (LAPACK band row upper + shifts[k], DIA offset -shifts[k])
+    # j + shifts[k] (DIA offset -shifts[k]; row upper + shifts[k] of LAPACK's
+    # band storage, lower + upper + shifts[k] with gbtrf's fill-in rows)
     static: object
     out: object
     oc: object
@@ -488,6 +500,105 @@ def stationary_distribution(params):
 # Time evolution
 
 
+def _lapack(name):
+    """Routine `name` of the LAPACK that scipy bundles, as a ctypes function
+    of Fortran-style pointer arguments: an int argument takes a c_int (or a
+    pointer to int), a char one bytes, a double one an address. It is the
+    routine scipy's f2py wrappers call, but they hold the GIL while it runs,
+    and a ctypes call releases it."""
+    import ctypes
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__[name]
+    api = ctypes.pythonapi
+    # the capsule is named by the C signature, "void (int *, char *, ..., <double> *)"
+    signature = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api))(capsule)
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))(capsule, signature)
+    kinds = {b"int": ctypes.POINTER(ctypes.c_int), b"char": ctypes.c_char_p}
+    args = signature[signature.index(b"(") + 1:-1].split(b", ")
+    return ctypes.CFUNCTYPE(None, *(kinds.get(a.rstrip(b" *"), ctypes.c_void_p) for a in args))(
+        address)
+
+
+@contextmanager
+def _banded_solves(tpl, h, gamma_h, rr_h, points):
+    """Yield solve(b) = (I - h G_k)^-1 b for each half-grid point k of
+    points in turn, G_k = static + gamma_h[k] out + rr_h[k] oc; the k-th
+    call solves with the k-th point.
+
+    G_k depends on k alone, not on the state, so its banded LU (LAPACK
+    gbtrf) runs ahead of the solves on a pool of one thread per usable CPU:
+    the factors are taken in order, each into the next of a ring of
+    cpus + 1 reused work arrays, and a solve (gbtrs) with the oldest frees
+    its array for the next factor. gbsv is gbtrf followed by gbtrs, so
+    every bit is that of one gbsv per solve. The band is (n1_max - 1)
+    diagonals below and n1_max + 1 above the main one, but only the
+    template diagonals (at most six) are combined, into the rows
+    upper + shifts of a work array whose other rows are zero.
+    """
+    import ctypes
+    # like scipy, loaded by the first banded run: its logging import would
+    # add about 10 ms to every `import atomlaser.cli`
+    from concurrent.futures import ThreadPoolExecutor
+
+    gbtrf, gbtrs = _lapack("dgbtrf"), _lapack("dgbtrs")
+    d_static, d_out, d_oc = tpl.diags
+    dim = d_static.shape[1]
+    lower, upper = int(tpl.shifts[-1]), int(-tpl.shifts[0])
+    rows = 2 * lower + upper + 1   # gbtrf's layout: `lower` fill-in rows above the band
+    n, kl, ku, ldab, one = (ctypes.c_int(v) for v in (dim, lower, upper, rows, 1))
+    int_p = ctypes.POINTER(ctypes.c_int)
+    eye = (tpl.shifts == 0)[:, None]   # I as diagonals
+    cpus = usable_cpus()
+    ring = [(np.zeros((rows, dim), order="F"), np.empty(dim, np.intc)) for _ in range(cpus + 1)]
+
+    def check(routine, info):
+        if info.value != 0:
+            raise NumericalFailure(
+                f"banded solve of the implicit step failed (LAPACK {routine} info {info.value})")
+
+    def factor(k, ab, ipiv):
+        band = eye - h * (d_static + gamma_h[k] * d_out)
+        if rr_h[k] != 0.0:
+            band -= h * rr_h[k] * d_oc
+        ab.fill(0.0)
+        ab[lower + upper + tpl.shifts] = band
+        info = ctypes.c_int()
+        gbtrf(n, n, kl, ku, ab.ctypes.data, ldab, ipiv.ctypes.data_as(int_p), info)
+        check("gbtrf", info)
+        return ab, ipiv
+
+    pool = ThreadPoolExecutor(cpus)
+    factors, queued = deque(), iter(range(len(points)))
+
+    def queue_next():
+        i = next(queued, None)
+        if i is not None:
+            factors.append(pool.submit(factor, points[i], *ring[i % len(ring)]))
+
+    def solve(b):
+        ab, ipiv = factors[0].result()
+        x = np.array(b, dtype=float)
+        if x.shape != (dim,):   # gbtrs reads and writes dim entries at x's address
+            raise ParameterError(f"right-hand side of shape {x.shape}, the step has {dim} rows")
+        info = ctypes.c_int()
+        gbtrs(b"N", n, kl, ku, one, ab.ctypes.data, ldab, ipiv.ctypes.data_as(int_p),
+              x.ctypes.data, n, info)
+        check("gbtrs", info)
+        factors.popleft()
+        queue_next()
+        return x
+
+    try:
+        for _ in ring:
+            queue_next()
+        yield solve
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 @dataclass
 class CwTrajectory:
     times: np.ndarray
@@ -522,11 +633,11 @@ def evolve(params, p0, t_max, dt):
     How the solves are factored follows from whether G changes in time. The
     markov generator is constant, so one sparse LU of the generator that
     build_generator checks serves every solve. At orders 2 and 4, gamma(t)
-    and r(t) change every step, so each solve factors I - (dt/2) G(t) anew
-    with LAPACK's banded gbsv. The band is (n1_max - 1) diagonals below and
-    n1_max + 1 above the main one, but only the template diagonals (at most
-    six) are combined, into the rows upper + shifts of one reused LAPACK
-    work array whose other rows stay zero.
+    and r(t) change every step, so each solve needs a new banded LU of
+    I - (dt/2) G(t). These depend on the half-step grid alone, which is
+    known before the first step, so threads factor them ahead, one per
+    usable CPU, while the steps solve with the factors in order
+    (_banded_solves); the bits are those of one LAPACK gbsv per solve.
     """
     dim, n1p = params.dim, params.n1_max + 1
     p = np.asarray(p0.p, dtype=float).ravel().copy()
@@ -571,30 +682,13 @@ def evolve(params, p0, t_max, dt):
         import scipy.sparse as sp
 
         lu = splu(sp.identity(dim, format="csc") - h * G0.tocsc())
-
-        def implicit_solve(g, rr, b):
-            return lu.solve(b)
+        solves = nullcontext(lu.solve)
     else:
-        from scipy.linalg import get_lapack_funcs
-
-        d_static, d_out, d_oc = tpl.diags
-        lower, upper = tpl.shifts[-1], -tpl.shifts[0]
-        # gbsv's band layout: `lower` fill-in rows above the band itself
-        work = np.zeros((2 * lower + upper + 1, dim), order="F")
-        gbsv, = get_lapack_funcs(("gbsv",), (work,))
-        eye = (tpl.shifts == 0)[:, None]   # I as diagonals
-
-        def implicit_solve(g, rr, b):
-            band = eye - h * (d_static + g * d_out)
-            if rr != 0.0:
-                band -= h * rr * d_oc
-            work.fill(0.0)
-            work[lower + upper + tpl.shifts] = band
-            _, _, x, info = gbsv(lower, upper, work, b, overwrite_ab=True)
-            if info != 0:
-                raise NumericalFailure(
-                    f"banded LU of the implicit step failed (LAPACK gbsv info {info})")
-            return x
+        # the half-grid point of each solve, in the order the steps below
+        # take them: 2j + 1 and 2j + 2 in a Rannacher step, else 2j + 2
+        points = [k for j in range(n_steps)
+                  for k in ((2 * j + 1, 2 * j + 2) if j < RANNACHER_STEPS else (2 * j + 2,))]
+        solves = _banded_solves(tpl, h, gamma_h, rr_h, points)
 
     n0_of = (np.arange(dim) // n1p).astype(float)
     n1_of = (np.arange(dim) % n1p).astype(float)
@@ -617,29 +711,28 @@ def evolve(params, p0, t_max, dt):
     record(0, p, clip)
     # leak_dot(p, rr_h[2j]) at the start of step j is the previous step's
     # endpoint value; the first step is always a Rannacher step, which sets it
-    for j in range(n_steps):
-        g0, g1 = gamma_h[2 * j], gamma_h[2 * j + 2]
-        r0, r1 = rr_h[2 * j], rr_h[2 * j + 2]
-        if j < RANNACHER_STEPS:
-            gm_, rm_ = gamma_h[2 * j + 1], rr_h[2 * j + 1]
-            p_new = implicit_solve(gm_, rm_, p)
-            clip += h * leak_dot(p_new, rm_)
-            p_new = implicit_solve(g1, r1, p_new)
-            leak = leak_dot(p_new, r1)
-            clip += h * leak
-        else:
-            y = p + h * rhs(p, g0, r0)
-            p_new = implicit_solve(g1, r1, y)
-            leak_new = leak_dot(p_new, r1)
-            clip += h * (leak + leak_new)
-            leak = leak_new
-        p = p_new
-        record(j + 1, p, clip)
-        if params.order == 4 and not (np.abs(p).sum() <= L1_BOUND):
-            raise NumericalFailure(
-                f"the order-4 generator is unstable at t = {times[j + 1]:.6e} s, Re r = "
-                f"{r1:.6e} ({params.r_reading} reading): ||p||_1 = {np.abs(p).sum():.3e} "
-                f"passed {L1_BOUND}; no step size cures this")
+    with solves as implicit_solve:
+        for j in range(n_steps):
+            r0, r1 = rr_h[2 * j], rr_h[2 * j + 2]
+            if j < RANNACHER_STEPS:
+                p_new = implicit_solve(p)
+                clip += h * leak_dot(p_new, rr_h[2 * j + 1])
+                p_new = implicit_solve(p_new)
+                leak = leak_dot(p_new, r1)
+                clip += h * leak
+            else:
+                y = p + h * rhs(p, gamma_h[2 * j], r0)
+                p_new = implicit_solve(y)
+                leak_new = leak_dot(p_new, r1)
+                clip += h * (leak + leak_new)
+                leak = leak_new
+            p = p_new
+            record(j + 1, p, clip)
+            if params.order == 4 and not (np.abs(p).sum() <= L1_BOUND):
+                raise NumericalFailure(
+                    f"the order-4 generator is unstable at t = {times[j + 1]:.6e} s, Re r = "
+                    f"{r1:.6e} ({params.r_reading} reading): ||p||_1 = {np.abs(p).sum():.3e} "
+                    f"passed {L1_BOUND}; no step size cures this")
 
     drift = float(np.abs(prob_sum + clipped - 1.0).max())
     if not (drift <= CONSERVATION_TOL):

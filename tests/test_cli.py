@@ -836,6 +836,13 @@ def test_parse_scenario_validation():
         with pytest.raises(ConfigError,
                            match=re.escape(f"unknown key '{key}' in section [{section}]")):
             parse_scenario(text)
+    # a section outside the key table, [DEFAULT] included, is named, not
+    # ignored or read into the others
+    for header in ("extra", "Grid2", "DEFAULT"):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown section [{header}]")):
+            parse_scenario(TINY_CW + f"[{header}]\n")
+        with pytest.raises(ConfigError, match=re.escape(f"unknown section [{header}]")):
+            parse_scenario(f"[{header}]\nt_max = 1\n" + TINY_PULSED)
     # a grid key in units of 1/gamma_M is checked as written
     with pytest.raises(ConfigError, match=r"key 't_max_gamma' must .* got -2\.0$"):
         parse_scenario(TINY_CW.replace("t_max_gamma = 0.05", "t_max_gamma = -2"))

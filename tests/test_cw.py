@@ -1,10 +1,15 @@
 """Pumped two-mode number dynamics: generator algebra, steady states,
 time stepping, and the non-Lindblad cross term."""
 
+import sys
+import threading
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad
 from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
@@ -15,7 +20,7 @@ from atomlaser import (ConfigError, GeneratorError, NumericalFailure, ParameterE
 from atomlaser.quad import UniformGrid
 
 from conftest import OMEGA0, cw_params, trap
-from reference import reduced_cw_mean_n0, reduced_cw_stationary
+from reference import reduced_cw_mean_n0, reduced_cw_stationary, serial_banded_evolve
 
 GAMMA_M_5E4 = 92.62263163409446
 # frozen from the replaced-row linear solve at the default (200, 60) box
@@ -389,9 +394,10 @@ def test_steppers_agree_with_matrix_exponential():
 
 @pytest.mark.parametrize("order", ["markov", 2, 4])
 def test_time_dependent_implicit_stepper_matches_dense_recurrence(order):
-    # the stepper (one sparse LU for markov, banded gbsv for orders 2 and 4)
-    # against the same Rannacher + Crank-Nicolson recurrence written out with
-    # dense matrices from build_generator
+    # the stepper (one sparse LU for markov; for orders 2 and 4 a banded LU
+    # per solve, factored ahead on threads) against the same Rannacher +
+    # Crank-Nicolson recurrence written out with dense matrices from
+    # build_generator
     t5 = trap(5e4)
     params = cw.CwParams(trap=t5, kappa1=200.0, Omega=GAMMA_M_5E4, N=0.5,
                          n0_max=8, n1_max=6, order=order)
@@ -428,6 +434,58 @@ def test_time_dependent_implicit_stepper_matches_dense_recurrence(order):
         assert traj.prob_sum[j + 1] == pytest.approx(p.sum(), abs=1e-12)
         assert traj.clipped_flux[j + 1] == pytest.approx(clip, abs=1e-12)
     assert clip > 1e-9   # the box is tight enough for the leak to count
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(n0_max=st.integers(1, 12), n1_max=st.integers(1, 8), order=st.sampled_from([2, 4]),
+       n_steps=st.integers(1, 14), dt_gamma=st.floats(1e-3, 4e-2), N=st.floats(0.5, 5.0))
+def test_banded_stepper_matches_serial_solve_banded(cpus, n0_max, n1_max, order, n_steps,
+                                                    dt_gamma, N):
+    # factors computed ahead on 1, 2 or 3 threads, in a ring of cpus + 1
+    # arrays that runs past the Rannacher start and wraps, give the bits of
+    # one solve_banded per step; the interpreter switches threads every
+    # 10 us, so that a factor read before it is done would show
+    params = cw_params(trap(5e4), order, n0_max, n1_max, N)
+    p0 = cw.DiagonalState.vacuum(n0_max, n1_max)
+    dt = dt_gamma / GAMMA_M_5E4
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            mp.setattr(cw, "usable_cpus", lambda: cpus)
+            warnings.simplefilter("ignore")   # small boxes clip, order 4 may flag negativity
+            traj = cw.evolve(params, p0, n_steps * dt, dt)
+    finally:
+        sys.setswitchinterval(interval)
+    got = (traj.mean_n0, traj.mean_n1, traj.prob_sum, traj.min_p, traj.clipped_flux,
+           traj.final_state.p.ravel())
+    for mine, serial in zip(got, serial_banded_evolve(params, p0, n_steps * dt, dt)):
+        assert mine.tobytes() == serial.tobytes()
+
+
+def test_singular_step_names_gbtrf_info(monkeypatch):
+    # column 0 of I - h G is zeroed but for its pivot 1 - h g (1/h): 1/2 at
+    # the rate g = 1/2, and exactly 0 (h = 2^-13) at g = 1, planted at
+    # half-grid point 14, the solve of step 6. gbtrf stops there with info
+    # 1, while factors run ahead on two threads; the pool's threads end
+    # with the run
+    params = cw_params(trap(5e4), 2, n0_max=4, n1_max=3)
+    dt, n_steps = 2.0 ** -12, 10
+    tpl = cw._templates_for(params)
+    diags = tpl.diags.copy()
+    diags[:, :, 0] = 0.0
+    diags[1, list(tpl.shifts).index(0), 0] = 2.0 / dt
+    gamma = np.full(2 * n_steps + 1, 0.5)
+    gamma[14] = 1.0
+    rates = SimpleNamespace(total_gamma=lambda: SimpleNamespace(values=gamma))
+    monkeypatch.setattr(cw, "_templates_for", lambda params: tpl._replace(diags=diags))
+    monkeypatch.setattr(tcl, "tcl_series_rates", lambda kernel, order: rates)
+    monkeypatch.setattr(cw, "usable_cpus", lambda: 2)
+    threads = threading.active_count()
+    with pytest.raises(NumericalFailure, match=r"\(LAPACK gbtrf info 1\)"):
+        cw.evolve(params, cw.DiagonalState.vacuum(4, 3), n_steps * dt, dt)
+    assert threading.active_count() == threads
 
 
 def test_evolve_config_errors(monkeypatch):
@@ -523,9 +581,12 @@ def test_order4_instability_is_named():
     params = cw.CwParams(trap=t5, kappa1=10 * GAMMA_M_5E4, Omega=15 * GAMMA_M_5E4, N=20.3,
                          n0_max=40, n1_max=12, order=4, r_reading="inner")
     dt = 8.0 / GAMMA_M_5E4 / 800
+    threads = threading.active_count()
     with pytest.raises(NumericalFailure, match=r"unstable at t = .* \(inner reading\)") as err:
         cw.evolve(params, cw.DiagonalState.vacuum(40, 12), 1200 * dt, dt)
     assert "too coarse" not in str(err.value)
+    # the factor threads, some still ahead of the stop, have ended
+    assert threading.active_count() == threads
 
 
 def test_order4_evolve_samples_f_once(monkeypatch):

@@ -52,5 +52,8 @@ def test_pulsed_cli_run_loads_no_scipy(tmp_path):
 
 
 def test_cw_import_loads_no_scipy():
-    code = f"import json, sys, atomlaser.cw; print(json.dumps({SCIPY_LOADED}))"
-    assert _run(code) == []
+    # nor concurrent.futures, the banded stepper's thread pool, whose import
+    # of logging would add about 10 ms to every run's start
+    code = ("import json, sys, atomlaser.cw; "
+            f"print(json.dumps([{SCIPY_LOADED}, 'concurrent.futures' in sys.modules]))")
+    assert _run(code) == [[], False]
