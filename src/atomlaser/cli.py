@@ -10,6 +10,7 @@ or written included), 2 numerical failure.
 
 import argparse
 import configparser
+import functools
 import glob
 import importlib.util
 import json
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cw, model, tcl, volterra
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .quad import SampledFunction, UniformGrid, shared_points_difference
 
 __all__ = ["main", "BUILTIN_SCENARIOS", "parse_scenario", "run_scenario", "list_scenarios"]
@@ -181,7 +182,7 @@ _KEYS = {
     "cw": ("kappa1", "kappa1_gamma", "Omega", "Omega_gamma", "N", "n0_max", "n1_max",
            "orders", "r_reading"),
 }
-_CW_ORDERS = {"markov": "markov", "2": 2, "4": 4}
+_CW_ORDERS = {str(order): order for order in cw.ORDERS}
 # (section, key, Scenario field, converter): the field is set if the key is given
 _OPTIONAL = (
     ("scenario", "name", "name", str),
@@ -292,6 +293,12 @@ def parse_scenario(text, source="<config>"):
                 raise ConfigError(f"key '{base}_gamma' needs Gamma > 0")
             setattr(scen, "cw_" + base, absolute if relative is None else relative * gamma_m)
         scen.cw_N = _get(cp["cw"], "N", float)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")   # the kappa1 warning: each run warns for itself
+                _cw_params(scen, scen.cw_orders[0])
+        except ParameterError as exc:
+            raise ConfigError(f"section [cw]: {exc}") from None
     return scen
 
 
@@ -431,19 +438,15 @@ def _pulsed_columns(scen, kernel):
     return columns, rates, exact
 
 
+def _cw_params(scen, order):
+    return cw.CwParams(trap=scen.trap, kappa1=scen.cw_kappa1, Omega=scen.cw_Omega, N=scen.cw_N,
+                       n0_max=scen.cw_n0_max, n1_max=scen.cw_n1_max, order=order,
+                       r_reading=scen.cw_r_reading)
+
+
 def _cw_columns(scen, order, n_steps, dt):
-    params = cw.CwParams(
-        trap=scen.trap,
-        kappa1=scen.cw_kappa1,
-        Omega=scen.cw_Omega,
-        N=scen.cw_N,
-        n0_max=scen.cw_n0_max,
-        n1_max=scen.cw_n1_max,
-        order=order,
-        r_reading=scen.cw_r_reading,
-    )
     p0 = cw.DiagonalState.vacuum(scen.cw_n0_max, scen.cw_n1_max)
-    traj = cw.evolve(params, p0, n_steps * dt, dt)
+    traj = cw.evolve(_cw_params(scen, order), p0, n_steps * dt, dt)
     columns = [
         ("t_seconds", traj.times),
         ("mean_n0", traj.mean_n0),
@@ -669,9 +672,7 @@ def _run_pulsed(scen, outdir):
         "series_breakdown_index": tcl.series_breakdown_index(rates),
         "exact_rate_truncation_index": None if exact is None else exact.truncation_index,
     }
-    base = scen.output or scen.name
-    csv_name = base if base.endswith(".csv") else base + ".csv"
-    written = _write_outputs(outdir, csv_name, columns, meta, _refinement(columns, fine))
+    written = _write_outputs(outdir, _csv_name(scen), columns, meta, _refinement(columns, fine))
     _warn_outside_probabilities(columns)
     return written
 
@@ -690,8 +691,13 @@ def _warn_outside_probabilities(columns):
                   f"(extreme {extreme:.3e})", file=sys.stderr)
 
 
-def _cw_label(order):
-    return "markov" if order == "markov" else f"tcl{order}"
+def _csv_name(scen, order=None):
+    """output, else name, less any .csv, then _markov/_tcl2/_tcl4 for a cw
+    order, then .csv."""
+    base = (scen.output or scen.name).removesuffix(".csv")
+    if order is not None:
+        base += "_markov" if order == "markov" else f"_tcl{order}"
+    return base + ".csv"
 
 
 def _write_cw_order(scen, order, outdir, columns, traj, refinement):
@@ -709,11 +715,7 @@ def _write_cw_order(scen, order, outdir, columns, traj, refinement):
         "negativity_flagged": traj.negativity_flagged,
         "clipped_total": float(traj.clipped_flux[-1]),
     }
-    base = scen.output or scen.name
-    if base.endswith(".csv"):
-        base = base[:-4]
-    csv_name = f"{base}_{_cw_label(order)}.csv"
-    return _write_outputs(outdir, csv_name, columns, meta, refinement)
+    return _write_outputs(outdir, _csv_name(scen, order), columns, meta, refinement)
 
 
 def run_scenario(scen, outdir="."):
@@ -788,11 +790,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# the argument parser, built by the first main call and reused by later ones
-_parser = None
-
-
-def _build_parser():
+@functools.cache
+def _parser():
     parser = _Parser(prog="atomlaser", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -832,10 +831,7 @@ def _apply_overrides(scen, args):
 
 
 def main(argv=None):
-    global _parser
-    if _parser is None:
-        _parser = _build_parser()
-    args = _parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "list":
             list_scenarios(args.configs)

@@ -20,6 +20,7 @@ from collections import deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib import import_module
 from typing import NamedTuple
 
 import numpy as np
@@ -69,7 +70,8 @@ def usable_cpus():
 
 
 # scipy loads on the first cw solve, not when cw is imported: `import
-# atomlaser.cli` imports cw, and a pulsed run needs numpy only. These three
+# atomlaser.cli` imports cw, and a pulsed run needs numpy only. _lazy(module,
+# name) calls module.name, importing module on the first call. The three
 # names stay module-level callables, called through this module's globals,
 # because perfbench/layertrace.py (1) reads the import time of atomlaser.cw
 # from `python -X importtime -c "import atomlaser.cli"`, so cli must keep
@@ -77,19 +79,13 @@ def usable_cpus():
 # name and rebinds them to timed wrappers. Only splu is called, by evolve's
 # markov branch: the stationary solve needs no sparse solver, and the banded
 # orders call LAPACK's gbtrf and gbtrs directly (_banded_solves).
-def splu(A, **kwargs):
-    from scipy.sparse.linalg import splu
-    return splu(A, **kwargs)
+def _lazy(module, name):
+    return lambda *args, **kwargs: getattr(import_module(module), name)(*args, **kwargs)
 
 
-def spsolve(A, b, **kwargs):
-    from scipy.sparse.linalg import spsolve
-    return spsolve(A, b, **kwargs)
-
-
-def solve_banded(l_and_u, ab, b, **kwargs):
-    from scipy.linalg import solve_banded
-    return solve_banded(l_and_u, ab, b, **kwargs)
+splu = _lazy("scipy.sparse.linalg", "splu")
+spsolve = _lazy("scipy.sparse.linalg", "spsolve")
+solve_banded = _lazy("scipy.linalg", "solve_banded")
 
 
 @dataclass(frozen=True)
@@ -523,10 +519,10 @@ def _lapack(name):
 
 
 @contextmanager
-def _banded_solves(tpl, h, gamma_h, rr_h, points):
-    """Yield solve(b) = (I - h G_k)^-1 b for each half-grid point k of
-    points in turn, G_k = static + gamma_h[k] out + rr_h[k] oc; the k-th
-    call solves with the k-th point.
+def _banded_solves(tpl, h, gamma_h, rr_h, schedule):
+    """Yield solve(b) = (I - h G_k)^-1 b for the half-grid point k of each
+    (k, trapezoid) entry of evolve's schedule in turn, G_k = static +
+    gamma_h[k] out + rr_h[k] oc; the i-th call solves with the i-th entry.
 
     G_k depends on k alone, not on the state, so its banded LU (LAPACK
     gbtrf) runs ahead of the solves on a pool of one thread per usable CPU:
@@ -571,12 +567,12 @@ def _banded_solves(tpl, h, gamma_h, rr_h, points):
         return ab, ipiv
 
     pool = ThreadPoolExecutor(cpus)
-    factors, queued = deque(), iter(range(len(points)))
+    factors, queued = deque(), iter(range(len(schedule)))
 
     def queue_next():
         i = next(queued, None)
         if i is not None:
-            factors.append(pool.submit(factor, points[i], *ring[i % len(ring)]))
+            factors.append(pool.submit(factor, schedule[i][0], *ring[i % len(ring)]))
 
     def solve(b):
         ab, ipiv = factors[0].result()
@@ -634,10 +630,12 @@ def evolve(params, p0, t_max, dt):
     markov generator is constant, so one sparse LU of the generator that
     build_generator checks serves every solve. At orders 2 and 4, gamma(t)
     and r(t) change every step, so each solve needs a new banded LU of
-    I - (dt/2) G(t). These depend on the half-step grid alone, which is
-    known before the first step, so threads factor them ahead, one per
-    usable CPU, while the steps solve with the factors in order
-    (_banded_solves); the bits are those of one LAPACK gbsv per solve.
+    I - (dt/2) G(t). These depend on the half-step grid alone, so threads
+    factor them ahead, one per usable CPU (_banded_solves); the bits are
+    those of one LAPACK gbsv per solve. Factors and steps walk one schedule
+    of (half-grid point k, trapezoid) entries, one solve each: (2j + 1,
+    False) and (2j + 2, False) in a Rannacher step j, else (2j + 2, True),
+    which adds the explicit half at point k - 2. Each even k ends step k/2.
     """
     dim, n1p = params.dim, params.n1_max + 1
     p = np.asarray(p0.p, dtype=float).ravel().copy()
@@ -648,7 +646,6 @@ def evolve(params, p0, t_max, dt):
     grid = grid_for(t_max, dt)
     n_steps = grid.n_points - 1
     tpl = _templates_for(params)
-    static, out_csr, oc_csr = tpl.static, tpl.out, tpl.oc
     # gamma(t) and r(t) read one memory kernel sampled at half steps, so the
     # endpoints and the Rannacher midpoint of a step come from one table
     half = UniformGrid(0.0, 0.5 * dt, 2 * n_steps + 1)
@@ -667,9 +664,9 @@ def evolve(params, p0, t_max, dt):
     h = 0.5 * dt
 
     def rhs(vec, g, rr):
-        y = static @ vec + g * (out_csr @ vec)
+        y = tpl.static @ vec + g * (tpl.out @ vec)
         if rr != 0.0:
-            y += rr * (oc_csr @ vec)
+            y += rr * (tpl.oc @ vec)
         return y
 
     def leak_dot(vec, rr):
@@ -678,17 +675,15 @@ def evolve(params, p0, t_max, dt):
             val += rr * (tpl.leak_oc @ vec)
         return float(val)
 
+    schedule = [(k, j >= RANNACHER_STEPS) for j in range(n_steps)
+                for k in ((2 * j + 1, 2 * j + 2) if j < RANNACHER_STEPS else (2 * j + 2,))]
     if params.order == "markov":
         import scipy.sparse as sp
 
         lu = splu(sp.identity(dim, format="csc") - h * G0.tocsc())
         solves = nullcontext(lu.solve)
     else:
-        # the half-grid point of each solve, in the order the steps below
-        # take them: 2j + 1 and 2j + 2 in a Rannacher step, else 2j + 2
-        points = [k for j in range(n_steps)
-                  for k in ((2 * j + 1, 2 * j + 2) if j < RANNACHER_STEPS else (2 * j + 2,))]
-        solves = _banded_solves(tpl, h, gamma_h, rr_h, points)
+        solves = _banded_solves(tpl, h, gamma_h, rr_h, schedule)
 
     n0_of = (np.arange(dim) // n1p).astype(float)
     n1_of = (np.arange(dim) % n1p).astype(float)
@@ -707,32 +702,21 @@ def evolve(params, p0, t_max, dt):
         min_p[j] = vec.min()
         clipped[j] = clip
 
-    clip = 0.0
+    clip = leak = 0.0
     record(0, p, clip)
-    # leak_dot(p, rr_h[2j]) at the start of step j is the previous step's
-    # endpoint value; the first step is always a Rannacher step, which sets it
     with solves as implicit_solve:
-        for j in range(n_steps):
-            r0, r1 = rr_h[2 * j], rr_h[2 * j + 2]
-            if j < RANNACHER_STEPS:
-                p_new = implicit_solve(p)
-                clip += h * leak_dot(p_new, rr_h[2 * j + 1])
-                p_new = implicit_solve(p_new)
-                leak = leak_dot(p_new, r1)
-                clip += h * leak
-            else:
-                y = p + h * rhs(p, gamma_h[2 * j], r0)
-                p_new = implicit_solve(y)
-                leak_new = leak_dot(p_new, r1)
-                clip += h * (leak + leak_new)
-                leak = leak_new
-            p = p_new
-            record(j + 1, p, clip)
+        for k, trapezoid in schedule:
+            p = implicit_solve(p + h * rhs(p, gamma_h[k - 2], rr_h[k - 2]) if trapezoid else p)
+            start, leak = leak, leak_dot(p, rr_h[k])
+            clip += h * (start + leak) if trapezoid else h * leak
+            if k % 2:
+                continue
+            record(k // 2, p, clip)
             if params.order == 4 and not (np.abs(p).sum() <= L1_BOUND):
                 raise NumericalFailure(
-                    f"the order-4 generator is unstable at t = {times[j + 1]:.6e} s, Re r = "
-                    f"{r1:.6e} ({params.r_reading} reading): ||p||_1 = {np.abs(p).sum():.3e} "
-                    f"passed {L1_BOUND}; no step size cures this")
+                    f"the order-4 generator is unstable at t = {times[k // 2]:.6e} s, Re r = "
+                    f"{rr_h[k]:.6e} ({params.r_reading} reading): ||p||_1 = "
+                    f"{np.abs(p).sum():.3e} passed {L1_BOUND}; no step size cures this")
 
     drift = float(np.abs(prob_sum + clipped - 1.0).max())
     if not (drift <= CONSERVATION_TOL):

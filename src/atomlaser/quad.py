@@ -95,12 +95,6 @@ class SampledFunction:
         return out.real if np.isrealobj(self.values) and np.isrealobj(x) else out
 
 
-def _same_grid(a, b):
-    ga, gb = a.grid, b.grid
-    if (ga.t0, ga.dt, ga.n_points) != (gb.t0, gb.dt, gb.n_points):
-        raise GridError("operands live on different grids")
-
-
 def _cumtrapz(values, dt):
     out = np.empty_like(values)
     out[0] = 0.0
@@ -141,7 +135,8 @@ def iterated_convolution(kernel, u):
     """v(t) = integral_0^t kernel(tau) u(t - tau) dtau by product trapezoid:
     the full discrete convolution with the two endpoint samples downweighted
     to half."""
-    _same_grid(kernel, u)
+    if kernel.grid != u.grid:
+        raise GridError("operands live on different grids")
     k, x = kernel.values, u.values
     out = kernel.grid.dt * (kernel.convolve(x) - 0.5 * k[0] * x - 0.5 * k * x[0])
     out[0] = 0.0  # exact for an empty interval; fft noise would leave ~1e-16

@@ -299,6 +299,7 @@ def test_duplicate_cw_orders_exit_one(tmp_path, capsys):
 
 
 TINY_CW3 = TINY_CW.replace("orders = markov,2", "orders = markov,2,4")
+BAD_CW = TINY_CW.replace("N = 0.5", "N = -0.5")
 
 
 def _assert_no_children():
@@ -618,6 +619,18 @@ def test_order_override_rejected_for_cw(tmp_path, capsys):
     assert "--order" in capsys.readouterr().err
 
 
+def test_bad_cw_value_exits_one_before_forking(tmp_path, monkeypatch, capsys, two_cpus):
+    def no_fork():
+        raise AssertionError("a config error must be found before the runner forks")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg = tmp_path / "badcw.cfg"
+    cfg.write_text(BAD_CW)
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "config error: section [cw]: pump occupancy N" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_bad_config_exits_one(tmp_path, capsys):
     cfg = tmp_path / "broken.cfg"
     cfg.write_text(TINY_CW.replace("mode = cw\n", ""))
@@ -792,10 +805,15 @@ def test_list_with_config_dir(tmp_path, capsys):
     good.write_text(TINY_CW)
     bad = tmp_path / "bad.cfg"
     bad.write_text("this is [not\nvalid ini ]]]\n")
+    # a [cw] value that CwParams rejects is a parse error, as a bad key is
+    (tmp_path / "badcw.cfg").write_text(BAD_CW)
     assert main(["list", "--configs", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "tiny" in out
     assert "[parse error" in out
+    lines = {line.rsplit("  (", 1)[-1]: line for line in out.splitlines()}
+    assert "[parse error: section [cw]: pump occupancy N" in lines[f"{tmp_path / 'badcw.cfg'})"]
+    assert lines[f"{good})"].startswith("tiny  ")
     assert main(["list", "--configs", str(tmp_path / "missing")]) == 0
     assert "cannot read" in capsys.readouterr().out
 
@@ -813,6 +831,16 @@ def test_parse_scenario_validation():
         parse_scenario(TINY_PULSED + "\n[cw]\nN = 1\n")
     with pytest.raises(ConfigError, match="rates"):
         parse_scenario(TINY_PULSED.replace("rates = true", "rates = maybe"))
+    # [cw] values are checked by the CwParams each run builds, before any run
+    for old, new, message in (("N = 0.5", "N = -0.5", "pump occupancy N must be positive"),
+                              ("n1_max = 10", "n1_max = 0", "truncation bounds"),
+                              ("N = 0.5", "N = 0.5\nr_reading = sideways", "r_reading must")):
+        with pytest.raises(ConfigError, match=re.escape(f"section [cw]: {message}")):
+            parse_scenario(TINY_CW.replace(old, new))
+    # a pump that does not dominate parses silently: each run warns for itself
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parse_scenario(TINY_CW.replace("kappa1_gamma = 10", "kappa1_gamma = 0.5"))
     assert parse_scenario(TINY_PULSED.replace("rates = true", "rates = Off")).rates is False
     scen = parse_scenario(BUILTIN_SCENARIOS["fig7"], "fig7")
     assert scen.mode == "cw"

@@ -303,6 +303,23 @@ def test_divergence_detection():
         assert step.search(str(fast.value)).groups() == step.search(str(ref.value)).groups()
 
 
+def test_amplitude_overshoot_names_its_step():
+    # u'' = 100 u from u = 1 peaks at cosh(0.01) = 1 + 5.0e-5 on this grid:
+    # inside the march's noise band of old, outside 1 + SANITY_TOL, so the
+    # one growth check fails it and names the step where |u| first passes
+    g = UniformGrid(0.0, 1e-5, 101)
+    kernel = SampledFunction(g, np.full(g.n_points, -100.0, dtype=complex))
+    bound = 1.0 + volterra.SANITY_TOL
+    assert bound < np.abs(reference_march(kernel)[0]).max() < 1.0 + 1e-3
+    with pytest.raises(NumericalFailure) as fast:
+        volterra.solve_amplitude(trap(5e4), kernel)
+    with pytest.raises(NumericalFailure) as ref:
+        reference_march(kernel, max_growth=bound)
+    step = re.compile(r"\|u\| = ([0-9.]+) at step (\d+);")
+    assert step.search(str(fast.value)).groups() == step.search(str(ref.value)).groups()
+    assert int(step.search(str(fast.value)).group(2)) > 1
+
+
 def test_singular_implicit_diagonal():
     # 1 + dt^2 k_0 / 4 = 0 for c = -1e8 at dt = 2e-4: no step can be taken
     g = UniformGrid(0.0, 2e-4, 5001)
