@@ -2,10 +2,10 @@
 
 The package splits along the physics:
 
-* model: trap/reservoir constants, coupling, spectral density, memory kernel
-* quad: uniform-grid product integration (running, convolution, triple)
+* model: trap parameters, the reservoir correlation, the Markov constants
+* quad: uniform-grid product integration (running, convolution)
 * volterra: exact single-atom amplitude via the memory integro-differential equation
-* tcl: perturbative time-local decay rates, order 2/4/6, two independent routes
+* tcl: perturbative time-local decay rates, order 2/4/6, by the series route
 * cw: pumped two-mode number dynamics with the time-dependent output rate
 * cli: scenario runner emitting CSV + metadata sidecars
 

@@ -137,7 +137,6 @@ class Scenario:
     cw_n0_max: int = cw.CwParams.n0_max
     cw_n1_max: int = cw.CwParams.n1_max
     cw_orders: tuple = cw.ORDERS
-    cw_r_reading: str = cw.CwParams.r_reading
     output: str = ""
     source: str = ""
 
@@ -180,7 +179,7 @@ _KEYS = {
     "trap": ("M", "omega0", "sigma_k", "Gamma"),
     "grid": ("t_max", "t_max_gamma", "dt", "n_steps"),
     "cw": ("kappa1", "kappa1_gamma", "Omega", "Omega_gamma", "N", "n0_max", "n1_max",
-           "orders", "r_reading"),
+           "orders"),
 }
 _CW_ORDERS = {str(order): order for order in cw.ORDERS}
 # (section, key, Scenario field, converter): the field is set if the key is given
@@ -194,7 +193,6 @@ _OPTIONAL = (
     ("cw", "n0_max", "cw_n0_max", int),
     ("cw", "n1_max", "cw_n1_max", int),
     ("cw", "orders", "cw_orders", _cw_orders),
-    ("cw", "r_reading", "cw_r_reading", str),
 )
 
 
@@ -440,8 +438,7 @@ def _pulsed_columns(scen, kernel):
 
 def _cw_params(scen, order):
     return cw.CwParams(trap=scen.trap, kappa1=scen.cw_kappa1, Omega=scen.cw_Omega, N=scen.cw_N,
-                       n0_max=scen.cw_n0_max, n1_max=scen.cw_n1_max, order=order,
-                       r_reading=scen.cw_r_reading)
+                       n0_max=scen.cw_n0_max, n1_max=scen.cw_n1_max, order=order)
 
 
 def _cw_columns(scen, order, n_steps, dt):
@@ -709,7 +706,6 @@ def _write_cw_order(scen, order, outdir, columns, traj, refinement):
         "n0_max": scen.cw_n0_max,
         "n1_max": scen.cw_n1_max,
         "order": order,
-        "r_reading": scen.cw_r_reading,
         "initial_state": "vacuum",
         "stepper": "cn",
         "negativity_flagged": traj.negativity_flagged,
@@ -802,8 +798,6 @@ def _parser():
                        help="override the perturbative order")
     run_p.add_argument("--dt", type=float, help="override the step size in seconds")
     run_p.add_argument("--tmax", type=float, help="override the final time in seconds")
-    run_p.add_argument("--r-reading", choices=cw.R_READINGS, dest="r_reading",
-                       help="reference-time reading of the cw cross-term weight")
 
     list_p = sub.add_parser("list", help="list available scenarios")
     list_p.add_argument("--configs", default=None, metavar="DIR",
@@ -823,10 +817,6 @@ def _apply_overrides(scen, args):
             scen.cw_orders = (args.order,)
         else:
             scen.tcl_order = args.order
-    if args.r_reading is not None:
-        if scen.mode != "cw":
-            raise ConfigError("--r-reading only applies to cw scenarios")
-        scen.cw_r_reading = args.r_reading
     return scen
 
 

@@ -36,13 +36,11 @@ __all__ = [
     "r_function",
     "build_generator",
     "verify_diagonal_closure",
-    "steady_state_markov",
     "stationary_distribution",
     "evolve",
 ]
 
 ORDERS = ("markov", 2, 4)
-R_READINGS = ("outer", "inner")
 
 # |sum p + clipped - 1| beyond this aborts a run
 CONSERVATION_TOL = 1e-6
@@ -97,7 +95,6 @@ class CwParams:
     n0_max: int = 200
     n1_max: int = 60
     order: object = "markov"
-    r_reading: str = "outer"
 
     def __post_init__(self):
         model._require_finite(self, ("kappa1", "Omega", "N"))
@@ -112,14 +109,14 @@ class CwParams:
             raise ParameterError("truncation bounds must be at least 1")
         if self.order not in ORDERS:
             raise ParameterError(f"order must be one of {ORDERS}, got {self.order!r}")
-        if self.r_reading not in R_READINGS:
-            raise ParameterError(f"r_reading must be one of {R_READINGS}")
         gm = model.gamma_markov_closed_form(self.trap)
         if gm > 0 and self.kappa1 <= gm:
             warnings.warn(
                 "pump rate kappa1 does not dominate the output rate; the "
                 "effective-reservoir elimination behind this model assumes it does",
-                stacklevel=2,
+                # past this method and the dataclass's generated __init__, to
+                # the line that built the parameters
+                stacklevel=3,
             )
 
     @property
@@ -163,23 +160,20 @@ def r_function(params, kernel):
     """History weight of the output-collision cross term, on the grid of the
     memory kernel conj f (volterra.memory_kernel of params.trap) it is handed.
 
-    The defining double integral carries a reference time that the model
-    leaves ambiguous; both readings are implemented:
+    The double integral is read with the outer time t as its reference:
 
-      outer (default): r(t) = Omega int_0^t dt1 int_0^t1 dt2 f(t - t2)
-                            = Omega int_0^t tau f(tau) dtau
-      inner:           r(t) = Omega int_0^t dt1 int_0^t1 dt2 f(t1 - t2)
+      r(t) = Omega int_0^t dt1 int_0^t1 dt2 f(t - t2) = Omega int_0^t tau f(tau) dtau,
 
-    Either way r(0) = 0 and r is linear in Omega and in Gamma.
+    so r(0) = 0 and r is linear in Omega and in Gamma. In the linear-gain
+    limit (fast pump, weak collisions), where mode 0 is solvable exactly,
+    this reading brings order 4 closer to the exact <n0> than order 2 or
+    markov; the inner one, f(t1 - t2) under the integrals, diverges there.
+    tests/test_cw.py::test_linear_gain_limit_order4_nearest_exact pins this.
     """
     grid = kernel.grid
     F = cumulative_integral(SampledFunction(grid, np.conj(kernel.values)))
     F2 = cumulative_integral(F)
-    if params.r_reading == "outer":
-        vals = params.Omega * (grid.times() * F.values - F2.values)
-    else:
-        vals = params.Omega * F2.values
-    return SampledFunction(grid, vals)
+    return SampledFunction(grid, params.Omega * (grid.times() * F.values - F2.values))
 
 
 # ---------------------------------------------------------------------------
@@ -401,22 +395,6 @@ def build_generator(params, gamma=None, r=0j):
             f"against rate scale {scale:.3e}"
         )
     return GeneratorAt(G.tocsr(), leak)
-
-
-def steady_state_markov(params):
-    """Closed-form factorized estimate of the stationary condensate occupation,
-
-        kappa1/(2 gamma_M) (N - 1/2 - sqrt(1/4 + gamma_M/Omega)).
-
-    Derived from the moment balance with factorized correlations; exact
-    numerics on the truncated space sit a few percent above it.
-    """
-    gm = model.gamma_markov_closed_form(params.trap)
-    if gm <= 0:
-        raise ParameterError("steady state needs gamma_M > 0")
-    if params.Omega <= 0:
-        raise ParameterError("the closed form needs Omega > 0 (collisional feeding)")
-    return params.kappa1 / (2.0 * gm) * (params.N - 0.5 - np.sqrt(0.25 + gm / params.Omega))
 
 
 def _level_blocks(G, k, n1p):
@@ -715,7 +693,7 @@ def evolve(params, p0, t_max, dt):
             if params.order == 4 and not (np.abs(p).sum() <= L1_BOUND):
                 raise NumericalFailure(
                     f"the order-4 generator is unstable at t = {times[k // 2]:.6e} s, Re r = "
-                    f"{rr_h[k]:.6e} ({params.r_reading} reading): ||p||_1 = "
+                    f"{rr_h[k]:.6e}: ||p||_1 = "
                     f"{np.abs(p).sum():.3e} passed {L1_BOUND}; no step size cures this")
 
     drift = float(np.abs(prob_sum + clipped - 1.0).max())

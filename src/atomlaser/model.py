@@ -1,16 +1,17 @@
 """Physical parameters and closed-form reservoir functions.
 
 The trapped mode at frequency omega0 couples to a continuum of free momentum
-states through a Gaussian momentum-space amplitude, whose spectral density
-J(omega) and reservoir correlation f(tau) are evaluated here. Everything
-downstream (memory kernel, perturbative rates, cw generator) is built from f.
+states through a Gaussian momentum-space amplitude, whose reservoir
+correlation f(tau) is evaluated here. Everything downstream (memory kernel,
+perturbative rates, cw generator) is built from f.
 The Born-Markov constants are its Laplace transform at -i omega0, in closed
 form: 2 integral_0^inf f dtau = gamma_M + i S_M with, for x = omega0/alpha,
 gamma_M = Gamma sqrt(4 pi/(alpha omega0)) exp(-x) and
 S_M = 4 Gamma D(sqrt(x))/sqrt(alpha omega0), D being Dawson's integral.
-The coupling amplitude kappa(k), the quadratures phi = 2 Re f and
-psi = 2 Im f, and the Markov constants by quadrature and by the wofz Laplace
-route are test references (`tests/reference.py`): no run evaluates them.
+The coupling amplitude kappa(k), the spectral density J(omega), the
+quadratures phi = 2 Re f and psi = 2 Im f, and the Markov constants by
+quadrature and by the wofz Laplace route are test references
+(`tests/reference.py`): no run evaluates them.
 """
 
 import math
@@ -24,7 +25,6 @@ __all__ = [
     "HBAR",
     "TrapParams",
     "MarkovConstants",
-    "spectral_density",
     "correlation_f",
     "markov_constants",
     "gamma_markov_closed_form",
@@ -78,19 +78,6 @@ class TrapParams:
     def alpha(self):
         """Frequency scale of the reservoir memory, hbar sigma_k^2 / (2 M)."""
         return HBAR * self.sigma_k**2 / (2.0 * self.M)
-
-
-def spectral_density(params, omega):
-    """Reservoir spectral density J(omega) = Gamma exp(-omega/alpha)/sqrt(pi alpha omega).
-
-    Defined for omega > 0 only; the inverse-square-root divergence at zero is
-    integrable but never evaluated.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0.0):
-        raise DomainError("spectral density is defined for omega > 0 only")
-    a = params.alpha
-    return params.Gamma * np.exp(-omega / a) / np.sqrt(np.pi * a * omega)
 
 
 def correlation_f(params, tau):

@@ -12,22 +12,17 @@ integrands. Their agreement within the grid-halving error at orders 2 and 4
 is the central correctness check of the rate machinery.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
-from .errors import DomainError, NumericalFailure, ParameterError
+from .errors import NumericalFailure, ParameterError
 from .quad import SampledFunction, cumulative_integral, iterated_convolution
 
 __all__ = [
     "RateSeries",
-    "WaitingTime",
     "tcl_series_rates",
     "occupation_from_rates",
-    "waiting_time",
-    "asymptotic_gamma2",
     "series_breakdown_index",
 ]
 
@@ -126,49 +121,6 @@ def occupation_from_rates(rates, order_max=None):
             f"order-{order} TCL occupation exp({exponent[j]:.3e}) leaves the float range "
             f"at t = {rates.grid.times()[j]:.6e} s; the series diverges on this horizon")
     return SampledFunction(rates.grid, n)
-
-
-@dataclass
-class WaitingTime:
-    """F(t) = 1 - n(t), the probability that the atom has left by time t.
-
-    The waiting-time reading needs F non-decreasing; decreasing stretches are
-    legitimate non-Markovian dynamics (negative rate) but void that reading,
-    so they are flagged rather than raised.
-    """
-
-    F: SampledFunction
-    decreasing_steps: np.ndarray  # the reading holds when none is set
-
-
-def waiting_time(n):
-    if abs(n.values[0] - 1.0) > 1e-9:
-        raise ParameterError("occupation must start at 1")
-    F = SampledFunction(n.grid, 1.0 - n.values)
-    dec = np.diff(F.values) < -1e-12
-    return WaitingTime(F, dec)
-
-
-def asymptotic_gamma2(params, t):
-    """Large-time closed form of the second-order rate:
-
-        gamma_M - 2 Gamma cos(omega0 t + pi/4) / sqrt(alpha omega0^2 t)
-
-    Valid for omega0 t >> 1; refuses omega0 t < 10 and warns below 30.
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise DomainError("asymptotic form needs t > 0")
-    w0t = params.omega0 * t
-    if np.any(w0t < 10.0):
-        raise DomainError("asymptotic form is unreliable below omega0 t = 10")
-    if np.any(w0t < 30.0):
-        warnings.warn("asymptotic rate requested at omega0 t < 30; expect visible error",
-                      stacklevel=2)
-    gm = model.gamma_markov_closed_form(params)
-    a = params.alpha
-    env = 2.0 * params.Gamma / np.sqrt(a * params.omega0**2 * t)
-    return gm - env * np.cos(params.omega0 * t + np.pi / 4.0)
 
 
 def series_breakdown_index(rates):

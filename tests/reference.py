@@ -1,6 +1,9 @@
 """Reference solutions reached by another road than the production solvers:
 the pulsed amplitude from the Laplace domain, the TCL rates by direct
-quadrature of their printed integrands, and a reduced cw laser with the
+quadrature of their printed integrands, the paper's closed forms that the
+acceptance criteria compare against (spectral density, waiting time, the
+asymptotic order-2 rate, the factorized cw steady state), the cw lasing mode
+solved exactly in the linear-gain limit, and a reduced cw laser with the
 lasing mode as a mean field.
 
 laplace_amplitude is the exact pulsed amplitude of the memory equation
@@ -52,11 +55,20 @@ term would need a mean-field form of its own, which is not derived here.
 The chain has no gain out of n1 = n1_max, where the full model clips; at
 the default box the mass there is about 1e-20.
 
+linear_gain_n0 is the cw model's mode 0 in the limit of a fast pump
+(kappa1 >> gamma_M) and weak collisions: n1 then stays thermal, and mode 0
+sees the Markov gain g = Omega <n1 (n1 - 1)> = 2 Omega N^2 through the jump
+a0^dag, plus the exact output memory. Its equations are linear, so the
+pulsed solver gives <n0(t)> exactly; the cw orders are compared with it.
+
 serial_banded_evolve steps the full cw model at order 2 or 4 as
 atomlaser.cw.evolve does, but one step after the other, with one
 scipy.linalg.solve_banded (LAPACK gbsv) per implicit solve: no factor is
 computed ahead of its step, and none by atomlaser's own LAPACK calls.
 """
+
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -64,7 +76,7 @@ from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 from scipy.special import wofz
 
-from atomlaser import ParameterError, cw, model, tcl, volterra
+from atomlaser import DomainError, ParameterError, cw, model, tcl, volterra
 from atomlaser.quad import (SampledFunction, UniformGrid, _cumtrapz, cumulative_integral, grid_for,
                             iterated_convolution)
 
@@ -159,6 +171,19 @@ def markov_constants_by_laplace(params):
     return params.Gamma * _f_and_slope(1j * params.omega0, -1j * params.alpha)[0]
 
 
+def spectral_density(params, omega):
+    """Reservoir spectral density J(omega) = Gamma exp(-omega/alpha)/sqrt(pi alpha omega).
+
+    Defined for omega > 0 only; the inverse-square-root divergence at zero is
+    integrable but never evaluated.
+    """
+    omega = np.asarray(omega, dtype=float)
+    if np.any(omega <= 0.0):
+        raise DomainError("spectral density is defined for omega > 0 only")
+    a = params.alpha
+    return params.Gamma * np.exp(-omega / a) / np.sqrt(np.pi * a * omega)
+
+
 def sample(func, grid):
     """Evaluate a callable on the grid and wrap it."""
     return SampledFunction(grid, np.asarray(func(grid.times())))
@@ -251,6 +276,100 @@ def tcl4_nested(params, t, dt):
     total = ordered_triple_direct(
         lambda t1, t2, t3: f(t - t2) * f(t1 - t3) + f(t - t3) * f(t1 - t2), t, dt)
     return 2.0 * total.real, 2.0 * total.imag
+
+
+# ---------------------------------------------------------------------------
+# Closed forms the acceptance criteria compare against
+
+
+@dataclass
+class WaitingTime:
+    """F(t) = 1 - n(t), the probability that the atom has left by time t.
+
+    The waiting-time reading needs F non-decreasing; decreasing stretches are
+    legitimate non-Markovian dynamics (negative rate) but void that reading,
+    so they are flagged rather than raised.
+    """
+
+    F: SampledFunction
+    decreasing_steps: np.ndarray  # the reading holds when none is set
+
+
+def waiting_time(n):
+    if abs(n.values[0] - 1.0) > 1e-9:
+        raise ParameterError("occupation must start at 1")
+    F = SampledFunction(n.grid, 1.0 - n.values)
+    dec = np.diff(F.values) < -1e-12
+    return WaitingTime(F, dec)
+
+
+def asymptotic_gamma2(params, t):
+    """Large-time closed form of the second-order rate:
+
+        gamma_M - 2 Gamma cos(omega0 t + pi/4) / sqrt(alpha omega0^2 t)
+
+    Valid for omega0 t >> 1; refuses omega0 t < 10 and warns below 30.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0):
+        raise DomainError("asymptotic form needs t > 0")
+    w0t = params.omega0 * t
+    if np.any(w0t < 10.0):
+        raise DomainError("asymptotic form is unreliable below omega0 t = 10")
+    if np.any(w0t < 30.0):
+        warnings.warn("asymptotic rate requested at omega0 t < 30; expect visible error",
+                      stacklevel=2)
+    gm = model.gamma_markov_closed_form(params)
+    a = params.alpha
+    env = 2.0 * params.Gamma / np.sqrt(a * params.omega0**2 * t)
+    return gm - env * np.cos(params.omega0 * t + np.pi / 4.0)
+
+
+def steady_state_markov(params):
+    """Closed-form factorized estimate of the stationary condensate occupation
+    of the cw.CwParams params,
+
+        kappa1/(2 gamma_M) (N - 1/2 - sqrt(1/4 + gamma_M/Omega)).
+
+    Derived from the moment balance with factorized correlations; exact
+    numerics on the truncated space sit a few percent above it.
+    """
+    gm = model.gamma_markov_closed_form(params.trap)
+    if gm <= 0:
+        raise ParameterError("steady state needs gamma_M > 0")
+    if params.Omega <= 0:
+        raise ParameterError("the closed form needs Omega > 0 (collisional feeding)")
+    return params.kappa1 / (2.0 * gm) * (params.N - 0.5 - np.sqrt(0.25 + gm / params.Omega))
+
+
+# ---------------------------------------------------------------------------
+# The cw laser in the linear-gain limit, exactly
+
+
+def linear_gain_n0(trap, g, grid, n0_init=0.0):
+    """<n0(t)> on grid of mode 0 with the Markov gain g and the exact output
+    memory, from <n0(0)> = n0_init.
+
+    The Heisenberg equations of the mode are then linear:
+    dv/dt = (g/2) v - integral_0^t k(t - s) v(s) ds, v(0) = 1, with k the
+    memory kernel conj f, and <n0(t)> = n0_init |v|^2 + g integral_0^t |v|^2.
+    v = exp(g t/2) w turns this into the pulsed equation for w with the
+    tilted kernel k(tau) exp(-g tau/2): one volterra.solve_volterra call.
+    """
+    t = grid.times()
+    kernel = volterra.memory_kernel(trap, grid)
+    tilted = SampledFunction(grid, kernel.values * np.exp(-0.5 * g * t))
+    w = volterra.solve_volterra(tilted, max_growth=1.0 + volterra.SANITY_TOL)
+    v2 = np.exp(g * t) * np.abs(w) ** 2
+    return n0_init * v2 + g * cumulative_integral(SampledFunction(grid, v2)).values
+
+
+def inner_r_function(params, kernel):
+    """The cross-term weight with the inner time as reference,
+    Omega int_0^t dt1 int_0^t1 dt2 f(t1 - t2), where cw.r_function reads the
+    outer one: the reading that diverges in the linear-gain limit."""
+    F = cumulative_integral(SampledFunction(kernel.grid, np.conj(kernel.values)))
+    return SampledFunction(kernel.grid, params.Omega * cumulative_integral(F).values)
 
 
 # ---------------------------------------------------------------------------

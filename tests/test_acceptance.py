@@ -15,17 +15,12 @@ from atomlaser.quad import (
     UniformGrid,
     cumulative_integral,
 )
-from atomlaser.tcl import (
-    RateSeries,
-    asymptotic_gamma2,
-    occupation_from_rates,
-    series_breakdown_index,
-    waiting_time,
-)
+from atomlaser.tcl import RateSeries, occupation_from_rates, series_breakdown_index
 from atomlaser.volterra import exact_rates, occupation
 
 from conftest import OMEGA0, amplitude, cw_params, halving_difference, series_rates, trap
-from reference import markov_constants_by_quadrature, tcl2_rates, tcl4_rates
+from reference import (asymptotic_gamma2, markov_constants_by_quadrature, steady_state_markov,
+                       tcl2_rates, tcl4_rates, waiting_time)
 
 STATIONARY_N0 = 99.83412993229939
 
@@ -177,7 +172,7 @@ def test_criterion_07_asymptotic_rate(trap5e4):
 
 def test_criterion_08_cw_steady_state(stationary_default):
     params, st = stationary_default
-    formula = cw.steady_state_markov(params)
+    formula = steady_state_markov(params)
     gap = abs(st.mean_n0() - formula) / formula
     _verdict(8, gap <= 0.02,
              f"stationary <n0> = {st.mean_n0():.3f} vs closed form "

@@ -476,6 +476,23 @@ def test_module_run_shows_the_rerun_warnings(tmp_path):
     assert proc.stderr.count("UserWarning: boundary clipping lost") == 3
 
 
+def test_module_run_shows_the_pump_warning_once(tmp_path):
+    # a one-order run is two solves, forked one per CPU; both build the
+    # parameters at one line of the runner, so its warning shows once
+    if cw.usable_cpus() < 2:
+        pytest.skip("one usable CPU: the runner does not fork")
+    cfg = tmp_path / "weak_pump.cfg"
+    cfg.write_text(TINY_CW.replace("kappa1_gamma = 10", "kappa1_gamma = 0.5")
+                   .replace("orders = markov,2", "orders = 2"))
+    proc = subprocess.run([sys.executable, "-m", "atomlaser.cli", "run", str(cfg),
+                           "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=_subprocess_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    warned = [line for line in proc.stderr.splitlines() if "pump rate kappa1" in line]
+    assert len(warned) == 1, proc.stderr
+    assert re.match(r".*[/\\]atomlaser[/\\]cli\.py:\d+: UserWarning: pump rate kappa1", warned[0])
+
+
 def _nap(k, seconds):
     start = time.monotonic()
     time.sleep(seconds)
@@ -599,16 +616,6 @@ def test_overrides_tmax_dt_order(tmp_path):
     assert meta["grid"]["n_steps"] == 10
     assert meta["grid"]["t_max"] == pytest.approx(1e-4)
     assert meta["pulsed"]["tcl_order"] == 6
-
-
-def test_r_reading_override(tmp_path):
-    cfg = tmp_path / "tiny4.cfg"
-    cfg.write_text(TINY_CW.replace("orders = markov,2", "orders = 4")
-                          .replace("name = tiny", "name = tiny4"))
-    rc = main(["run", str(cfg), "--out", str(tmp_path), "--r-reading", "inner"])
-    assert rc == 0
-    meta = _read_meta(str(tmp_path / "tiny4_tcl4.csv"))
-    assert meta["cw"]["r_reading"] == "inner"
 
 
 def test_order_override_rejected_for_cw(tmp_path, capsys):
@@ -768,15 +775,27 @@ def test_overflowing_rates_exit_two(tmp_path, capsys):
     ("Gamma = 5e4\n", "Gamma = 5e4\nhbar = 1.054571817e-34\n", "'hbar'"),
     ("mode = cw", "mode = pulsed_exact", "'mode'"),
     ("mode = cw", "mode = pulsed_markov", "'mode'"),
-], ids=["hbar", "pulsed_exact", "pulsed_markov"])
+    ("N = 0.5\n", "N = 0.5\nr_reading = outer\n", "'r_reading'"),
+], ids=["hbar", "pulsed_exact", "pulsed_markov", "r_reading"])
 def test_removed_settings_exit_one(tmp_path, capsys, old, new, key):
-    # hbar is the constant model.HBAR, and pulsed_tcl writes every column the
-    # two narrower pulsed modes did
+    # hbar is the constant model.HBAR, pulsed_tcl writes every column the
+    # two narrower pulsed modes did, and the cross-term weight r(t) has one
+    # reading, the outer one
     cfg = tmp_path / "old.cfg"
     cfg.write_text(TINY_CW.replace(old, new))
     assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+
+
+def test_removed_r_reading_flag_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CW)
+    with pytest.raises(SystemExit) as stop:
+        main(["run", str(cfg), "--out", str(tmp_path), "--r-reading", "outer"])
+    assert stop.value.code == 1
+    assert "unrecognized arguments: --r-reading outer" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("line", ["tcl_order = 2", "rates = true"], ids=["tcl_order", "rates"])
@@ -833,8 +852,7 @@ def test_parse_scenario_validation():
         parse_scenario(TINY_PULSED.replace("rates = true", "rates = maybe"))
     # [cw] values are checked by the CwParams each run builds, before any run
     for old, new, message in (("N = 0.5", "N = -0.5", "pump occupancy N must be positive"),
-                              ("n1_max = 10", "n1_max = 0", "truncation bounds"),
-                              ("N = 0.5", "N = 0.5\nr_reading = sideways", "r_reading must")):
+                              ("n1_max = 10", "n1_max = 0", "truncation bounds")):
         with pytest.raises(ConfigError, match=re.escape(f"section [cw]: {message}")):
             parse_scenario(TINY_CW.replace(old, new))
     # a pump that does not dominate parses silently: each run warns for itself
@@ -854,7 +872,6 @@ def test_parse_scenario_validation():
     scen = parse_scenario(text)
     defaults = cw.CwParams(trap(5e4), kappa1=1e4, Omega=1.0, N=1.0)
     assert (scen.cw_n0_max, scen.cw_n1_max) == (defaults.n0_max, defaults.n1_max)
-    assert scen.cw_r_reading == defaults.r_reading
     assert scen.cw_orders == cw.ORDERS
     assert parse_scenario(TINY_PULSED.replace("tcl_order = 2\n", "")).tcl_order == 6
     # a key is checked against its own section's keys, not all of them

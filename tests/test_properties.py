@@ -272,21 +272,19 @@ def test_amplitude_matches_laplace_reference(Gamma):
 @settings(PROPERTY, max_examples=25)
 @given(st.floats(3.0, 6.0).map(lambda x: 10.0**x), boxes, boxes, st.integers(1, 40),
        st.floats(0.01, 10.0), st.floats(0.5, 100.0), st.floats(0.0, 100.0), Ns,
-       st.lists(st.sampled_from(["markov", "2", "4"]), min_size=1, max_size=3, unique=True),
-       st.sampled_from(cw.R_READINGS))
+       st.lists(st.sampled_from(["markov", "2", "4"]), min_size=1, max_size=3, unique=True))
 def test_cw_runs_never_end_in_a_traceback(tmp_path_factory, Gamma, n0_max, n1_max, n_steps,
-                                          t_max_gamma, kappa1_gamma, Omega_gamma, N, orders,
-                                          reading):
+                                          t_max_gamma, kappa1_gamma, Omega_gamma, N, orders):
     # a parsed cw scenario on a box up to 12 x 12 with at most 40 steps writes
     # its outputs (0) or stops with a handled error (1 or 2), whatever the
-    # orders and the reading of r; main lets nothing else through
+    # orders; main lets nothing else through
     values = {"Gamma": repr(Gamma), "t_max_gamma": repr(t_max_gamma), "n_steps": str(n_steps),
               "kappa1_gamma": repr(kappa1_gamma), "Omega_gamma": repr(Omega_gamma),
               "N": repr(N), "orders": ",".join(orders)}
     text = BUILTIN_SCENARIOS["fig7"]
     for key, value in values.items():
         text = re.sub(rf"^{key} = .*$", lambda _: f"{key} = {value}", text, flags=re.M)
-    text += f"n0_max = {n0_max}\nn1_max = {n1_max}\nr_reading = {reading}\n"
+    text += f"n0_max = {n0_max}\nn1_max = {n1_max}\n"
     out = tmp_path_factory.mktemp("cw")
     cfg = out / "fuzz.cfg"
     cfg.write_text(text)
