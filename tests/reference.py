@@ -61,6 +61,11 @@ sees the Markov gain g = Omega <n1 (n1 - 1)> = 2 Omega N^2 through the jump
 a0^dag, plus the exact output memory. Its equations are linear, so the
 pulsed solver gives <n0(t)> exactly; the cw orders are compared with it.
 
+channel_operators views the cw generator's parts (static, out, oc) as
+sparse matrices, one per channel group. Summed at a run's weights, they
+must give, byte for byte, the generator that build_generator combines from
+the template diagonals.
+
 serial_banded_evolve steps the full cw model at order 2 or 4 as
 atomlaser.cw.evolve does, but one step after the other, with one
 scipy.linalg.solve_banded (LAPACK gbsv) per implicit solve: no factor is
@@ -71,6 +76,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
@@ -437,6 +443,16 @@ def reduced_cw_mean_n0(params, times, gamma):
     return sol.y[0]
 
 
+# The cw generator's parts as sparse matrices
+
+
+def channel_operators(tpl):
+    """(static, out, oc) of the cw templates tpl as scipy.sparse CSR
+    matrices, each built from its diagonals by one DIA-to-CSR conversion."""
+    dim = tpl.diags.shape[-1]
+    return tuple(sp.dia_matrix((d, -tpl.shifts), shape=(dim, dim)).tocsr() for d in tpl.diags)
+
+
 # The cw stepper, serial, with scipy's banded solver
 
 
@@ -464,10 +480,12 @@ def serial_banded_evolve(params, p0, t_max, dt):
         ab[upper + tpl.shifts] = band
         return solve_banded((lower, upper), ab, b)
 
+    static, out, oc = channel_operators(tpl)
+
     def rhs(k, vec):
-        y = tpl.static @ vec + gamma[k] * (tpl.out @ vec)
+        y = static @ vec + gamma[k] * (out @ vec)
         if rr[k] != 0.0:
-            y += rr[k] * (tpl.oc @ vec)
+            y += rr[k] * (oc @ vec)
         return y
 
     def leak(k, vec):

@@ -18,7 +18,7 @@ from scipy.sparse.linalg import spsolve
 from atomlaser import (ConfigError, GeneratorError, NumericalFailure, ParameterError, cw, model,
                        tcl, volterra)
 from atomlaser.cli import _run_calls
-from atomlaser.quad import UniformGrid
+from atomlaser.quad import SampledFunction, UniformGrid, cumulative_integral
 
 from conftest import OMEGA0, cw_params, evolve_here, trap
 from reference import (inner_r_function, linear_gain_n0, reduced_cw_mean_n0, reduced_cw_stationary,
@@ -59,6 +59,25 @@ def test_params_validation():
                 cw.CwParams(trap=t, **kwargs)
     p = cw.CwParams(trap=t, kappa1=10 * gm, Omega=0.0, N=1.0)  # Omega = 0 legal
     assert p.dim == 201 * 61
+
+
+@pytest.mark.parametrize("size", [10.5, 10.0, "10", True], ids=["10.5", "10.0", "str", "bool"])
+@pytest.mark.parametrize("name", ["n0_max", "n1_max"])
+def test_box_sizes_must_be_integers(name, size):
+    # rejected at construction, naming the field, not by a TypeError in the solve
+    kwargs = dict(trap=trap(5e4), kappa1=10 * GAMMA_M_5E4, Omega=GAMMA_M_5E4, N=1.0,
+                  n0_max=6, n1_max=5)
+    kwargs[name] = size
+    with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+        cw.CwParams(**kwargs)
+
+
+def test_numpy_integer_box_sizes_are_accepted():
+    params = cw.CwParams(trap=trap(5e4), kappa1=10 * GAMMA_M_5E4, Omega=GAMMA_M_5E4, N=1.0,
+                         n0_max=np.int64(6), n1_max=np.int64(5))
+    assert params.dim == 7 * 6
+    state = cw.stationary_distribution(params)
+    assert state.p.shape == (7, 6)
 
 
 def test_diagonal_state():
@@ -307,12 +326,18 @@ def test_stationary_rejects_non_finite_solve(monkeypatch):
 def test_stationary_rejects_entries_beyond_neighbour_levels(monkeypatch, entry):
     # on the (9, 6) box a level holds 7 states: row 0 (level 0) may reach
     # columns 0..13 only, and row 69 (level 9, the top) columns 56..69; the
-    # second entry would wrap around silently in numpy indexing
+    # second entry would wrap around silently in numpy indexing. The entry
+    # is planted as a jump of its own flat-index shift, i - j, in the static
+    # template, with its loss on the diagonal, so every column still balances
     params = cw_params(trap(5e4), "markov", n0_max=9, n1_max=6)
-    gen = cw.build_generator(params)
-    G = gen.matrix.tolil()
-    G[entry] = 1.0
-    monkeypatch.setattr(cw, "build_generator", lambda params: gen._replace(matrix=G.tocsr()))
+    tpl = cw._templates_for(params)
+    (i, j), dim = entry, params.dim
+    shifts = np.append(tpl.shifts, i - j)
+    diags = np.concatenate((tpl.diags, np.zeros((3, 1, dim))), axis=1)
+    diags[0, -1, j] = 1.0
+    diags[0, list(shifts).index(0), j] -= 1.0
+    monkeypatch.setattr(cw, "_templates_for",
+                        lambda params: tpl._replace(diags=diags, shifts=shifts))
     with pytest.raises(GeneratorError, match="beyond levels"):
         cw.stationary_distribution(params)
 
@@ -463,17 +488,21 @@ def test_singular_step_names_gbtrf_info(monkeypatch):
     # the rate g = 1/2, and exactly 0 (h = 2^-13) at g = 1, planted at
     # half-grid point 14, the solve of step 6. gbtrf stops there with info
     # 1, while factors run ahead on two threads; the pool's threads end
-    # with the run
+    # with the run. A leak of -1/dt from state 0 balances column 0 at the
+    # rate 1/2 of half-grid point 0, where evolve checks the generator
     params = cw_params(trap(5e4), 2, n0_max=4, n1_max=3)
     dt, n_steps = 2.0 ** -12, 10
     tpl = cw._templates_for(params)
     diags = tpl.diags.copy()
     diags[:, :, 0] = 0.0
     diags[1, list(tpl.shifts).index(0), 0] = 2.0 / dt
+    leak = tpl.leak_static.copy()
+    leak[0] = -1.0 / dt
     gamma = np.full(2 * n_steps + 1, 0.5)
     gamma[14] = 1.0
     rates = SimpleNamespace(total_gamma=lambda: SimpleNamespace(values=gamma))
-    monkeypatch.setattr(cw, "_templates_for", lambda params: tpl._replace(diags=diags))
+    monkeypatch.setattr(cw, "_templates_for",
+                        lambda params: tpl._replace(diags=diags, leak_static=leak))
     monkeypatch.setattr(tcl, "tcl_series_rates", lambda kernel, order: rates)
     monkeypatch.setattr(cw, "usable_cpus", lambda: 2)
     threads = threading.active_count()
@@ -754,3 +783,32 @@ def test_linear_gain_limit_order4_nearest_exact():
     assert 3.0e-3 <= error[4] <= 5.5e-3
     for order in ("markov", 2):
         assert 1.2e-2 <= error[order] <= 1.7e-2
+
+
+def test_exact_oscillation_decays_faster_than_order2():
+    # in the linear-gain limit (Gamma = 5e4, g = 0.6 gamma_M, 20/gamma_M on
+    # 20,000 steps), the half peak-to-peak about the Markov curve per trap
+    # period, over gamma_M t in [2, 19): the exact one falls from 1.196e-3 to
+    # 5.39e-5 (22.18 times), the gamma_2 rate equation's from 1.873e-2 to
+    # 1.097e-2 (1.707 times, slower than the t^(-1/2) of its rate); the exact
+    # one is at most 0.0639 of the gamma_2 one. All four figures move by less
+    # than 3e-4 relative from 10,000 to 80,000 steps
+    p = trap(5e4)
+    gm = model.gamma_markov_closed_form(p)
+    g = 0.6 * gm
+    grid = UniformGrid(0.0, 20.0 / gm / 20000, 20001)
+    t = grid.times()
+    exact = linear_gain_n0(p, g, grid)
+    # dn/dt = g (n + 1) - gamma_2(t) n from n = 0, by its integrating factor
+    gamma2 = tcl.tcl_series_rates(volterra.memory_kernel(p, grid), 2).total_gamma().values
+    lam = cumulative_integral(SampledFunction(grid, gamma2 - g)).values
+    order2 = g * np.exp(-lam) * cumulative_integral(SampledFunction(grid, np.exp(lam))).values
+    markov = g / (gm - g) * -np.expm1(-(gm - g) * t)
+    mid, amp_exact = _per_trap_period(t, exact - markov, 2.0 / gm, 19.0 / gm)
+    _, amp_2 = _per_trap_period(t, order2 - markov, 2.0 / gm, 19.0 / gm)
+    assert mid.size >= 20
+    assert np.all(amp_exact <= 0.08 * amp_2)
+    fall_exact, fall_2 = amp_exact[0] / amp_exact[-1], amp_2[0] / amp_2[-1]
+    assert 18.0 <= fall_exact <= 27.0
+    assert 1.5 <= fall_2 <= np.sqrt(mid[-1] / mid[0])
+    assert fall_exact >= 10.0 * fall_2

@@ -57,3 +57,17 @@ def test_cw_import_loads_no_scipy():
     code = ("import json, sys, atomlaser.cw; "
             f"print(json.dumps([{SCIPY_LOADED}, 'concurrent.futures' in sys.modules]))")
     assert _run(code) == [[], False]
+
+
+def test_cw_stationary_solve_loads_no_scipy():
+    # the level elimination reads its blocks from the template diagonals
+    # with numpy; no sparse matrix is built, so no scipy module is loaded
+    code = ("import json, sys; from atomlaser import cw, model; "
+            "trap = model.TrapParams(M=2e-26, omega0=772.8317927830892, sigma_k=1e6, "
+            "Gamma=5e4); gm = model.gamma_markov_closed_form(trap); "
+            "state = cw.stationary_distribution(cw.CwParams(trap=trap, kappa1=10 * gm, "
+            "Omega=15 * gm, N=2.0, n0_max=30, n1_max=8)); "
+            f"print(json.dumps([{SCIPY_LOADED}, state.mean_n0()]))")
+    loaded, mean_n0 = _run(code)
+    assert loaded == []
+    assert mean_n0 > 0.0

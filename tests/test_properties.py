@@ -22,7 +22,7 @@ from atomlaser.cli import BUILTIN_SCENARIOS, Scenario, _write_csv, main, parse_s
 from atomlaser.quad import SampledFunction, UniformGrid, grid_for
 
 from conftest import amplitude, halving_difference, series_rates, trap
-from reference import laplace_amplitude, tcl2_rates, tcl4_rates
+from reference import channel_operators, laplace_amplitude, tcl2_rates, tcl4_rates
 from test_cli import _write_csv_per_element
 
 GAMMA_M_5E4 = 92.62263163409446
@@ -48,13 +48,17 @@ MOVES = {(0, 1), (0, -1), (1, -2), (-1, 0), (0, -2), (0, 0)}
 @example(3, 1, 10 * GAMMA_M_5E4, 2.0, 15 * GAMMA_M_5E4)   # collision shift n1p - 2 = 0
 @example(3, 2, 10 * GAMMA_M_5E4, 2.0, 15 * GAMMA_M_5E4)   # collision shift n1p - 2 = +1
 def test_diagonals_rebuild_templates(n0_max, n1_max, kappa1, N, Omega):
+    # the diagonals are the stored form; the CSR matrices that evolve's
+    # right-hand side builds from them hold exactly the same rates
     tpl = cw._templates(n0_max, n1_max, kappa1, N, Omega)
-    shifts, dim, n1p = tpl.shifts, tpl.static.shape[0], n1_max + 1
+    shifts, n1p = tpl.shifts, n1_max + 1
+    dim = (n0_max + 1) * n1p
     assert np.all(np.diff(shifts) > 0) and 0 in shifts
     assert shifts[-1] >= 1 and -shifts[0] >= 1   # LAPACK's lower and upper
     assert tpl.diags.shape == (3, shifts.size, dim)
     j = np.arange(dim)
-    for diags, mat in zip(tpl.diags, (tpl.static, tpl.out, tpl.oc)):
+    for diags in tpl.diags:
+        mat = cw._csr(diags, shifts)
         dense = np.zeros((dim, dim))
         for s, vals in zip(shifts, diags):
             i = j + s
@@ -109,6 +113,31 @@ def test_generator_columns_plus_leak_vanish(n0_max, n1_max, kappa1, N, Omega,
 
 
 @PROPERTY
+@given(boxes, boxes, kappa1s, Ns, Omegas, gammas, rs, st.sampled_from(cw.ORDERS))
+@example(3, 1, 10 * GAMMA_M_5E4, 2.0, 15 * GAMMA_M_5E4, 0.0, 0j, "markov")
+@example(3, 1, 10 * GAMMA_M_5E4, 2.0, 15 * GAMMA_M_5E4, 4 * GAMMA_M_5E4, 2.5 - 1j, 4)
+@example(3, 2, 10 * GAMMA_M_5E4, 2.0, 15 * GAMMA_M_5E4, 4 * GAMMA_M_5E4, -2.5 + 1j, 4)
+@example(200, 60, 10 * GAMMA_M_5E4, 20.3, 15 * GAMMA_M_5E4, 0.0, 0j, "markov")
+@example(40, 12, 10 * GAMMA_M_5E4, 20.3, 15 * GAMMA_M_5E4, 0.3 * GAMMA_M_5E4, 0j, 2)
+def test_generator_is_the_summed_channel_operators(n0_max, n1_max, kappa1, N, Omega,
+                                                   gamma, r, order):
+    # the diagonals combined at (gamma, Re r) give, byte for byte, the CSR
+    # sum static + gamma out (+ Re r oc) of the per-channel operators: the
+    # markov splu factors I - h G, so its input must not move by one bit
+    params = cw.CwParams(trap=trap(5e4), kappa1=kappa1, Omega=Omega, N=N,
+                         n0_max=n0_max, n1_max=n1_max, order=order)
+    G = cw.build_generator(params, None if order == "markov" else gamma, r).matrix
+    if order == "markov":
+        gamma = model.gamma_markov_closed_form(params.trap)
+    static, out, oc = channel_operators(cw._templates_for(params))
+    summed = static + gamma * out
+    if order == 4 and r.real != 0.0:
+        summed = summed + r.real * oc
+    for field in ("data", "indices", "indptr"):
+        assert getattr(G, field).tobytes() == getattr(summed, field).tobytes()
+
+
+@PROPERTY
 @given(st.integers(1, 4), st.integers(1, 4), kappa1s, Ns, Omegas, gammas, rs)
 def test_interior_columns_match_operator_algebra(n0c, n1c, kappa1, N, Omega, gamma, r):
     channels, worst_offdiag = cw._dense_channel_columns(n0c, n1c, kappa1, N, Omega,
@@ -118,8 +147,8 @@ def test_interior_columns_match_operator_algebra(n0c, n1c, kappa1, N, Omega, gam
     assert worst_offdiag <= 1e-11 * scale
     assert np.abs(channels["l0"]).max() <= 1e-11 * scale
     assert np.abs(dense.imag).max() <= 1e-11 * scale
-    tpl = cw._templates(n0c, n1c, kappa1, N, Omega)
-    G = (tpl.static + gamma * tpl.out + r.real * tpl.oc).toarray()
+    static, out, oc = channel_operators(cw._templates(n0c, n1c, kappa1, N, Omega))
+    G = (static + gamma * out + r.real * oc).toarray()
     # columns whose jumps all stay inside the box
     interior = [a * (n1c + 1) + b for a in range(n0c) for b in range(n1c)]
     np.testing.assert_allclose(G[:, interior], dense.real[:, interior],
