@@ -14,6 +14,7 @@ are tolerated and flagged instead of treated as errors. Once Re r(t) grows
 large enough the generator itself turns unstable; evolve stops there.
 """
 
+import math
 import os
 import warnings
 from collections import deque
@@ -250,7 +251,9 @@ def _templates(n0_max, n1_max, kappa1, N, Omega):
     diags[2, at[0]] -= wp
     leak_oc = np.where(has & ~top, 2.0 * w, 0.0)
 
-    return _Templates(diags, shifts, leak_s, leak_oc)
+    tpl = _Templates(diags, shifts, leak_s, leak_oc)
+    _check_balance(tpl)
+    return tpl
 
 
 def _templates_for(params):
@@ -267,27 +270,35 @@ def _csr(diags, shifts):
     return sp.dia_matrix((diags, -shifts), shape=(dim, dim)).tocsr()
 
 
-def _combined(tpl, gamma, rr):
-    """Diagonals and leak vector of G = static + gamma out + rr oc.
+def _check_balance(tpl):
+    """Raise GeneratorError unless each part of the templates conserves
+    probability on its own: the column sums of static plus leak_static, of
+    out, and of oc plus leak_oc must vanish, to 1e-12 of that part's largest
+    rate (the absolute scale reaches 1e9 1/s at the default truncation, so
+    an absolute tolerance would be meaningless in float64). Then G = static
+    + gamma out + Re r oc balances at every gamma(t) and r(t) of a run."""
+    bad = []
+    for name, d, leak in zip(("static", "out", "oc"), tpl.diags,
+                             (tpl.leak_static, 0.0, tpl.leak_oc)):
+        residual = float(np.abs(d.sum(axis=0) + leak).max())
+        scale = max(float(np.abs(d).max()), 1.0)
+        if not (residual <= 1e-12 * scale):
+            bad.append(f"{name} (worst residual {residual:.3e} against rate scale {scale:.3e})")
+    if bad:
+        raise GeneratorError("generator columns do not balance: " + "; ".join(bad))
 
-    Column sums of G plus the leak must vanish; they are checked against a
-    tolerance relative to the largest rate in G (the absolute scale reaches
-    1e9 1/s at the default truncation, so an absolute tolerance would be
-    meaningless in float64).
-    """
+
+def _combined(tpl, gamma, rr):
+    """Diagonals and leak vector of G = static + gamma out + rr oc, combined
+    in place in one new array; _templates has checked that each part
+    balances."""
     d_static, d_out, d_oc = tpl.diags
-    d = d_static + gamma * d_out
+    d = gamma * d_out
+    d += d_static
     leak = tpl.leak_static.copy()
     if rr != 0.0:
         d += rr * d_oc
         leak += rr * tpl.leak_oc
-    colsum = d.sum(axis=0) + leak
-    scale = max(float(np.abs(d).max()), 1.0)
-    if not (np.abs(colsum).max() <= 1e-12 * scale):
-        raise GeneratorError(
-            f"generator columns do not balance: worst residual {np.abs(colsum).max():.3e} "
-            f"against rate scale {scale:.3e}"
-        )
     return d, leak
 
 
@@ -407,7 +418,7 @@ class GeneratorAt(NamedTuple):
 
 def _generator_diagonals(params, gamma=None, r=0j):
     """(diagonals, shifts, leak) of G at the output rate gamma and the cross
-    weight r, checked by _combined; see build_generator."""
+    weight r; see build_generator."""
     if gamma is None:
         if params.order != "markov":
             raise ParameterError(f"order {params.order} needs its output rate gamma")
@@ -425,7 +436,8 @@ def build_generator(params, gamma=None, r=0j):
     gamma is the output rate (default: the markov gamma_M, the only choice
     at order "markov") and r the cross-term weight, used at order 4 only.
     G is the CSR view of the template diagonals combined at (gamma, Re r),
-    whose column sums plus the leak are checked to vanish (_combined).
+    whose column sums plus the leak vanish because those of each template
+    part do (_check_balance).
     """
     d, shifts, leak = _generator_diagonals(params, gamma, r)
     return GeneratorAt(_csr(d, shifts), leak)
@@ -435,15 +447,27 @@ def _level_blocks(d, shifts, k, n1p):
     """Blocks (G[k, k-1], G[k, k], G[k, k+1]) of the rows of level n0 = k,
     filled from the diagonals d of G, whose shifts reach no further than
     one level (n1p states) up or down."""
-    a = np.arange(n1p)
     slab = np.zeros((n1p, 3 * n1p))
-    for s, vals in zip(shifts, d):
-        # row k n1p + a reads source column k n1p + a - s, at slab column
-        # n1p + a - s; columns past either end of G do not exist
-        j = k * n1p + a - s
-        inside = (j >= 0) & (j < d.shape[1])
-        slab[a[inside], n1p - s + a[inside]] = vals[j[inside]]
+    flat, step = slab.ravel(), 3 * n1p + 1
+    for s, vals in zip(shifts.tolist(), d):
+        # row k n1p + a reads source column j = k n1p + a - s, at slab column
+        # n1p + a - s: one strided run of the slab, from the first row a
+        # whose j is a column of G to the last
+        lo, hi = max(0, s - k * n1p), min(n1p, d.shape[1] + s - k * n1p)
+        if lo < hi:
+            flat[n1p - s + lo * step::step][:hi - lo] = vals[k * n1p + lo - s:k * n1p + hi - s]
     return slab[:, :n1p], slab[:, n1p:2 * n1p], slab[:, 2 * n1p:]
+
+
+def _reduction(d, shifts, n1p, S, top, bottom):
+    """Yield (k, R_k, S_{k-1}) for the levels k = top, top - 1, ..., bottom
+    of stationary_distribution's level reduction, started from S = S_top."""
+    below = _level_blocks(d, shifts, top, n1p)[0]
+    for k in range(top, bottom - 1, -1):
+        R = -np.linalg.solve(S, below)
+        below, diag, above = _level_blocks(d, shifts, k - 1, n1p)
+        S = diag + above @ R
+        yield k, R, S
 
 
 def stationary_distribution(params):
@@ -465,15 +489,22 @@ def stationary_distribution(params):
     accumulated on the way down, turn sum p into c p_0, and level 0 solves
     S_0 p_0 = e_0 with row 0 of S_0 replaced by c: in exact arithmetic the
     row-0 replacement of the whole G. At the markov order every -S_k is a
-    nonsingular M-matrix, so R_k >= 0 and nothing cancels. The R_k take
-    (n0_max + 1)(n1_max + 1)^2 doubles, 5.7 MiB on the default box.
-    The blocks are filled straight from the template diagonals combined at
-    gamma_M, so the solve needs numpy only: no sparse matrix is built and
-    no scipy module is loaded. Measured on a 2-CPU x86-64 host with numpy
-    2.4, on the default box, its allocations peak at 8.6 MiB (tracemalloc),
-    against 11.1 MiB when it read the blocks from a CSR generator; the peak
-    RSS of perfbench's cw_markov worker, which runs it, fell from 75.7 to
-    72.8 MiB (medians).
+    nonsingular M-matrix, so R_k >= 0 and nothing cancels.
+
+    The R_k are not all kept (checkpointing; Griewank, Optim. Methods
+    Softw. 1, 1992). The way down keeps S_k only at the segment tops
+    k = top, top - m, ..., m = isqrt(n0_max + 1) levels apart; the way up
+    takes the segments bottom first, recomputes R_a ... R_b of a segment
+    from its saved S_a by the same numpy calls on the same arrays, and
+    recovers p_b ... p_a, so p is bit for bit that of keeping every R_k.
+    That costs a second pass of block solves and keeps about
+    2 sqrt(n0_max + 1) (n1_max + 1)^2 doubles of blocks, 0.85 MiB on the
+    default box, against (n0_max + 1)(n1_max + 1)^2 (5.7 MiB). The blocks
+    are filled straight from the template diagonals combined at gamma_M,
+    so the solve needs numpy only: no sparse matrix is built and no scipy
+    module is loaded. Measured on a 2-CPU x86-64 host with numpy 2.4, on
+    the default box, a call with the templates cached peaks at 1.8 MiB of
+    allocations (tracemalloc), against 6.75 MiB with every R_k kept.
     Warns, as evolve does, when the flux clipped at the box boundary exceeds
     CLIP_WARN of the pump flux kappa1 N (<n1> + 1).
     """
@@ -484,22 +515,27 @@ def stationary_distribution(params):
         raise GeneratorError(
             f"generator shift {far[0]} reaches beyond levels n0 - 1..n0 + 1 "
             f"({n1p} states a level)")
-    # one array per level: blocks this small come from the reused heap,
-    # where one (levels, n1p, n1p) array raised the peak RSS of repeated
-    # solves on the default box by 3 MiB
-    R = [None] * levels
+    m = math.isqrt(levels)
+    # S_a at the segment tops a = levels - 1, levels - 1 - m, ..., a >= 1
+    S = _level_blocks(d, shifts, levels - 1, n1p)[1]
+    tops = [S]
     c = np.ones(n1p)
-    below, S, _ = _level_blocks(d, shifts, levels - 1, n1p)
-    for k in range(levels - 1, 0, -1):
-        R[k] = -np.linalg.solve(S, below)
-        c = 1.0 + c @ R[k]
-        below, diag, above = _level_blocks(d, shifts, k - 1, n1p)
-        S = diag + above @ R[k]
+    for k, R, S in _reduction(d, shifts, n1p, S, levels - 1, 1):
+        c = 1.0 + c @ R
+        if k > 1 and (levels - k) % m == 0:
+            tops.append(S)
     S[0] = c
     p = np.empty((levels, n1p))
     p[0] = np.linalg.solve(S, np.eye(1, n1p)[0])
-    for k in range(1, levels):
-        p[k] = R[k] @ p[k - 1]
+    R = []
+    for i in range(len(tops) - 1, -1, -1):
+        top = levels - 1 - i * m
+        bottom = max(top - m + 1, 1)
+        # the last segment's R_k are freed before this one's are made
+        R.clear()
+        R.extend(Rk for _, Rk, _ in _reduction(d, shifts, n1p, tops.pop(), top, bottom))
+        for k in range(bottom, top + 1):
+            p[k] = R[top - k] @ p[k - 1]
     p = p.ravel()
     if not np.isfinite(p).all():
         raise NumericalFailure("the stationary solve returned a non-finite probability")
@@ -683,9 +719,10 @@ def evolve(params, p0, t_max, dt):
         if params.order == 4:
             rr_h = r_function(params, kernel).values.real
 
-    # one assembly through the checked path validates column balance up front
-    d0, shifts, _ = _generator_diagonals(params, gamma_h[0], rr_h[0])
-    static, out, oc = (_csr(d, shifts) for d in tpl.diags)
+    # _templates has checked that each part balances, so G(t) does at every
+    # gamma(t) and Re r(t); the closure self-check runs once per rate set
+    _ensure_closure(params)
+    static, out, oc = (_csr(d, tpl.shifts) for d in tpl.diags)
 
     h = 0.5 * dt
 
@@ -706,6 +743,7 @@ def evolve(params, p0, t_max, dt):
     if params.order == "markov":
         import scipy.sparse as sp
 
+        d0, shifts, _ = _generator_diagonals(params, gamma_h[0])
         lu = splu(sp.identity(dim, format="csc") - h * _csr(d0, shifts).tocsc())
         solves = nullcontext(lu.solve)
     else:

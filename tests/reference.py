@@ -66,6 +66,12 @@ sparse matrices, one per channel group. Summed at a run's weights, they
 must give, byte for byte, the generator that build_generator combines from
 the template diagonals.
 
+stationary_full_storage is the cw stationary solve as it was before its
+level reduction kept only checkpoints: every R_k held from the way down to
+the way up, and the level blocks filled by fancy indexing. It makes the
+same numpy calls on the same arrays, so its p is bit for bit the
+checkpointed solve's.
+
 serial_banded_evolve steps the full cw model at order 2 or 4 as
 atomlaser.cw.evolve does, but one step after the other, with one
 scipy.linalg.solve_banded (LAPACK gbsv) per implicit solve: no factor is
@@ -451,6 +457,42 @@ def channel_operators(tpl):
     matrices, each built from its diagonals by one DIA-to-CSR conversion."""
     dim = tpl.diags.shape[-1]
     return tuple(sp.dia_matrix((d, -tpl.shifts), shape=(dim, dim)).tocsr() for d in tpl.diags)
+
+
+# The cw stationary solve keeping every level factor
+
+
+def _level_blocks_indexed(d, shifts, k, n1p):
+    """cw._level_blocks, each slab entry written by fancy indexing."""
+    a = np.arange(n1p)
+    slab = np.zeros((n1p, 3 * n1p))
+    for s, vals in zip(shifts, d):
+        j = k * n1p + a - s
+        inside = (j >= 0) & (j < d.shape[1])
+        slab[a[inside], n1p - s + a[inside]] = vals[j[inside]]
+    return slab[:, :n1p], slab[:, n1p:2 * n1p], slab[:, 2 * n1p:]
+
+
+def stationary_full_storage(params):
+    """p[n0, n1] of cw.stationary_distribution, normalized, from the level
+    reduction with all n0_max factors R_k kept."""
+    d, shifts, _ = cw._generator_diagonals(params)
+    levels, n1p = params.n0_max + 1, params.n1_max + 1
+    R = [None] * levels
+    c = np.ones(n1p)
+    below, S, _ = _level_blocks_indexed(d, shifts, levels - 1, n1p)
+    for k in range(levels - 1, 0, -1):
+        R[k] = -np.linalg.solve(S, below)
+        c = 1.0 + c @ R[k]
+        below, diag, above = _level_blocks_indexed(d, shifts, k - 1, n1p)
+        S = diag + above @ R[k]
+    S[0] = c
+    p = np.empty((levels, n1p))
+    p[0] = np.linalg.solve(S, np.eye(1, n1p)[0])
+    for k in range(1, levels):
+        p[k] = R[k] @ p[k - 1]
+    p = p.ravel()
+    return (p / p.sum()).reshape(levels, n1p)
 
 
 # The cw stepper, serial, with scipy's banded solver

@@ -3,6 +3,7 @@ time stepping, and the non-Lindblad cross term."""
 
 import sys
 import threading
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -22,7 +23,7 @@ from atomlaser.quad import SampledFunction, UniformGrid, cumulative_integral
 
 from conftest import OMEGA0, cw_params, evolve_here, trap
 from reference import (inner_r_function, linear_gain_n0, reduced_cw_mean_n0, reduced_cw_stationary,
-                       serial_banded_evolve, steady_state_markov)
+                       serial_banded_evolve, stationary_full_storage, steady_state_markov)
 
 GAMMA_M_5E4 = 92.62263163409446
 # frozen from the replaced-row linear solve at the default (200, 60) box
@@ -211,6 +212,30 @@ def test_generator_column_balance():
                                rtol=1e-12)
 
 
+def test_balance_check_names_the_unbalanced_part(monkeypatch):
+    # the plant of test_singular_step_names_gbtrf_info: column 0 of every
+    # part is zeroed, the out part gains 2/dt there and the static leak
+    # loses 1/dt, so G balances at gamma = 1/2 only. Checked part by part,
+    # static and out are named, and oc, whose column 0 holds no rate, is not
+    params = cw_params(trap(5e4), 2, n0_max=4, n1_max=3)
+    dt = 2.0 ** -12
+    tpl = cw._templates_for(params)
+    cw._check_balance(tpl)
+    diags = tpl.diags.copy()
+    diags[:, :, 0] = 0.0
+    diags[1, list(tpl.shifts).index(0), 0] = 2.0 / dt
+    leak = tpl.leak_static.copy()
+    leak[0] = -1.0 / dt
+    with pytest.raises(GeneratorError, match=r"\bout \(worst residual 8\.192e\+03") as caught:
+        cw._check_balance(tpl._replace(diags=diags, leak_static=leak))
+    assert "static (" in str(caught.value) and "oc (" not in str(caught.value)
+    # every template build is checked, once
+    checked = []
+    monkeypatch.setattr(cw, "_check_balance", checked.append)
+    built = cw._templates(4, 3, 1.25, 2.0, 0.5)   # a key no other test builds
+    assert len(checked) == 1 and checked[0] is built
+
+
 # ---------------------------------------------------------------------------
 # steady states
 
@@ -313,6 +338,41 @@ def test_stationary_matrix_equals_lil_row_replacement(params):
         superlu = cw.DiagonalState(q.reshape(state.p.shape))
         assert state.mean_n0() == pytest.approx(superlu.mean_n0(), rel=1e-12)
         assert state.mean_n1() == pytest.approx(superlu.mean_n1(), rel=1e-12)
+
+
+@pytest.mark.parametrize("n0_max, n1_max", [
+    (1, 1),       # one segment of one level
+    (2, 2),       # segments of one level; collision shift n1p - 2 = +1
+    (3, 1),       # collision shift n1p - 2 = 0
+    (15, 6),      # 15 levels above 0 in segments of 4: the lowest holds 3
+    (16, 6),      # 16 levels above 0 in segments of 4
+    (24, 2),
+    (200, 60),
+    (400, 60),
+])
+def test_checkpointed_stationary_is_bit_identical_to_full_storage(n0_max, n1_max):
+    # recomputing each segment's R_k from its saved S_k repeats the numpy
+    # calls of the way down on the same arrays, so p keeps every bit
+    params = cw_params(trap(5e4), "markov", n0_max=n0_max, n1_max=n1_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")    # the small boxes leak at the boundary
+        p = cw.stationary_distribution(params).p
+    assert p.tobytes() == stationary_full_storage(params).tobytes()
+
+
+def test_stationary_solve_keeps_checkpoints_only():
+    # with the templates cached, a solve on the default box holds the 15
+    # segment tops S_k and one segment's 14 R_k: its allocations peak at
+    # 1.8 MiB, against 6.75 MiB with all 200 R_k kept
+    params = cw_params(trap(5e4), "markov")
+    cw.stationary_distribution(params)
+    tracemalloc.start()
+    try:
+        cw.stationary_distribution(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2 ** 20
 
 
 def test_stationary_rejects_non_finite_solve(monkeypatch):
@@ -489,7 +549,8 @@ def test_singular_step_names_gbtrf_info(monkeypatch):
     # half-grid point 14, the solve of step 6. gbtrf stops there with info
     # 1, while factors run ahead on two threads; the pool's threads end
     # with the run. A leak of -1/dt from state 0 balances column 0 at the
-    # rate 1/2 of half-grid point 0, where evolve checks the generator
+    # rate 1/2 only; planted past _templates, it escapes the part-by-part
+    # balance check (test_balance_check_names_the_unbalanced_part)
     params = cw_params(trap(5e4), 2, n0_max=4, n1_max=3)
     dt, n_steps = 2.0 ** -12, 10
     tpl = cw._templates_for(params)
