@@ -5,7 +5,7 @@ dispatches to the pulsed or continuous-wave solvers, and writes CSV time
 series plus a JSON metadata sidecar from which the run can be reproduced.
 
 Exit codes: 0 success, 1 configuration problem (a path that cannot be read
-or written included), 2 numerical failure.
+or written, and a run too large for memory, included), 2 numerical failure.
 """
 
 import argparse
@@ -16,7 +16,6 @@ import importlib.util
 import json
 import os
 import pickle
-import selectors
 import signal
 import sys
 import warnings
@@ -574,15 +573,18 @@ def _run_calls(calls):
     """Yield fn(*args) for each (label, cost, fn, args) of calls, in order.
 
     As many calls as there are usable CPUs, and never more than there are
-    calls, run at once, each in a forked child. The first call whose outcome
-    is not in yet always runs, and the other workers take the costliest calls
-    first (Graham's LPT rule). With one worker, or without os.fork, they run
-    here in turn. Each child's pipe is drained as data arrives, since a result
-    may outgrow the pipe buffer. Outcomes are handled in call order: the
-    child's warnings are raised again here, then its exception. A failure
-    kills the running calls after it and drops the queued ones, while the
-    calls before it finish, so what is seen is what running the calls one
-    by one shows. Every child is reaped on every path.
+    calls, run at once, each in a forked child. With one worker, or without
+    os.fork, they run here in turn. The call waited on, i, starts first if
+    it is still queued, and the other free workers take the costliest calls
+    first (Graham's LPT rule); a worker is always free for i, since every
+    call before it has been read and reaped. The parent reads child i's pipe
+    to its end and reaps it, raises its warnings again here, then raises its
+    exception or yields its result. A child that finishes before the call
+    waited on keeps its worker until its turn, blocked in its write if its
+    result outgrows the pipe buffer. A failure kills the calls still
+    running, all of them after it, and drops the queued ones, so what is
+    seen is what running the calls one by one shows. Every child is reaped
+    on every path.
     """
     workers = min(cw.usable_cpus(), len(calls))
     if workers <= 1 or not hasattr(os, "fork"):
@@ -590,56 +592,37 @@ def _run_calls(calls):
             yield fn(*args)
         return
     queue = sorted(range(len(calls)), key=lambda i: calls[i][1], reverse=True)
-    running, outcomes = {}, {}   # pipe fd -> (index, pid, chunks); index -> outcome
-    sel = selectors.DefaultSelector()
-
-    def reap(fd, kill=True):
-        i, pid, chunks = running.pop(fd)
-        sel.unregister(fd)
-        os.close(fd)
-        if kill:
-            os.kill(pid, signal.SIGKILL)
-        return i, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), b"".join(chunks)
-
+    running = {}   # index -> (pid, pipe)
     try:
         for i in range(len(calls)):
-            while i not in outcomes:
-                while queue and len(running) < workers:
-                    j = i if i in queue else queue[0]   # the call waited on runs first
-                    queue.remove(j)
-                    read_fd, write_fd = os.pipe()
-                    pid = os.fork()
-                    if pid == 0:
-                        os.close(read_fd)
-                        _child(write_fd, *calls[j][2:])
-                    os.close(write_fd)
-                    running[read_fd] = (j, pid, [])
-                    sel.register(read_fd, selectors.EVENT_READ)
-                for key, _ in sel.select():
-                    if key.fd not in running:   # killed for a failure found just now
-                        continue
-                    chunk = os.read(key.fd, 1 << 16)
-                    if chunk:
-                        running[key.fd][2].append(chunk)
-                        continue
-                    j, status, payload = reap(key.fd, kill=False)
-                    outcomes[j] = pickle.loads(payload) if status == 0 else (
-                        None, [], RuntimeError(f"the process for {calls[j][0]} ended with "
-                                               f"exit status {status}"))
-                    if outcomes[j][2] is not None:   # no call after j is needed any more
-                        queue = [k for k in queue if k < j]
-                        for fd in [fd for fd, run in running.items() if run[0] > j]:
-                            reap(fd)
-            result, warned, error = outcomes.pop(i)
+            while queue and len(running) < workers:
+                j = i if i in queue else queue[0]   # the call waited on runs first
+                queue.remove(j)
+                read_fd, write_fd = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    os.close(read_fd)
+                    _child(write_fd, *calls[j][2:])
+                os.close(write_fd)
+                running[j] = (pid, os.fdopen(read_fd, "rb"))
+            pid, pipe = running[i]
+            with pipe:
+                payload = pipe.read()
+            del running[i]
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            result, warned, error = pickle.loads(payload) if status == 0 else (
+                None, [], RuntimeError(f"the process for {calls[i][0]} ended with "
+                                       f"exit status {status}"))
             for warning in warned:
                 _replay_warning(*warning)
             if error is not None:
                 raise error
             yield result
     finally:
-        for fd in list(running):
-            reap(fd)
-        sel.close()
+        for pid, pipe in running.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _refinement(columns, fine_columns):
@@ -839,6 +822,10 @@ def main(argv=None):
     except OSError as exc:
         # str(exc) names the path, e.g. an --out below a regular file
         print(f"atomlaser: file error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy names the array that could not be allocated
+        print(f"atomlaser: config error: the run does not fit in memory: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
         print(f"atomlaser: numerical failure: {exc}", file=sys.stderr)

@@ -510,11 +510,6 @@ def stationary_distribution(params):
     """
     d, shifts, leak = _generator_diagonals(params)
     levels, n1p = params.n0_max + 1, params.n1_max + 1
-    far = shifts[np.abs(shifts) > n1p]
-    if far.size:
-        raise GeneratorError(
-            f"generator shift {far[0]} reaches beyond levels n0 - 1..n0 + 1 "
-            f"({n1p} states a level)")
     m = math.isqrt(levels)
     # S_a at the segment tops a = levels - 1, levels - 1 - m, ..., a >= 1
     S = _level_blocks(d, shifts, levels - 1, n1p)[1]

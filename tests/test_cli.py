@@ -499,20 +499,96 @@ def _nap(k, seconds):
     return k, os.getpid(), start, time.monotonic()
 
 
+# fig7's six solves, (markov, 2, 4) x (requested grid, dt/2), at the costs
+# run_scenario gives them, napping 1/25 of their time on the default box:
+# 1.4, 13.6 and 23.5 ms a step, 800 steps and 1,600
+FIG7_COSTS = [(order != "markov", n) for order in ("markov", 2, 4) for n in (800, 1600)]
+FIG7_NAPS = [0.044, 0.088, 0.436, 0.872, 0.752, 1.504]
+
+
 def test_runner_runs_at_most_w_calls_at_once(two_cpus):
-    naps = [0.2, 0.4, 0.8, 0.2, 0.6]
-    results = list(cli._run_calls([(f"nap {k}", s, _nap, (k, s)) for k, s in enumerate(naps)]))
-    _assert_no_children()
-    assert [k for k, *_ in results] == list(range(len(naps)))
-    pids = {pid for _, pid, _, _ in results}
-    assert len(pids) == len(naps) and os.getpid() not in pids
-    spans = [(start, end) for *_, start, end in results]
-    at_once = [sum(s <= t < e for s, e in spans) for t, _ in spans]
-    assert max(at_once) == 2
     # the first call not yet in always runs; the other worker takes the
-    # longest: 0 and 2 start together, 1 when 0 ends, 4 when 1 ends, 3 when 2 ends
-    started = sorted(range(len(naps)), key=lambda k: spans[k][0])
-    assert sorted(started[:2]) == [0, 2] and started[2:] == [1, 4, 3]
+    # longest. Naps: 0 and 2 start together, 1 when 0 ends, 4 when 1 ends, 3
+    # when 2 ends. fig7: 0 and 3 together, then 1, 2, 5 when 2 is in, and 4
+    # when 3 is
+    short = [0.2, 0.4, 0.8, 0.2, 0.6]
+    for costs, naps, first, then in ((short, short, [0, 2], [1, 4, 3]),
+                                     (FIG7_COSTS, FIG7_NAPS, [0, 3], [1, 2, 5, 4])):
+        results = list(cli._run_calls([(f"nap {k}", c, _nap, (k, s))
+                                       for k, (c, s) in enumerate(zip(costs, naps))]))
+        _assert_no_children()
+        assert [k for k, *_ in results] == list(range(len(naps)))
+        pids = {pid for _, pid, _, _ in results}
+        assert len(pids) == len(naps) and os.getpid() not in pids
+        spans = [(start, end) for *_, start, end in results]
+        at_once = [sum(s <= t < e for s, e in spans) for t, _ in spans]
+        assert max(at_once) == 2
+        started = sorted(range(len(naps)), key=lambda k: spans[k][0])
+        assert sorted(started[:2]) == first and started[2:] == then
+
+
+RUNNER_PROBE = """\
+import json, os, sys, time
+from atomlaser import cli
+
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
+LARGE = bytes(range(256)) * 4096 * 2   # 2 MiB, many times a pipe buffer
+
+
+def nap():
+    time.sleep(0.5)
+    return "nap"
+
+
+def fail():
+    raise ValueError("planted failure")
+
+
+calls = {
+    "large": [("nap", 0, nap, ()), ("large", 2, lambda: LARGE, ()), ("small", 1, str, ())],
+    "fail": [("nap", 0, nap, ()), ("fail", 0, fail, ()), ("sleep", 0, time.sleep, (60,))],
+}[sys.argv[2]]
+t0 = time.monotonic()
+got = []
+try:
+    for result in cli._run_calls(calls):
+        got.append("large" if result == LARGE else result)
+except ValueError as exc:
+    got.append(str(exc))
+seconds = time.monotonic() - t0
+try:
+    os.waitpid(-1, os.WNOHANG)
+    children = True
+except ChildProcessError:
+    children = False
+print(json.dumps([got, seconds, children]))
+"""
+
+
+def _run_probe(workers, case):
+    # in a process of its own, so that a runner that deadlocks fails the test
+    proc = subprocess.run([sys.executable, "-c", RUNNER_PROBE, str(workers), case],
+                          capture_output=True, text=True, env=_subprocess_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_runner_reads_a_result_larger_than_the_pipe():
+    # call 1 costs the most, so it starts beside call 0 and finishes first;
+    # its result waits in the pipe, its writer blocked, until call 0 is in.
+    # Call 2 starts once call 0 is read, on the worker call 0 held
+    got, _, children = _run_probe(2, "large")
+    assert got == ["nap", "large", ""]
+    assert not children
+
+
+def test_runner_raises_a_failure_after_the_calls_before_it():
+    # call 1 fails at once while call 0 naps; call 0's result comes first,
+    # then the failure, and call 2's minute of sleep is killed, not awaited
+    got, seconds, children = _run_probe(3, "fail")
+    assert got == ["nap", "planted failure"]
+    assert seconds < 10.0
+    assert not children
 
 
 def _recorded(run):
@@ -685,6 +761,24 @@ def test_non_finite_grid_exits_one(tmp_path, capsys, config, flags, name):
     assert f"atomlaser: config error: {name} must be finite" in err
     # the value as a plain float, as written for a key in units of 1/gamma_M
     assert "np.float64" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("config, flags", [
+    (BUILTIN_SCENARIOS["fig2"], ["--dt", "1e-16"]),
+    (BUILTIN_SCENARIOS["fig7"].replace("[cw]", "[cw]\nn0_max = 1000000000000"), []),
+], ids=["pulsed", "cw"])
+def test_run_too_large_for_memory_exits_one(tmp_path, capsys, two_cpus, config, flags):
+    # fig2's grid times would take 6.14 PiB, here; each cw child's vacuum
+    # state 444 TiB, in the child. Both are far past any host's memory, so
+    # the allocation fails at once
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(config)
+    assert main(["run", str(cfg), "--out", str(tmp_path)] + flags) == 1
+    err = capsys.readouterr().err
+    assert "atomlaser: config error: the run does not fit in memory: Unable to allocate" in err
+    assert "Traceback" not in err
+    _assert_no_children()
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_unknown_target_exits_one(tmp_path, capsys):

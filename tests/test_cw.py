@@ -382,26 +382,6 @@ def test_stationary_rejects_non_finite_solve(monkeypatch):
         cw.stationary_distribution(params)
 
 
-@pytest.mark.parametrize("entry", [(0, 14), (69, 0)], ids=["above", "below"])
-def test_stationary_rejects_entries_beyond_neighbour_levels(monkeypatch, entry):
-    # on the (9, 6) box a level holds 7 states: row 0 (level 0) may reach
-    # columns 0..13 only, and row 69 (level 9, the top) columns 56..69; the
-    # second entry would wrap around silently in numpy indexing. The entry
-    # is planted as a jump of its own flat-index shift, i - j, in the static
-    # template, with its loss on the diagonal, so every column still balances
-    params = cw_params(trap(5e4), "markov", n0_max=9, n1_max=6)
-    tpl = cw._templates_for(params)
-    (i, j), dim = entry, params.dim
-    shifts = np.append(tpl.shifts, i - j)
-    diags = np.concatenate((tpl.diags, np.zeros((3, 1, dim))), axis=1)
-    diags[0, -1, j] = 1.0
-    diags[0, list(shifts).index(0), j] -= 1.0
-    monkeypatch.setattr(cw, "_templates_for",
-                        lambda params: tpl._replace(diags=diags, shifts=shifts))
-    with pytest.raises(GeneratorError, match="beyond levels"):
-        cw.stationary_distribution(params)
-
-
 def test_stationary_needs_no_sparse_solver(monkeypatch):
     # the level elimination is dense block work: no SuperLU call remains
     def forbidden(*args, **kwargs):

@@ -55,6 +55,9 @@ def test_diagonals_rebuild_templates(n0_max, n1_max, kappa1, N, Omega):
     dim = (n0_max + 1) * n1p
     assert np.all(np.diff(shifts) > 0) and 0 in shifts
     assert shifts[-1] >= 1 and -shifts[0] >= 1   # LAPACK's lower and upper
+    # no channel moves n0 by more than one level, as the stationary solve's
+    # block-tridiagonal level reduction needs
+    assert np.abs(shifts).max() <= n1p
     assert tpl.diags.shape == (3, shifts.size, dim)
     j = np.arange(dim)
     for diags in tpl.diags:
