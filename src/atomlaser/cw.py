@@ -302,6 +302,16 @@ def _combined(tpl, gamma, rr):
     return d, leak
 
 
+def _step_diagonals(tpl, h, gamma, rr):
+    """Diagonals, on tpl.shifts, of the implicit step matrix I - h G at
+    G = static + gamma out + rr oc: the one formula for every order."""
+    d_static, d_out, d_oc = tpl.diags
+    band = (tpl.shifts == 0)[:, None] - h * (d_static + gamma * d_out)
+    if rr != 0.0:
+        band -= h * rr * d_oc
+    return band
+
+
 # -- dense reference implementation on a tiny space -------------------------
 
 def _dense_ladder(nmax):
@@ -401,16 +411,6 @@ def verify_diagonal_closure(params):
     return True
 
 
-_closure_checked = set()
-
-
-def _ensure_closure(params):
-    key = (params.kappa1, params.N, params.Omega)
-    if key not in _closure_checked:
-        verify_diagonal_closure(params)
-        _closure_checked.add(key)
-
-
 class GeneratorAt(NamedTuple):
     matrix: object  # scipy.sparse CSR matrix
     leak: np.ndarray
@@ -423,7 +423,7 @@ def _generator_diagonals(params, gamma=None, r=0j):
         if params.order != "markov":
             raise ParameterError(f"order {params.order} needs its output rate gamma")
         gamma = model.gamma_markov_closed_form(params.trap)
-    _ensure_closure(params)
+    verify_diagonal_closure(params)
     tpl = _templates_for(params)
     rr = complex(r).real if params.order == 4 else 0.0
     d, leak = _combined(tpl, gamma, rr)
@@ -573,10 +573,10 @@ def _lapack(name):
 
 
 @contextmanager
-def _banded_solves(tpl, h, gamma_h, rr_h, schedule):
-    """Yield solve(b) = (I - h G_k)^-1 b for the half-grid point k of each
-    (k, trapezoid) entry of evolve's schedule in turn, G_k = static +
-    gamma_h[k] out + rr_h[k] oc; the i-th call solves with the i-th entry.
+def _banded_solves(shifts, dim, band, points):
+    """Yield solve(b) = (I - h G_k)^-1 b for each half-grid point k of
+    points in turn, I - h G_k having the diagonals band(k) on shifts
+    (evolve's _step_diagonals); the i-th call solves at points[i].
 
     G_k depends on k alone, not on the state, so its banded LU (LAPACK
     gbtrf) runs ahead of the solves on a pool of one thread per usable CPU:
@@ -585,7 +585,7 @@ def _banded_solves(tpl, h, gamma_h, rr_h, schedule):
     its array for the next factor. gbsv is gbtrf followed by gbtrs, so
     every bit is that of one gbsv per solve. The band is (n1_max - 1)
     diagonals below and n1_max + 1 above the main one, but only the
-    template diagonals (at most six) are combined, into the rows
+    template diagonals (at most six) are written, into the rows
     upper + shifts of a work array whose other rows are zero.
     """
     import ctypes
@@ -594,13 +594,10 @@ def _banded_solves(tpl, h, gamma_h, rr_h, schedule):
     from concurrent.futures import ThreadPoolExecutor
 
     gbtrf, gbtrs = _lapack("dgbtrf"), _lapack("dgbtrs")
-    d_static, d_out, d_oc = tpl.diags
-    dim = d_static.shape[1]
-    lower, upper = int(tpl.shifts[-1]), int(-tpl.shifts[0])
+    lower, upper = int(shifts[-1]), int(-shifts[0])
     rows = 2 * lower + upper + 1   # gbtrf's layout: `lower` fill-in rows above the band
     n, kl, ku, ldab, one = (ctypes.c_int(v) for v in (dim, lower, upper, rows, 1))
     int_p = ctypes.POINTER(ctypes.c_int)
-    eye = (tpl.shifts == 0)[:, None]   # I as diagonals
     cpus = usable_cpus()
     ring = [(np.zeros((rows, dim), order="F"), np.empty(dim, np.intc)) for _ in range(cpus + 1)]
 
@@ -610,23 +607,20 @@ def _banded_solves(tpl, h, gamma_h, rr_h, schedule):
                 f"banded solve of the implicit step failed (LAPACK {routine} info {info.value})")
 
     def factor(k, ab, ipiv):
-        band = eye - h * (d_static + gamma_h[k] * d_out)
-        if rr_h[k] != 0.0:
-            band -= h * rr_h[k] * d_oc
         ab.fill(0.0)
-        ab[lower + upper + tpl.shifts] = band
+        ab[lower + upper + shifts] = band(k)
         info = ctypes.c_int()
         gbtrf(n, n, kl, ku, ab.ctypes.data, ldab, ipiv.ctypes.data_as(int_p), info)
         check("gbtrf", info)
         return ab, ipiv
 
     pool = ThreadPoolExecutor(cpus)
-    factors, queued = deque(), iter(range(len(schedule)))
+    factors, queued = deque(), iter(range(len(points)))
 
     def queue_next():
         i = next(queued, None)
         if i is not None:
-            factors.append(pool.submit(factor, schedule[i][0], *ring[i % len(ring)]))
+            factors.append(pool.submit(factor, points[i], *ring[i % len(ring)]))
 
     def solve(b):
         ab, ipiv = factors[0].result()
@@ -680,25 +674,29 @@ def evolve(params, p0, t_max, dt):
     An order-4 run stops once ||p||_1 passes L1_BOUND: the cross term has
     then made the generator unstable, which no step size cures.
 
-    How the solves are factored follows from whether G changes in time. The
-    markov generator is constant, so one sparse LU of the checked generator
-    serves every solve. At orders 2 and 4, gamma(t) and r(t) change every
-    step, so each solve needs a new banded LU of I - (dt/2) G(t). These
-    depend on the half-step grid alone, so threads factor them ahead, one
-    per usable CPU (_banded_solves); the bits are those of one LAPACK gbsv
-    per solve. Factors and steps walk one schedule of (half-grid point k,
-    trapezoid) entries, one solve each: (2j + 1, False) and (2j + 2, False)
-    in a Rannacher step j, else (2j + 2, True), which adds the explicit
-    half at point k - 2. Each even k ends step k/2. The right-hand side's
-    three sparse matrices are built from the template diagonals per run
-    (about 1-2 ms on the default box).
+    One function, _step_diagonals, forms the diagonals of the step matrix
+    I - (dt/2) G(t) for every order; how it is factored follows from
+    whether G changes in time. The markov generator is constant, so one
+    sparse LU of the step matrix at gamma_M serves every solve. At orders 2
+    and 4, gamma(t) and r(t) change every step, so each solve needs a new
+    banded LU. These depend on the half-step grid alone, so threads factor
+    them ahead, one per usable CPU (_banded_solves); the bits are those of
+    one LAPACK gbsv per solve. Factors and steps walk one schedule of
+    (half-grid point k, trapezoid) entries, one solve each: (2j + 1, False)
+    and (2j + 2, False) in a Rannacher step j, else (2j + 2, True), which
+    adds the explicit half at point k - 2. Each even k ends step k/2. The
+    right-hand side's three sparse matrices are built from the template
+    diagonals per run (about 1-2 ms on the default box), and every call
+    runs verify_diagonal_closure once (about 2 ms). The observables go into
+    one (n_steps + 1, 5) table whose columns the trajectory's fields view.
     """
     dim, n1p = params.dim, params.n1_max + 1
-    p = np.asarray(p0.p, dtype=float).ravel().copy()
-    if p.size != dim:
+    box = (params.n0_max + 1, n1p)
+    if np.shape(p0.p) != box:
         raise ParameterError(
-            f"initial state has {p.size} entries, the truncated space has {dim}"
-        )
+            f"initial state has {np.size(p0.p)} entries of shape {np.shape(p0.p)}, "
+            f"the truncated space has shape {box}")
+    p = np.asarray(p0.p, dtype=float).ravel().copy()
     grid = grid_for(t_max, dt)
     n_steps = grid.n_points - 1
     tpl = _templates_for(params)
@@ -715,8 +713,8 @@ def evolve(params, p0, t_max, dt):
             rr_h = r_function(params, kernel).values.real
 
     # _templates has checked that each part balances, so G(t) does at every
-    # gamma(t) and Re r(t); the closure self-check runs once per rate set
-    _ensure_closure(params)
+    # gamma(t) and Re r(t); the closure self-check runs once per call
+    verify_diagonal_closure(params)
     static, out, oc = (_csr(d, tpl.shifts) for d in tpl.diags)
 
     h = 0.5 * dt
@@ -736,33 +734,21 @@ def evolve(params, p0, t_max, dt):
     schedule = [(k, j >= RANNACHER_STEPS) for j in range(n_steps)
                 for k in ((2 * j + 1, 2 * j + 2) if j < RANNACHER_STEPS else (2 * j + 2,))]
     if params.order == "markov":
-        import scipy.sparse as sp
-
-        d0, shifts, _ = _generator_diagonals(params, gamma_h[0])
-        lu = splu(sp.identity(dim, format="csc") - h * _csr(d0, shifts).tocsc())
+        lu = splu(_csr(_step_diagonals(tpl, h, gamma_h[0], 0.0), tpl.shifts).tocsc())
         solves = nullcontext(lu.solve)
     else:
-        solves = _banded_solves(tpl, h, gamma_h, rr_h, schedule)
+        solves = _banded_solves(tpl.shifts, dim,
+                                lambda k: _step_diagonals(tpl, h, gamma_h[k], rr_h[k]),
+                                [k for k, _ in schedule])
 
     n0_of = (np.arange(dim) // n1p).astype(float)
     n1_of = (np.arange(dim) % n1p).astype(float)
 
     times = grid.times()
-    mean_n0 = np.empty(n_steps + 1)
-    mean_n1 = np.empty(n_steps + 1)
-    prob_sum = np.empty(n_steps + 1)
-    min_p = np.empty(n_steps + 1)
-    clipped = np.empty(n_steps + 1)
-
-    def record(j, vec, clip):
-        mean_n0[j] = n0_of @ vec
-        mean_n1[j] = n1_of @ vec
-        prob_sum[j] = vec.sum()
-        min_p[j] = vec.min()
-        clipped[j] = clip
-
+    # one row per step: mean_n0, mean_n1, prob_sum, min_p, clipped flux
+    rows = np.empty((n_steps + 1, 5))
     clip = leak = 0.0
-    record(0, p, clip)
+    rows[0] = n0_of @ p, n1_of @ p, p.sum(), p.min(), clip
     with solves as implicit_solve:
         for k, trapezoid in schedule:
             p = implicit_solve(p + h * rhs(p, gamma_h[k - 2], rr_h[k - 2]) if trapezoid else p)
@@ -770,13 +756,14 @@ def evolve(params, p0, t_max, dt):
             clip += h * (start + leak) if trapezoid else h * leak
             if k % 2:
                 continue
-            record(k // 2, p, clip)
+            rows[k // 2] = n0_of @ p, n1_of @ p, p.sum(), p.min(), clip
             if params.order == 4 and not (np.abs(p).sum() <= L1_BOUND):
                 raise NumericalFailure(
                     f"the order-4 generator is unstable at t = {times[k // 2]:.6e} s, Re r = "
                     f"{rr_h[k]:.6e}: ||p||_1 = "
                     f"{np.abs(p).sum():.3e} passed {L1_BOUND}; no step size cures this")
 
+    mean_n0, mean_n1, prob_sum, min_p, clipped = rows.T
     drift = float(np.abs(prob_sum + clipped - 1.0).max())
     if not (drift <= CONSERVATION_TOL):
         raise NumericalFailure(
@@ -804,6 +791,6 @@ def evolve(params, p0, t_max, dt):
             "enlarge n0_max/n1_max for trustworthy output",
             stacklevel=2,
         )
-    final = DiagonalState(p.reshape(params.n0_max + 1, n1p), float(clipped[-1]))
+    final = DiagonalState(p.reshape(box), float(clipped[-1]))
     return CwTrajectory(times, mean_n0, mean_n1, prob_sum, min_p, clipped,
                         final, negativity_flagged)

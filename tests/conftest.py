@@ -3,7 +3,6 @@ several tests (module-level and acceptance) read the same runs, and each
 fixture computes its runs at once, one per usable CPU, through the scenario
 runner's fork scheduler."""
 
-import numpy as np
 import pytest
 
 from atomlaser import cw, model, tcl, volterra

@@ -553,7 +553,7 @@ def test_singular_step_names_gbtrf_info(monkeypatch):
 
 
 def test_evolve_config_errors(monkeypatch):
-    # a bad grid or a state of the wrong size is rejected before the rate
+    # a bad grid or a state of the wrong shape is rejected before the rate
     # tables are built
     def refuse(*args):
         raise AssertionError("rate tables built")
@@ -569,6 +569,13 @@ def test_evolve_config_errors(monkeypatch):
         cw.evolve(params, p0, 0.01, 0.0)
     with pytest.raises(ParameterError, match="initial state has 25 entries"):
         cw.evolve(params, cw.DiagonalState.vacuum(4, 4), 0.01, 1e-5)
+    # a table of the box's size but not its shape would be read in the
+    # wrong order: a (4, 7) table with q[1, 0] = 1 on the (6, 3) box would
+    # start at <n0> = 1, <n1> = 3
+    q = np.zeros((4, 7))
+    q[1, 0] = 1.0
+    with pytest.raises(ParameterError, match=r"shape \(4, 7\).*shape \(7, 4\)"):
+        cw.evolve(cw_params(trap(5e4), 4, n0_max=6, n1_max=3), cw.DiagonalState(q), 0.01, 1e-5)
 
 
 def test_markov_relaxes_to_stationary_mean():
@@ -809,21 +816,46 @@ def test_linear_gain_limit_order4_nearest_exact():
     # markov 1.418e-2 and 1.418e-2, order 2 1.511e-2 and 1.508e-2, order 4
     # 4.03e-3 and 4.51e-3 (n1_max = 30, which clips 5e-4, adds about 5e-4 to
     # each). Order 4 supplies the shift of the exact pole by the gain, which
-    # order 2 lacks; the inner reading of r diverges here instead
+    # order 2 lacks; the inner reading of r diverges here instead.
+    # In this limit each order is the rate equation
+    #     dn/dt = g (n + 1) - gamma(t) n  [+ g Re(r(t)/Omega) (n + 2) at order 4]
+    # on the run's half-step rates, solved here by its integrating factor.
+    # The worst |<n0> - rate equation| over max of the rate equation,
+    # measured at 800 and 1600 steps: markov 2.128e-3 and 2.128e-3, order 2
+    # 2.140e-3 and 2.130e-3, order 4 2.186e-3 and 2.159e-3; <n0> ends below
+    # it (1.4358 against 1.4389 at markov). The gap does not move with the
+    # step, so it is the model's distance from the limit, not the stepper's
     p = trap(1e4)
     gm = model.gamma_markov_closed_form(p)
     g, t_max, n_steps = 0.6 * gm, 8.0 / gm, 800
     dt = t_max / n_steps
     exact = linear_gain_n0(p, g, UniformGrid(0.0, dt / 20, 20 * n_steps + 1))[::20]
+    params = {order: cw.CwParams(trap=p, kappa1=1e4 * gm, Omega=0.5 * g, N=1.0, n0_max=60,
+                                 n1_max=45, order=order) for order in cw.ORDERS}
     calls = [(f"order {order}", order != "markov", evolve_here,
-              (cw.CwParams(trap=p, kappa1=1e4 * gm, Omega=0.5 * g, N=1.0, n0_max=60, n1_max=45,
-                           order=order), cw.DiagonalState.vacuum(60, 45), t_max, dt))
+              (params[order], cw.DiagonalState.vacuum(60, 45), t_max, dt))
              for order in cw.ORDERS]
+    trajs = dict(zip(cw.ORDERS, _run_calls(calls)))
     error = {order: np.abs(traj.mean_n0 - exact).max() / exact.max()
-             for order, traj in zip(cw.ORDERS, _run_calls(calls))}
+             for order, traj in trajs.items()}
     assert 3.0e-3 <= error[4] <= 5.5e-3
     for order in ("markov", 2):
         assert 1.2e-2 <= error[order] <= 1.7e-2
+
+    half = UniformGrid(0.0, 0.5 * dt, 2 * n_steps + 1)
+    kernel = volterra.memory_kernel(p, half)
+    for order, traj in trajs.items():
+        gamma = (np.full(half.n_points, gm) if order == "markov"
+                 else tcl.tcl_series_rates(kernel, order).total_gamma().values)
+        cross = 0.0
+        if order == 4:
+            cross = g * cw.r_function(params[4], kernel).values.real / params[4].Omega
+        # dn/dt = (g + cross - gamma) n + g + 2 cross from n = 0
+        lam = cumulative_integral(SampledFunction(half, g + cross - gamma)).values
+        rate = np.exp(lam) * cumulative_integral(
+            SampledFunction(half, (g + 2.0 * cross) * np.exp(-lam))).values
+        gap = np.abs(traj.mean_n0 - rate[::2]).max() / rate.max()
+        assert 1.8e-3 <= gap <= 2.6e-3, (order, gap)
 
 
 def test_exact_oscillation_decays_faster_than_order2():

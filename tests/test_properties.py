@@ -12,7 +12,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
