@@ -35,8 +35,6 @@ __all__ = [
     "DiagonalState",
     "CwTrajectory",
     "r_function",
-    "build_generator",
-    "verify_diagonal_closure",
     "stationary_distribution",
     "evolve",
 ]
@@ -56,8 +54,6 @@ L1_BOUND = 2.0
 # implicit-stepper startup: this many leading steps are taken as pairs of
 # backward-Euler half-steps to damp the stiff transient
 RANNACHER_STEPS = 4
-# verify_diagonal_closure checks the templates on the (CLOSURE_N, CLOSURE_N) box
-CLOSURE_N = 3
 
 
 def usable_cpus():
@@ -68,17 +64,17 @@ def usable_cpus():
     return os.cpu_count() or 1
 
 
-# scipy loads on the first evolve or build_generator call, not when cw is
-# imported: `import atomlaser.cli` imports cw, and a pulsed run and the
-# stationary solve need numpy only. _lazy(module, name) calls module.name,
-# importing module on the first call. The three
-# names stay module-level callables, called through this module's globals,
-# because perfbench/layertrace.py (1) reads the import time of atomlaser.cw
-# from `python -X importtime -c "import atomlaser.cli"`, so cli must keep
-# importing cw, and (2) looks up `splu`, `spsolve` and `solve_banded` in cw by
-# name and rebinds them to timed wrappers. Only splu is called, by evolve's
-# markov branch: the stationary solve needs no sparse solver, and the banded
-# orders call LAPACK's gbtrf and gbtrs directly (_banded_solves).
+# scipy loads on the first evolve call, not when cw is imported: `import
+# atomlaser.cli` imports cw, and a pulsed run and the stationary solve need
+# numpy only. _lazy(module, name) calls module.name, importing module on the
+# first call. The three names stay module-level callables, called through this
+# module's globals, because perfbench/layertrace.py (1) reads the import time
+# of atomlaser.cw from `python -X importtime -c "import atomlaser.cli"`, so
+# cli must keep importing cw, and (2) looks up `splu`, `spsolve` and
+# `solve_banded` in cw by name and rebinds them to timed wrappers. Only splu
+# is called, by evolve's markov branch: the stationary solve needs no sparse
+# solver, and the banded orders call LAPACK's gbtrf and gbtrs directly
+# (_banded_solves).
 def _lazy(module, name):
     return lambda *args, **kwargs: getattr(import_module(module), name)(*args, **kwargs)
 
@@ -207,10 +203,10 @@ class _Templates(NamedTuple):
     leak_oc: np.ndarray
 
 
-# One scenario reads exactly two keys: its own (box, kappa1, N, Omega) and the
-# (CLOSURE_N, CLOSURE_N) probe of verify_diagonal_closure. Parameters change
-# from one scenario to the next, so a larger cache would only hold stale sets.
-@lru_cache(maxsize=2)
+# One scenario reads exactly one key, its own (box, kappa1, N, Omega), in its
+# stationary solve and in each of its runs. Parameters change from one
+# scenario to the next, so a larger cache would only hold stale sets.
+@lru_cache(maxsize=1)
 def _templates(n0_max, n1_max, kappa1, N, Omega):
     n1p = n1_max + 1
     dim = (n0_max + 1) * n1p
@@ -263,7 +259,8 @@ def _templates_for(params):
 def _csr(diags, shifts):
     """The scipy.sparse CSR matrix whose flat-index shift shifts[k] holds
     diags[k]: the sparse view of template diagonals, built only where
-    sparse algebra runs (evolve's right-hand side and build_generator)."""
+    sparse algebra runs (evolve's right-hand side and its markov step
+    matrix)."""
     import scipy.sparse as sp
 
     dim = diags.shape[-1]
@@ -288,20 +285,6 @@ def _check_balance(tpl):
         raise GeneratorError("generator columns do not balance: " + "; ".join(bad))
 
 
-def _combined(tpl, gamma, rr):
-    """Diagonals and leak vector of G = static + gamma out + rr oc, combined
-    in place in one new array; _templates has checked that each part
-    balances."""
-    d_static, d_out, d_oc = tpl.diags
-    d = gamma * d_out
-    d += d_static
-    leak = tpl.leak_static.copy()
-    if rr != 0.0:
-        d += rr * d_oc
-        leak += rr * tpl.leak_oc
-    return d, leak
-
-
 def _step_diagonals(tpl, h, gamma, rr):
     """Diagonals, on tpl.shifts, of the implicit step matrix I - h G at
     G = static + gamma out + rr oc: the one formula for every order."""
@@ -310,137 +293,6 @@ def _step_diagonals(tpl, h, gamma, rr):
     if rr != 0.0:
         band -= h * rr * d_oc
     return band
-
-
-# -- dense reference implementation on a tiny space -------------------------
-
-def _dense_ladder(nmax):
-    return np.diag(np.sqrt(np.arange(1.0, nmax + 1)), 1)
-
-
-def _dense_channel_columns(n0c, n1c, kappa1, N, Omega, gamma, shift, r):
-    """Diagonal action of every superoperator, built literally from operators.
-
-    Applies each channel to the full basis of diagonal projectors and records
-    (columns, worst off-diagonal leakage). This is the reference the fast
-    index-arithmetic templates are checked against.
-    """
-    d0, d1 = n0c + 1, n1c + 1
-    a0 = np.kron(_dense_ladder(n0c), np.eye(d1))
-    a1 = np.kron(np.eye(d0), _dense_ladder(n1c))
-    a0d, a1d = a0.T, a1.T
-    n0op = a0d @ a0
-    A2 = a1 @ a1          # a1^2
-    A2d = a1d @ a1d       # a1^dag 2
-    C = a0d @ A2          # collision jump operator
-
-    def lin(R):
-        return (N * kappa1 * (a1d @ R @ a1 - 0.5 * (a1 @ a1d @ R + R @ a1 @ a1d))
-                + (1.0 + N) * kappa1 * (a1 @ R @ a1d - 0.5 * (a1d @ a1 @ R + R @ a1d @ a1)))
-
-    def lcoll(R):
-        return Omega * (C @ R @ C.T - 0.5 * (C.T @ C @ R + R @ C.T @ C))
-
-    def lout(R):
-        return gamma * (a0 @ R @ a0d - 0.5 * (n0op @ R + R @ n0op))
-
-    def l0(R):
-        return -0.5j * shift * (n0op @ R - R @ n0op)
-
-    def loc(R):
-        rc = np.conj(r)
-        return (r * (a0d @ A2 @ R @ a0 @ A2d - A2 @ R @ a0 @ a0d @ A2d)
-                + rc * (a0d @ A2 @ R @ a0 @ A2d - a0 @ a0d @ A2 @ R @ A2d)
-                + 0.5 * r * (a0 @ A2d @ A2 @ R @ a0d - a0d @ a0 @ A2d @ A2 @ R)
-                + 0.5 * rc * (a0 @ R @ a0d @ A2d @ A2 - R @ a0d @ a0 @ A2d @ A2))
-
-    dim = d0 * d1
-    channels = {}
-    worst_offdiag = 0.0
-    for name, L in (("in", lin), ("coll", lcoll), ("out", lout), ("l0", l0), ("oc", loc)):
-        cols = np.zeros((dim, dim), dtype=complex)
-        for j in range(dim):
-            R = np.zeros((dim, dim))
-            R[j, j] = 1.0
-            LR = L(R)
-            off = LR - np.diag(np.diag(LR))
-            worst_offdiag = max(worst_offdiag, float(np.abs(off).max()))
-            cols[:, j] = np.diag(LR)
-        channels[name] = cols
-    return channels, worst_offdiag
-
-
-def verify_diagonal_closure(params):
-    """Self-test of the generator assembly on a tiny space.
-
-    Checks, with generic probe values for the run-time weights, that
-    (a) every channel maps diagonal projectors to diagonal projectors,
-    (b) the frequency-shift commutator acts as zero there, and
-    (c) the index-arithmetic templates agree with the literal operator
-        algebra on all interior columns.
-    Raises GeneratorError on any failure.
-    """
-    gamma_p, shift_p, r_p = 0.7, 1.3, 0.4 - 0.9j
-    channels, worst = _dense_channel_columns(
-        CLOSURE_N, CLOSURE_N, params.kappa1, params.N, params.Omega, gamma_p, shift_p, r_p
-    )
-    scale = max(params.kappa1 * (1 + params.N), params.Omega) * (CLOSURE_N + 1) ** 3
-    if not (worst <= 1e-12 * scale):
-        raise GeneratorError(
-            f"a channel leaks off the diagonal (worst element {worst:.3e}); "
-            "the diagonal closure of the master equation is broken"
-        )
-    if not (np.abs(channels["l0"]).max() <= 1e-12 * scale):
-        raise GeneratorError("the frequency-shift term acts on the diagonal; it must not")
-    dense = (channels["in"] + channels["coll"] + channels["out"] + channels["oc"]).real
-    imag_part = np.abs(channels["oc"].imag).max()
-    if not (imag_part <= 1e-10 * scale):
-        raise GeneratorError(f"cross-term diagonal action is not real (max imag {imag_part:.3e})")
-    tpl = _templates(CLOSURE_N, CLOSURE_N, params.kappa1, params.N, params.Omega)
-    d, _ = _combined(tpl, gamma_p, r_p.real)
-    # G[j + s, j] = d[k, j] at shift s = shifts[k], numpy's diagonal -s
-    G = sum(np.diag(vals[max(0, -s):vals.size - max(0, s)], -s)
-            for s, vals in zip(tpl.shifts.tolist(), d))
-    n1p = CLOSURE_N + 1
-    interior = [a * n1p + b for a in range(CLOSURE_N) for b in range(CLOSURE_N)]
-    diff = np.abs(G[:, interior] - dense[:, interior]).max()
-    if not (diff <= 1e-10 * scale):
-        raise GeneratorError(
-            f"template generator deviates from the operator algebra by {diff:.3e}"
-        )
-    return True
-
-
-class GeneratorAt(NamedTuple):
-    matrix: object  # scipy.sparse CSR matrix
-    leak: np.ndarray
-
-
-def _generator_diagonals(params, gamma=None, r=0j):
-    """(diagonals, shifts, leak) of G at the output rate gamma and the cross
-    weight r; see build_generator."""
-    if gamma is None:
-        if params.order != "markov":
-            raise ParameterError(f"order {params.order} needs its output rate gamma")
-        gamma = model.gamma_markov_closed_form(params.trap)
-    verify_diagonal_closure(params)
-    tpl = _templates_for(params)
-    rr = complex(r).real if params.order == 4 else 0.0
-    d, leak = _combined(tpl, gamma, rr)
-    return d, tpl.shifts, leak
-
-
-def build_generator(params, gamma=None, r=0j):
-    """Rate matrix G on the flattened diagonal space, with its leak vector.
-
-    gamma is the output rate (default: the markov gamma_M, the only choice
-    at order "markov") and r the cross-term weight, used at order 4 only.
-    G is the CSR view of the template diagonals combined at (gamma, Re r),
-    whose column sums plus the leak vanish because those of each template
-    part do (_check_balance).
-    """
-    d, shifts, leak = _generator_diagonals(params, gamma, r)
-    return GeneratorAt(_csr(d, shifts), leak)
 
 
 def _level_blocks(d, shifts, k, n1p):
@@ -508,7 +360,15 @@ def stationary_distribution(params):
     Warns, as evolve does, when the flux clipped at the box boundary exceeds
     CLIP_WARN of the pump flux kappa1 N (<n1> + 1).
     """
-    d, shifts, leak = _generator_diagonals(params)
+    if params.order != "markov":
+        raise ParameterError(
+            f"the stationary state is that of the markov generator, not of order {params.order}")
+    tpl = _templates_for(params)
+    # G = static + gamma_M out
+    d_static, d_out, _ = tpl.diags
+    d = model.gamma_markov_closed_form(params.trap) * d_out
+    d += d_static
+    shifts = tpl.shifts
     levels, n1p = params.n0_max + 1, params.n1_max + 1
     m = math.isqrt(levels)
     # S_a at the segment tops a = levels - 1, levels - 1 - m, ..., a >= 1
@@ -536,7 +396,7 @@ def stationary_distribution(params):
         raise NumericalFailure("the stationary solve returned a non-finite probability")
     p = p / p.sum()
     state = DiagonalState(p.reshape(levels, n1p))
-    lost = (leak @ p) / (params.kappa1 * params.N * (state.mean_n1() + 1.0))
+    lost = (tpl.leak_static @ p) / (params.kappa1 * params.N * (state.mean_n1() + 1.0))
     if lost > CLIP_WARN:
         warnings.warn(
             f"the stationary state loses {lost:.3e} of the pump flux at the box boundary; "
@@ -686,9 +546,10 @@ def evolve(params, p0, t_max, dt):
     and (2j + 2, False) in a Rannacher step j, else (2j + 2, True), which
     adds the explicit half at point k - 2. Each even k ends step k/2. The
     right-hand side's three sparse matrices are built from the template
-    diagonals per run (about 1-2 ms on the default box), and every call
-    runs verify_diagonal_closure once (about 2 ms). The observables go into
-    one (n_steps + 1, 5) table whose columns the trajectory's fields view.
+    diagonals per run (about 1-2 ms on the default box); _templates has
+    checked that each part balances, so G(t) does at every gamma(t) and
+    Re r(t). The observables go into one (n_steps + 1, 5) table whose
+    columns the trajectory's fields view.
     """
     dim, n1p = params.dim, params.n1_max + 1
     box = (params.n0_max + 1, n1p)
@@ -712,9 +573,6 @@ def evolve(params, p0, t_max, dt):
         if params.order == 4:
             rr_h = r_function(params, kernel).values.real
 
-    # _templates has checked that each part balances, so G(t) does at every
-    # gamma(t) and Re r(t); the closure self-check runs once per call
-    verify_diagonal_closure(params)
     static, out, oc = (_csr(d, tpl.shifts) for d in tpl.diags)
 
     h = 0.5 * dt

@@ -3,8 +3,10 @@ the pulsed amplitude from the Laplace domain, the TCL rates by direct
 quadrature of their printed integrands, the paper's closed forms that the
 acceptance criteria compare against (spectral density, waiting time, the
 asymptotic order-2 rate, the factorized cw steady state), the cw lasing mode
-solved exactly in the linear-gain limit, and a reduced cw laser with the
-lasing mode as a mean field.
+solved exactly in the linear-gain limit, a reduced cw laser with the
+lasing mode as a mean field, and the cw channels built literally from
+ladder operators; plus the cw generator as a sparse matrix, which no run
+forms but the tests hold the solvers against.
 
 laplace_amplitude is the exact pulsed amplitude of the memory equation
 
@@ -61,10 +63,20 @@ sees the Markov gain g = Omega <n1 (n1 - 1)> = 2 Omega N^2 through the jump
 a0^dag, plus the exact output memory. Its equations are linear, so the
 pulsed solver gives <n0(t)> exactly; the cw orders are compared with it.
 
+build_generator is the cw rate matrix G = static + gamma out (+ Re r oc
+at order 4) at given weights, the CSR view of atomlaser.cw's template
+diagonals combined as a run combines them, with its leak vector: the
+matrix the tests hold the stepper and the stationary solve against.
+verify_diagonal_closure rebuilds every cw channel literally from ladder
+operators on a 4 x 4 box and checks that it maps diagonal states to
+diagonal states, that the frequency shift drops out there, and that the
+templates agree with the operator algebra on the interior columns: the
+closure on which the cw model's (n0, n1) populations rest.
+
 channel_operators views the cw generator's parts (static, out, oc) as
-sparse matrices, one per channel group. Summed at a run's weights, they
-must give, byte for byte, the generator that build_generator combines from
-the template diagonals.
+sparse matrices, one per channel group, each by its own DIA-to-CSR
+conversion. Summed at a run's weights, they must give, byte for byte,
+build_generator's matrix.
 
 stationary_full_storage is the cw stationary solve as it was before its
 level reduction kept only checkpoints: every R_k held from the way down to
@@ -80,6 +92,7 @@ computed ahead of its step, and none by atomlaser's own LAPACK calls.
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -88,11 +101,13 @@ from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 from scipy.special import wofz
 
-from atomlaser import DomainError, ParameterError, cw, model, tcl, volterra
+from atomlaser import DomainError, GeneratorError, ParameterError, cw, model, tcl, volterra
 from atomlaser.quad import (SampledFunction, UniformGrid, _cumtrapz, cumulative_integral, grid_for,
                             iterated_convolution)
 
 TALBOT_NODES = 32
+# verify_diagonal_closure checks the cw templates on the (CLOSURE_N, CLOSURE_N) box
+CLOSURE_N = 3
 
 
 def _f_and_slope(w, beta):
@@ -449,6 +464,151 @@ def reduced_cw_mean_n0(params, times, gamma):
     return sol.y[0]
 
 
+# The cw generator at given weights, and its closure probe on a tiny box
+
+
+class GeneratorAt(NamedTuple):
+    matrix: object  # scipy.sparse CSR matrix
+    leak: np.ndarray
+
+
+def _combined(tpl, gamma, rr):
+    """Diagonals and leak vector of G = static + gamma out + rr oc of the cw
+    templates tpl, combined in place in one new array."""
+    d_static, d_out, d_oc = tpl.diags
+    d = gamma * d_out
+    d += d_static
+    leak = tpl.leak_static.copy()
+    if rr != 0.0:
+        d += rr * d_oc
+        leak += rr * tpl.leak_oc
+    return d, leak
+
+
+def generator_diagonals(params, gamma=None, r=0j):
+    """(diagonals, shifts, leak) of G at the output rate gamma and the cross
+    weight r; see build_generator."""
+    if gamma is None:
+        if params.order != "markov":
+            raise ParameterError(f"order {params.order} needs its output rate gamma")
+        gamma = model.gamma_markov_closed_form(params.trap)
+    tpl = cw._templates_for(params)
+    rr = complex(r).real if params.order == 4 else 0.0
+    d, leak = _combined(tpl, gamma, rr)
+    return d, tpl.shifts, leak
+
+
+def build_generator(params, gamma=None, r=0j):
+    """Rate matrix G of the cw model on the flattened diagonal space, with
+    its leak vector.
+
+    gamma is the output rate (default: the markov gamma_M, the only choice
+    at order "markov") and r the cross-term weight, used at order 4 only.
+    G is the CSR view (cw._csr) of the template diagonals combined at
+    (gamma, Re r), whose column sums plus the leak vanish because those of
+    each template part do (cw._check_balance).
+    """
+    d, shifts, leak = generator_diagonals(params, gamma, r)
+    return GeneratorAt(cw._csr(d, shifts), leak)
+
+
+def _dense_ladder(nmax):
+    return np.diag(np.sqrt(np.arange(1.0, nmax + 1)), 1)
+
+
+def _dense_channel_columns(n0c, n1c, kappa1, N, Omega, gamma, shift, r):
+    """Diagonal action of every superoperator, built literally from operators.
+
+    Applies each channel to the full basis of diagonal projectors and records
+    (columns, worst off-diagonal leakage). This is the reference the fast
+    index-arithmetic templates are checked against.
+    """
+    d0, d1 = n0c + 1, n1c + 1
+    a0 = np.kron(_dense_ladder(n0c), np.eye(d1))
+    a1 = np.kron(np.eye(d0), _dense_ladder(n1c))
+    a0d, a1d = a0.T, a1.T
+    n0op = a0d @ a0
+    A2 = a1 @ a1          # a1^2
+    A2d = a1d @ a1d       # a1^dag 2
+    C = a0d @ A2          # collision jump operator
+
+    def lin(R):
+        return (N * kappa1 * (a1d @ R @ a1 - 0.5 * (a1 @ a1d @ R + R @ a1 @ a1d))
+                + (1.0 + N) * kappa1 * (a1 @ R @ a1d - 0.5 * (a1d @ a1 @ R + R @ a1d @ a1)))
+
+    def lcoll(R):
+        return Omega * (C @ R @ C.T - 0.5 * (C.T @ C @ R + R @ C.T @ C))
+
+    def lout(R):
+        return gamma * (a0 @ R @ a0d - 0.5 * (n0op @ R + R @ n0op))
+
+    def l0(R):
+        return -0.5j * shift * (n0op @ R - R @ n0op)
+
+    def loc(R):
+        rc = np.conj(r)
+        return (r * (a0d @ A2 @ R @ a0 @ A2d - A2 @ R @ a0 @ a0d @ A2d)
+                + rc * (a0d @ A2 @ R @ a0 @ A2d - a0 @ a0d @ A2 @ R @ A2d)
+                + 0.5 * r * (a0 @ A2d @ A2 @ R @ a0d - a0d @ a0 @ A2d @ A2 @ R)
+                + 0.5 * rc * (a0 @ R @ a0d @ A2d @ A2 - R @ a0d @ a0 @ A2d @ A2))
+
+    dim = d0 * d1
+    channels = {}
+    worst_offdiag = 0.0
+    for name, L in (("in", lin), ("coll", lcoll), ("out", lout), ("l0", l0), ("oc", loc)):
+        cols = np.zeros((dim, dim), dtype=complex)
+        for j in range(dim):
+            R = np.zeros((dim, dim))
+            R[j, j] = 1.0
+            LR = L(R)
+            off = LR - np.diag(np.diag(LR))
+            worst_offdiag = max(worst_offdiag, float(np.abs(off).max()))
+            cols[:, j] = np.diag(LR)
+        channels[name] = cols
+    return channels, worst_offdiag
+
+
+def verify_diagonal_closure(params):
+    """Check of the cw generator assembly on the (CLOSURE_N, CLOSURE_N) box.
+
+    Checks, with generic probe values for the run-time weights, that
+    (a) every channel maps diagonal projectors to diagonal projectors,
+    (b) the frequency-shift commutator acts as zero there, and
+    (c) the index-arithmetic templates agree with the literal operator
+        algebra on all interior columns.
+    Raises GeneratorError on any failure.
+    """
+    gamma_p, shift_p, r_p = 0.7, 1.3, 0.4 - 0.9j
+    channels, worst = _dense_channel_columns(
+        CLOSURE_N, CLOSURE_N, params.kappa1, params.N, params.Omega, gamma_p, shift_p, r_p
+    )
+    scale = max(params.kappa1 * (1 + params.N), params.Omega) * (CLOSURE_N + 1) ** 3
+    if not (worst <= 1e-12 * scale):
+        raise GeneratorError(
+            f"a channel leaks off the diagonal (worst element {worst:.3e}); "
+            "the diagonal closure of the master equation is broken"
+        )
+    if not (np.abs(channels["l0"]).max() <= 1e-12 * scale):
+        raise GeneratorError("the frequency-shift term acts on the diagonal; it must not")
+    dense = (channels["in"] + channels["coll"] + channels["out"] + channels["oc"]).real
+    imag_part = np.abs(channels["oc"].imag).max()
+    if not (imag_part <= 1e-10 * scale):
+        raise GeneratorError(f"cross-term diagonal action is not real (max imag {imag_part:.3e})")
+    tpl = cw._templates(CLOSURE_N, CLOSURE_N, params.kappa1, params.N, params.Omega)
+    d, _ = _combined(tpl, gamma_p, r_p.real)
+    # G[j + s, j] = d[k, j] at shift s = shifts[k], numpy's diagonal -s
+    G = sum(np.diag(vals[max(0, -s):vals.size - max(0, s)], -s)
+            for s, vals in zip(tpl.shifts.tolist(), d))
+    n1p = CLOSURE_N + 1
+    interior = [a * n1p + b for a in range(CLOSURE_N) for b in range(CLOSURE_N)]
+    diff = np.abs(G[:, interior] - dense[:, interior]).max()
+    if not (diff <= 1e-10 * scale):
+        raise GeneratorError(
+            f"template generator deviates from the operator algebra by {diff:.3e}"
+        )
+    return True
+
+
 # The cw generator's parts as sparse matrices
 
 
@@ -476,7 +636,7 @@ def _level_blocks_indexed(d, shifts, k, n1p):
 def stationary_full_storage(params):
     """p[n0, n1] of cw.stationary_distribution, normalized, from the level
     reduction with all n0_max factors R_k kept."""
-    d, shifts, _ = cw._generator_diagonals(params)
+    d, shifts, _ = generator_diagonals(params)
     levels, n1p = params.n0_max + 1, params.n1_max + 1
     R = [None] * levels
     c = np.ones(n1p)

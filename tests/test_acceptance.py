@@ -9,7 +9,7 @@ occupation sits 3.8% above the factorized closed form, outside the 2% band
 import numpy as np
 import pytest
 
-from atomlaser import cw, model
+from atomlaser import model
 from atomlaser.quad import (
     SampledFunction,
     UniformGrid,
@@ -19,8 +19,8 @@ from atomlaser.tcl import RateSeries, occupation_from_rates, series_breakdown_in
 from atomlaser.volterra import exact_rates, occupation
 
 from conftest import OMEGA0, amplitude, cw_params, halving_difference, series_rates, trap
-from reference import (asymptotic_gamma2, markov_constants_by_quadrature, steady_state_markov,
-                       tcl2_rates, tcl4_rates, waiting_time)
+from reference import (asymptotic_gamma2, build_generator, markov_constants_by_quadrature,
+                       steady_state_markov, tcl2_rates, tcl4_rates, waiting_time)
 
 STATIONARY_N0 = 99.83412993229939
 
@@ -218,7 +218,7 @@ def test_criterion_10_conservation_suite(trap5e4, fig7_runs, fig2_traj):
                 for r in (fig7_runs[o] for o in ("markov", 2, 4)))
 
     # generator columns balance against the leak at the default truncation
-    gen = cw.build_generator(cw_params(trap5e4, "markov"))
+    gen = build_generator(cw_params(trap5e4, "markov"))
     colsum = np.asarray(gen.matrix.sum(axis=0)).ravel() + gen.leak
     col_res = np.abs(colsum).max() / np.abs(gen.matrix.data).max()
 

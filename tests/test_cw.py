@@ -22,8 +22,9 @@ from atomlaser.cli import _run_calls
 from atomlaser.quad import SampledFunction, UniformGrid, cumulative_integral
 
 from conftest import OMEGA0, cw_params, evolve_here, trap
-from reference import (inner_r_function, linear_gain_n0, reduced_cw_mean_n0, reduced_cw_stationary,
-                       serial_banded_evolve, stationary_full_storage, steady_state_markov)
+from reference import (build_generator, inner_r_function, linear_gain_n0, reduced_cw_mean_n0,
+                       reduced_cw_stationary, serial_banded_evolve, stationary_full_storage,
+                       steady_state_markov, verify_diagonal_closure)
 
 GAMMA_M_5E4 = 92.62263163409446
 # frozen from the replaced-row linear solve at the default (200, 60) box
@@ -167,17 +168,22 @@ def test_r_linear_in_omega_and_gamma():
 
 
 def test_diagonal_closure_against_operator_form():
-    assert cw.verify_diagonal_closure(cw_params(trap(5e4), 4)) is True
+    # fig7's rates, at the order that carries every channel
+    assert verify_diagonal_closure(cw_params(trap(5e4), 4)) is True
 
 
-def test_diagonal_closure_rejects_overflowing_rates():
-    # kappa1 (1 + N) overflows the tolerance scale to inf and the algebra to
-    # NaN; the self-check must fail rather than compare NaN > inf as False
+def test_run_path_rejects_overflowing_rates():
+    # kappa1 (1 + N) overflows the static part's rates to inf and its column
+    # sums to NaN; the balance check of every template build must fail
+    # rather than compare NaN > tolerance as False, in the stationary solve
+    # and in a run alike
     gm = model.gamma_markov_closed_form(trap(5e4))
-    params = cw.CwParams(trap=trap(5e4), kappa1=1e307, Omega=15 * gm, N=20.3,
-                         n0_max=6, n1_max=5, order=2)
-    with np.errstate(all="ignore"), pytest.raises(GeneratorError):
-        cw.verify_diagonal_closure(params)
+    rates = dict(trap=trap(5e4), kappa1=1e307, Omega=15 * gm, N=20.3, n0_max=6, n1_max=5)
+    with np.errstate(all="ignore"):
+        with pytest.raises(GeneratorError, match=r"\bstatic \("):
+            cw.stationary_distribution(cw.CwParams(**rates))
+        with pytest.raises(GeneratorError, match=r"\bstatic \("):
+            cw.evolve(cw.CwParams(**rates, order=2), cw.DiagonalState.vacuum(6, 5), 2e-4, 1e-4)
 
 
 def test_build_generator_rates_required():
@@ -185,30 +191,30 @@ def test_build_generator_rates_required():
     # G = static + gamma out (+ Re r oc at order 4)
     small = dict(n0_max=6, n1_max=5)
     with pytest.raises(ParameterError):
-        cw.build_generator(cw_params(trap(5e4), 2, **small))
-    mats = {g: cw.build_generator(cw_params(trap(5e4), 2, **small), g).matrix.toarray()
+        build_generator(cw_params(trap(5e4), 2, **small))
+    mats = {g: build_generator(cw_params(trap(5e4), 2, **small), g).matrix.toarray()
             for g in (0.0, 1.0, 40.0)}
     np.testing.assert_allclose(mats[40.0] - mats[0.0], 40.0 * (mats[1.0] - mats[0.0]),
                                rtol=1e-12, atol=1e-9)
     order4 = cw_params(trap(5e4), 4, **small)
-    with_r = cw.build_generator(order4, 40.0, 0.5 - 3.0j).matrix.toarray()
-    unit_r = cw.build_generator(order4, 40.0, 1.0).matrix.toarray()
+    with_r = build_generator(order4, 40.0, 0.5 - 3.0j).matrix.toarray()
+    unit_r = build_generator(order4, 40.0, 1.0).matrix.toarray()
     np.testing.assert_allclose(with_r - mats[40.0], 0.5 * (unit_r - mats[40.0]),
                                rtol=1e-12, atol=1e-9)
     # the cross term is absent below order 4, whatever r says
     np.testing.assert_array_equal(
-        cw.build_generator(cw_params(trap(5e4), 2, **small), 40.0, 1.0).matrix.toarray(),
+        build_generator(cw_params(trap(5e4), 2, **small), 40.0, 1.0).matrix.toarray(),
         mats[40.0])
 
 
 def test_generator_column_balance():
     params = cw_params(trap(5e4), "markov", n0_max=30, n1_max=15)
-    gen = cw.build_generator(params)
+    gen = build_generator(params)
     colsum = np.asarray(gen.matrix.sum(axis=0)).ravel() + gen.leak
     scale = np.abs(gen.matrix.data).max()
     assert np.abs(colsum).max() <= 1e-12 * scale
     np.testing.assert_allclose(gen.matrix.toarray(),
-                               cw.build_generator(params, GAMMA_M_5E4).matrix.toarray(),
+                               build_generator(params, GAMMA_M_5E4).matrix.toarray(),
                                rtol=1e-12)
 
 
@@ -325,7 +331,7 @@ def test_stationary_matrix_equals_lil_row_replacement(params):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")    # small boxes and Gamma = 0 leak at the boundary
         state = cw.stationary_distribution(params)
-    reference = cw.build_generator(params).matrix.tolil()
+    reference = build_generator(params).matrix.tolil()
     reference[0, :] = 1.0
     reference = reference.tocsc()
     b = np.zeros(params.dim)
@@ -380,6 +386,13 @@ def test_stationary_rejects_non_finite_solve(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(np.shape(b), np.nan))
     with pytest.raises(NumericalFailure, match="non-finite"):
         cw.stationary_distribution(params)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_stationary_rejects_time_dependent_orders(order):
+    # the stationary state is that of the constant markov generator
+    with pytest.raises(ParameterError, match="markov generator, not of order"):
+        cw.stationary_distribution(cw_params(trap(5e4), order, n0_max=6, n1_max=5))
 
 
 def test_stationary_needs_no_sparse_solver(monkeypatch):
@@ -438,7 +451,7 @@ def test_steppers_agree_with_matrix_exponential():
     t5 = trap(5e4)
     params = cw.CwParams(trap=t5, kappa1=200.0, Omega=GAMMA_M_5E4, N=0.5,
                          n0_max=8, n1_max=6)
-    gen = cw.build_generator(params)
+    gen = build_generator(params)
     p0 = cw.DiagonalState.vacuum(8, 6)
     t_max, dt = 0.02, 3.2e-6
     exact = expm(gen.matrix.toarray() * t_max) @ p0.p.ravel()
@@ -465,7 +478,7 @@ def test_time_dependent_implicit_stepper_matches_dense_recurrence(order):
     else:
         gamma = tcl.tcl_series_rates(kernel, order).total_gamma().values
     r = cw.r_function(params, kernel).values
-    gens = [cw.build_generator(params, gamma[k], r[k]) for k in range(kernel.grid.n_points)]
+    gens = [build_generator(params, gamma[k], r[k]) for k in range(kernel.grid.n_points)]
     eye = np.eye(params.dim)
 
     def step(h, k, b):

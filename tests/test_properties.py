@@ -7,6 +7,8 @@ couplings, of cw runs over random small boxes, rates, orders and short horizons,
 grid_for over whole numbers of steps.
 Derandomized: every run draws the same examples, so a failure always reproduces."""
 
+import cmath
+import math
 import re
 import warnings
 
@@ -21,7 +23,8 @@ from atomlaser.cli import BUILTIN_SCENARIOS, Scenario, _write_csv, main, parse_s
 from atomlaser.quad import SampledFunction, UniformGrid, grid_for
 
 from conftest import amplitude, halving_difference, series_rates, trap
-from reference import channel_operators, laplace_amplitude, tcl2_rates, tcl4_rates
+from reference import (_dense_channel_columns, build_generator, channel_operators,
+                       laplace_amplitude, tcl2_rates, tcl4_rates)
 from test_cli import _write_csv_per_element
 
 GAMMA_M_5E4 = 92.62263163409446
@@ -35,6 +38,22 @@ Ns = st.floats(0.05, 50.0)
 Omegas = st.floats(0.0, 100.0).map(lambda x: x * GAMMA_M_5E4)
 gammas = st.floats(0.0, 50.0).map(lambda x: x * GAMMA_M_5E4)
 rs = st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+
+
+def log_uniform(lo, hi):
+    """Floats spread evenly in log10 between lo and hi."""
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+# the operator-algebra check's parameters, log-uniform over many decades
+# toward what the config reader accepts: kappa1, Omega and gamma in units of
+# gamma_M, |r| in 1/s; a pump far below the output rate or far above it, and
+# Omega = 0 or of any size
+wide_kappa1s = log_uniform(1e-3, 1e12).map(lambda x: x * GAMMA_M_5E4)
+wide_Ns = log_uniform(1e-6, 1e6)
+wide_Omegas = st.one_of(st.just(0.0), log_uniform(1e-6, 1e12).map(lambda x: x * GAMMA_M_5E4))
+wide_gammas = log_uniform(1e-6, 1e12).map(lambda x: x * GAMMA_M_5E4)
+wide_rs = st.builds(cmath.rect, log_uniform(1e-6, 1e9), st.floats(-math.pi, math.pi))
 
 
 # the (n0, n1) moves of the channels: pump gain and loss, collision, output,
@@ -81,7 +100,7 @@ def test_stationary_solves_the_generator(n0_max, n1_max, kappa1, N, Omega):
                          n0_max=n0_max, n1_max=n1_max)
     state = cw.stationary_distribution(params)
     p = state.p.ravel()
-    G, leak = cw.build_generator(params)
+    G, leak = build_generator(params)
     assert p.min() >= -1e-15 * p.max()
     assert p.sum() == pytest.approx(1.0, abs=1e-14)   # a few ulp of summation
     # G p = 0 off row 0, which the normalization replaced; on a tight box
@@ -107,7 +126,7 @@ def test_generator_columns_plus_leak_vanish(n0_max, n1_max, kappa1, N, Omega,
                                             gamma, r, order):
     params = cw.CwParams(trap=trap(5e4), kappa1=kappa1, Omega=Omega, N=N,
                          n0_max=n0_max, n1_max=n1_max, order=order)
-    gen = cw.build_generator(params, None if order == "markov" else gamma, r)
+    gen = build_generator(params, None if order == "markov" else gamma, r)
     colsum = np.asarray(gen.matrix.sum(axis=0)).ravel() + gen.leak
     scale = max(np.abs(gen.matrix.data).max(), 1.0)
     assert np.abs(colsum).max() <= 1e-12 * scale
@@ -128,7 +147,7 @@ def test_generator_is_the_summed_channel_operators(n0_max, n1_max, kappa1, N, Om
     # markov splu factors I - h G, so its input must not move by one bit
     params = cw.CwParams(trap=trap(5e4), kappa1=kappa1, Omega=Omega, N=N,
                          n0_max=n0_max, n1_max=n1_max, order=order)
-    G = cw.build_generator(params, None if order == "markov" else gamma, r).matrix
+    G = build_generator(params, None if order == "markov" else gamma, r).matrix
     if order == "markov":
         gamma = model.gamma_markov_closed_form(params.trap)
     static, out, oc = channel_operators(cw._templates_for(params))
@@ -140,10 +159,10 @@ def test_generator_is_the_summed_channel_operators(n0_max, n1_max, kappa1, N, Om
 
 
 @PROPERTY
-@given(st.integers(1, 4), st.integers(1, 4), kappa1s, Ns, Omegas, gammas, rs)
+@given(st.integers(1, 4), st.integers(1, 4), wide_kappa1s, wide_Ns, wide_Omegas, wide_gammas,
+       wide_rs)
 def test_interior_columns_match_operator_algebra(n0c, n1c, kappa1, N, Omega, gamma, r):
-    channels, worst_offdiag = cw._dense_channel_columns(n0c, n1c, kappa1, N, Omega,
-                                                        gamma, 1.3, r)
+    channels, worst_offdiag = _dense_channel_columns(n0c, n1c, kappa1, N, Omega, gamma, 1.3, r)
     dense = sum(channels[c] for c in ("in", "coll", "out", "oc"))
     scale = max(np.abs(dense).max(), 1.0)
     assert worst_offdiag <= 1e-11 * scale
