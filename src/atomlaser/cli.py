@@ -640,8 +640,8 @@ def _run_pulsed(scen, outdir):
     # (dt/2) (2k) rounds as dt k. The sidecar's diagnostics describe the
     # run grid, so the dt/2 rerun computes none
     fine_kernel = volterra.memory_kernel(
-        scen.trap, UniformGrid(0.0, 0.5 * scen.dt, 2 * scen.n_steps + 1))
-    kernel = SampledFunction(UniformGrid(0.0, scen.dt, scen.n_steps + 1),
+        scen.trap, UniformGrid(0.5 * scen.dt, 2 * scen.n_steps + 1))
+    kernel = SampledFunction(UniformGrid(scen.dt, scen.n_steps + 1),
                              fine_kernel.values[::2].copy())
     columns, rates, exact = _pulsed_columns(scen, kernel)
     fine, _, _ = _pulsed_columns(scen, fine_kernel)

@@ -20,7 +20,6 @@ import warnings
 from collections import deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
 from importlib import import_module
 from typing import NamedTuple
 
@@ -203,10 +202,8 @@ class _Templates(NamedTuple):
     leak_oc: np.ndarray
 
 
-# One scenario reads exactly one key, its own (box, kappa1, N, Omega), in its
-# stationary solve and in each of its runs. Parameters change from one
-# scenario to the next, so a larger cache would only hold stale sets.
-@lru_cache(maxsize=1)
+# built per run, by the stationary solve and by each evolve call (about 1 ms
+# on the default box), so no caller shares another's arrays
 def _templates(n0_max, n1_max, kappa1, N, Omega):
     n1p = n1_max + 1
     dim = (n0_max + 1) * n1p
@@ -355,8 +352,9 @@ def stationary_distribution(params):
     are filled straight from the template diagonals combined at gamma_M,
     so the solve needs numpy only: no sparse matrix is built and no scipy
     module is loaded. Measured on a 2-CPU x86-64 host with numpy 2.4, on
-    the default box, a call with the templates cached peaks at 1.8 MiB of
-    allocations (tracemalloc), against 6.75 MiB with every R_k kept.
+    the default box, the block work peaks at 1.7 MiB of allocations
+    (tracemalloc; 3.6 MiB with the call's template build), against
+    6.75 MiB with every R_k kept.
     Warns, as evolve does, when the flux clipped at the box boundary exceeds
     CLIP_WARN of the pump flux kappa1 N (<n1> + 1).
     """
@@ -545,11 +543,12 @@ def evolve(params, p0, t_max, dt):
     (half-grid point k, trapezoid) entries, one solve each: (2j + 1, False)
     and (2j + 2, False) in a Rannacher step j, else (2j + 2, True), which
     adds the explicit half at point k - 2. Each even k ends step k/2. The
-    right-hand side's three sparse matrices are built from the template
-    diagonals per run (about 1-2 ms on the default box); _templates has
-    checked that each part balances, so G(t) does at every gamma(t) and
-    Re r(t). The observables go into one (n_steps + 1, 5) table whose
-    columns the trajectory's fields view.
+    templates and the right-hand side's three sparse matrices are built per
+    run (about 1 and 1-2 ms on the default box); _templates has checked
+    that each part balances, so G(t) does at every gamma(t) and Re r(t).
+    The observables go into one (n_steps + 1, 5) table whose columns the
+    trajectory's fields view. clipped_flux starts at p0.clipped, so a run
+    can continue from another's final_state.
     """
     dim, n1p = params.dim, params.n1_max + 1
     box = (params.n0_max + 1, n1p)
@@ -563,7 +562,7 @@ def evolve(params, p0, t_max, dt):
     tpl = _templates_for(params)
     # gamma(t) and r(t) read one memory kernel sampled at half steps, so the
     # endpoints and the Rannacher midpoint of a step come from one table
-    half = UniformGrid(0.0, 0.5 * dt, 2 * n_steps + 1)
+    half = UniformGrid(0.5 * dt, 2 * n_steps + 1)
     rr_h = np.zeros(half.n_points)
     if params.order == "markov":
         gamma_h = np.full(half.n_points, model.gamma_markov_closed_form(params.trap))
@@ -605,7 +604,7 @@ def evolve(params, p0, t_max, dt):
     times = grid.times()
     # one row per step: mean_n0, mean_n1, prob_sum, min_p, clipped flux
     rows = np.empty((n_steps + 1, 5))
-    clip = leak = 0.0
+    clip, leak = p0.clipped, 0.0
     rows[0] = n0_of @ p, n1_of @ p, p.sum(), p.min(), clip
     with solves as implicit_solve:
         for k, trapezoid in schedule:

@@ -27,7 +27,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class UniformGrid:
-    t0: float
     dt: float
     n_points: int
 
@@ -38,11 +37,12 @@ class UniformGrid:
             raise GridError(f"grid needs at least two points, got {self.n_points}")
 
     def times(self):
-        return self.t0 + self.dt * np.arange(self.n_points)
+        """n_points times dt apart: every grid starts at t = 0."""
+        return self.dt * np.arange(self.n_points)
 
     @property
     def t_end(self):
-        return self.t0 + self.dt * (self.n_points - 1)
+        return self.dt * (self.n_points - 1)
 
 
 def grid_for(t_max, dt):
@@ -59,7 +59,7 @@ def grid_for(t_max, dt):
     if not np.isfinite(t_max / dt):
         raise ConfigError(f"t_max/dt must be finite, got {t_max / dt!r}")
     n = int(np.ceil(t_max / dt * (1.0 - 1e-12))) + 1
-    return UniformGrid(0.0, dt, max(n, 2))
+    return UniformGrid(dt, max(n, 2))
 
 
 @dataclass
@@ -104,7 +104,7 @@ def _cumtrapz(values, dt):
 
 
 def cumulative_integral(f):
-    """Running integral from the grid origin, composite trapezoid, F(t0) = 0."""
+    """Running integral from t = 0, composite trapezoid, F(0) = 0."""
     return SampledFunction(f.grid, _cumtrapz(f.values, f.grid.dt))
 
 

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import model
-from .errors import ConfigError, GridError, NumericalFailure
+from .errors import ConfigError, NumericalFailure
 from .quad import SampledFunction, UniformGrid, next_fast_len
 
 __all__ = [
@@ -184,8 +184,6 @@ def _first_growth(t, limit):
 
 def memory_kernel(params, grid):
     """The reservoir kernel conj(f) of the memory equation, sampled on grid from lag 0."""
-    if grid.t0 != 0:
-        raise GridError(f"the memory kernel is sampled from lag 0, not from t0 = {grid.t0!r}")
     return SampledFunction(grid, np.conj(model.correlation_f(params, grid.times())))
 
 
@@ -223,7 +221,7 @@ def exact_rates(traj):
         idx = int(below[0])
         if idx < 2:
             raise NumericalFailure("amplitude vanished at the start of the grid")
-        grid = UniformGrid(traj.grid.t0, traj.grid.dt, idx)
+        grid = UniformGrid(traj.grid.dt, idx)
         ratio = traj.udot[:idx] / traj.u[:idx]
         tidx = idx
     else:

@@ -51,7 +51,7 @@ def halving_difference(compute, grid):
     fine-grid error is about a third of this difference; tests use the raw
     difference as a conservative tolerance.
     """
-    coarse = UniformGrid(grid.t0, 2.0 * grid.dt, (grid.n_points + 1) // 2)
+    coarse = UniformGrid(2.0 * grid.dt, (grid.n_points + 1) // 2)
     return shared_points_difference(compute(grid).values, compute(coarse).values)
 
 

@@ -665,7 +665,7 @@ def serial_banded_evolve(params, p0, t_max, dt):
     in evolve's order, so the result is bit for bit evolve's."""
     tpl = cw._templates_for(params)
     n_steps = grid_for(t_max, dt).n_points - 1
-    kernel = volterra.memory_kernel(params.trap, UniformGrid(0.0, 0.5 * dt, 2 * n_steps + 1))
+    kernel = volterra.memory_kernel(params.trap, UniformGrid(0.5 * dt, 2 * n_steps + 1))
     gamma = tcl.tcl_series_rates(kernel, params.order).total_gamma().values
     rr = np.zeros(gamma.size)
     if params.order == 4:

@@ -33,7 +33,7 @@ def _verdict(num, ok, detail):
 
 def _grid(t_max, dt):
     n = int(np.ceil(t_max / dt - 1e-12)) + 1
-    return UniformGrid(0.0, dt, n)
+    return UniformGrid(dt, n)
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +53,7 @@ def test_criterion_01_markov_baseline():
     for Gamma in (1e3, 5e4, 1e6):
         p = trap(Gamma)
         gm = model.gamma_markov_closed_form(p)
-        grid = UniformGrid(0.0, 0.05 / gm, 101)
+        grid = UniformGrid(0.05 / gm, 101)
         const = RateSeries(grid, {2: np.full(101, gm)}, {2: np.zeros(101)}, 2)
         n = occupation_from_rates(const).values
         worst = max(worst, np.abs(n / np.exp(-gm * grid.times()) - 1.0).max())

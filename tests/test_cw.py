@@ -117,7 +117,7 @@ def test_r_outer_matches_single_integral_reduction():
     # the double integral collapses to Omega * int_0^t tau f(tau) dtau
     t5 = trap(5e4)
     params = cw_params(t5, 4)
-    g = UniformGrid(0.0, 1e-5, 401)
+    g = UniformGrid(1e-5, 401)
     r = r_on(params, g)
     assert r.values[0] == 0.0
     t = g.times()
@@ -130,7 +130,7 @@ def test_r_outer_matches_single_integral_reduction():
 def test_r_matches_double_quadrature():
     t5 = trap(5e4)
     params = cw_params(t5, 4)
-    g = UniformGrid(0.0, 1e-5, 201)
+    g = UniformGrid(1e-5, 201)
     r = r_on(params, g)
     T = 2e-3
 
@@ -143,7 +143,7 @@ def test_r_matches_double_quadrature():
 def test_r_constant_kernel_quadratic():
     # slow heavy trap: f = Gamma gives Omega*Gamma*t^2/2
     toy = model.TrapParams(M=1.0, omega0=1e-6, sigma_k=1.0, Gamma=0.25)
-    g = UniformGrid(0.0, 0.01, 101)
+    g = UniformGrid(0.01, 101)
     want = 3.0 * 0.25 * g.times() ** 2 / 2.0
     r = r_on(cw.CwParams(trap=toy, kappa1=1.0, Omega=3.0, N=1.0), g)
     np.testing.assert_allclose(r.values.real, want, rtol=1e-4, atol=1e-12)
@@ -151,7 +151,7 @@ def test_r_constant_kernel_quadratic():
 
 
 def test_r_linear_in_omega_and_gamma():
-    g = UniformGrid(0.0, 1e-5, 101)
+    g = UniformGrid(1e-5, 101)
     base = r_on(cw_params(trap(5e4), 4), g).values
     gm = GAMMA_M_5E4
     doubled_omega = cw.CwParams(trap=trap(5e4), kappa1=10 * gm, Omega=30 * gm, N=20.3)
@@ -238,7 +238,7 @@ def test_balance_check_names_the_unbalanced_part(monkeypatch):
     # every template build is checked, once
     checked = []
     monkeypatch.setattr(cw, "_check_balance", checked.append)
-    built = cw._templates(4, 3, 1.25, 2.0, 0.5)   # a key no other test builds
+    built = cw._templates(4, 3, 1.25, 2.0, 0.5)
     assert len(checked) == 1 and checked[0] is built
 
 
@@ -366,11 +366,14 @@ def test_checkpointed_stationary_is_bit_identical_to_full_storage(n0_max, n1_max
     assert p.tobytes() == stationary_full_storage(params).tobytes()
 
 
-def test_stationary_solve_keeps_checkpoints_only():
-    # with the templates cached, a solve on the default box holds the 15
+def test_stationary_solve_keeps_checkpoints_only(monkeypatch):
+    # past its template build, a solve on the default box holds the 15
     # segment tops S_k and one segment's 14 R_k: its allocations peak at
-    # 1.8 MiB, against 6.75 MiB with all 200 R_k kept
+    # 1.7 MiB, against 6.75 MiB with all 200 R_k kept. Each call builds its
+    # own templates (3.6 MiB with the build), so these are built beforehand
     params = cw_params(trap(5e4), "markov")
+    tpl = cw._templates_for(params)
+    monkeypatch.setattr(cw, "_templates_for", lambda params: tpl)
     cw.stationary_distribution(params)
     tracemalloc.start()
     try:
@@ -472,7 +475,7 @@ def test_time_dependent_implicit_stepper_matches_dense_recurrence(order):
     n_steps, dt = 12, 2e-3
     traj = cw.evolve(params, cw.DiagonalState.vacuum(8, 6), n_steps * dt, dt)
 
-    kernel = volterra.memory_kernel(t5, UniformGrid(0.0, 0.5 * dt, 2 * n_steps + 1))
+    kernel = volterra.memory_kernel(t5, UniformGrid(0.5 * dt, 2 * n_steps + 1))
     if order == "markov":
         gamma = [None] * kernel.grid.n_points
     else:
@@ -631,6 +634,25 @@ def test_clip_warning_on_tight_box():
         cw.DiagonalState(final.p)
 
 
+@pytest.mark.parametrize("order", ["markov", 2, 4])
+def test_evolve_continues_from_a_clipped_state(order):
+    # a state that has already lost mass at the box boundary, as a run's
+    # final_state has once it clips, starts the clipped-mass account
+    params = cw_params(trap(5e4), order, n0_max=12, n1_max=8)
+    p = np.zeros((13, 9))
+    p[0, 0] = 1.0 - 1e-3
+    p0 = cw.DiagonalState(p, 1e-3)
+    t_max = 0.1 / GAMMA_M_5E4
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # the small box clips past CLIP_WARN
+        traj = cw.evolve(params, p0, t_max, t_max / 20)
+        again = cw.evolve(params, traj.final_state, t_max, t_max / 20)
+    for run, start in ((traj, p0), (again, traj.final_state)):
+        assert run.clipped_flux[0] == start.clipped
+        assert np.abs(run.prob_sum + run.clipped_flux - 1.0).max() <= 1e-12
+    assert again.clipped_flux[-1] > traj.clipped_flux[-1] > 1e-3
+
+
 def test_negativity_raises_for_lindblad_orders():
     # coarse implicit steps on a stiff box ring the startup transient negative;
     # for Lindblad-form generators that is an integration failure, not physics
@@ -724,7 +746,7 @@ def test_reduced_model_tracks_fig7_runs(fig7_runs, order):
         gamma = lambda t: fig7_runs["gamma_M"]
     else:
         # the order-2 rate on the run's half-step grid, as evolve samples it
-        half = UniformGrid(0.0, 0.5 * (traj.times[1] - traj.times[0]), 2 * traj.times.size - 1)
+        half = UniformGrid(0.5 * (traj.times[1] - traj.times[0]), 2 * traj.times.size - 1)
         rates = tcl.tcl_series_rates(volterra.memory_kernel(params.trap, half), 2)
         gamma = CubicSpline(half.times(), rates.total_gamma().values)
     m = reduced_cw_mean_n0(params, traj.times, gamma)
@@ -775,7 +797,7 @@ def test_order4_excess_grows_with_r(fig7_runs, stationary_default):
     times = fig7_runs[4].times
     mid, amp = _per_trap_period(times, fig7_runs[4].mean_n0 - fig7_runs[2].mean_n0, 3.0 / gm,
                                 times[-1])
-    grid = UniformGrid(0.0, times[1] - times[0], times.size)
+    grid = UniformGrid(times[1] - times[0], times.size)
     r = cw.r_function(cw_params(p, 4), volterra.memory_kernel(p, grid)).values.real
     _, r_amp = _per_trap_period(times, r, 3.0 / gm, times[-1])
     params, state = stationary_default
@@ -805,7 +827,7 @@ def test_linear_gain_reference_converges_at_second_order():
     # quarters the error
     p = trap(5e4)
     g, t_max = 0.6 * GAMMA_M_5E4, 8.0 / GAMMA_M_5E4
-    runs = [linear_gain_n0(p, g, UniformGrid(0.0, t_max / n, n + 1))
+    runs = [linear_gain_n0(p, g, UniformGrid(t_max / n, n + 1))
             for n in (4000, 8000, 16000, 32000)]
     diffs = [np.abs(fine[::2] - coarse).max() for coarse, fine in zip(runs, runs[1:])]
     assert diffs[0] < 2e-5
@@ -815,7 +837,7 @@ def test_linear_gain_reference_converges_at_second_order():
 
 def test_linear_gain_reference_without_gain_is_the_pulsed_occupation():
     p = trap(5e4)
-    grid = UniformGrid(0.0, 8.0 / GAMMA_M_5E4 / 8000, 8001)
+    grid = UniformGrid(8.0 / GAMMA_M_5E4 / 8000, 8001)
     pulsed = volterra.occupation(volterra.solve_amplitude(p, volterra.memory_kernel(p, grid)))
     np.testing.assert_allclose(linear_gain_n0(p, 0.0, grid, n0_init=1.0), pulsed.values,
                                rtol=0.0, atol=1e-15)
@@ -842,7 +864,7 @@ def test_linear_gain_limit_order4_nearest_exact():
     gm = model.gamma_markov_closed_form(p)
     g, t_max, n_steps = 0.6 * gm, 8.0 / gm, 800
     dt = t_max / n_steps
-    exact = linear_gain_n0(p, g, UniformGrid(0.0, dt / 20, 20 * n_steps + 1))[::20]
+    exact = linear_gain_n0(p, g, UniformGrid(dt / 20, 20 * n_steps + 1))[::20]
     params = {order: cw.CwParams(trap=p, kappa1=1e4 * gm, Omega=0.5 * g, N=1.0, n0_max=60,
                                  n1_max=45, order=order) for order in cw.ORDERS}
     calls = [(f"order {order}", order != "markov", evolve_here,
@@ -855,7 +877,7 @@ def test_linear_gain_limit_order4_nearest_exact():
     for order in ("markov", 2):
         assert 1.2e-2 <= error[order] <= 1.7e-2
 
-    half = UniformGrid(0.0, 0.5 * dt, 2 * n_steps + 1)
+    half = UniformGrid(0.5 * dt, 2 * n_steps + 1)
     kernel = volterra.memory_kernel(p, half)
     for order, traj in trajs.items():
         gamma = (np.full(half.n_points, gm) if order == "markov"
@@ -882,7 +904,7 @@ def test_exact_oscillation_decays_faster_than_order2():
     p = trap(5e4)
     gm = model.gamma_markov_closed_form(p)
     g = 0.6 * gm
-    grid = UniformGrid(0.0, 20.0 / gm / 20000, 20001)
+    grid = UniformGrid(20.0 / gm / 20000, 20001)
     t = grid.times()
     exact = linear_gain_n0(p, g, grid)
     # dn/dt = g (n + 1) - gamma_2(t) n from n = 0, by its integrating factor

@@ -271,7 +271,7 @@ def test_series_rates_equal_quadrature_rates(Gamma, n_steps, dt_share):
     # below the breakdown line the order-2 and order-4 series rates and shifts
     # equal the quadrature ones within the sum of both routes' halving differences
     p = trap(Gamma)
-    grid = UniformGrid(0.0, dt_share * min(0.05 / p.omega0, 0.05 / p.alpha), n_steps + 1)
+    grid = UniformGrid(dt_share * min(0.05 / p.omega0, 0.05 / p.alpha), n_steps + 1)
     assume(tcl.series_breakdown_index(series_rates(p, grid, 4)) is None)
     for order, quadrature in ((2, tcl2_rates), (4, tcl4_rates)):
         for k, by_order in enumerate(("gamma_by_order", "S_by_order")):
@@ -294,8 +294,8 @@ def test_kernel_samples_survive_halving(Gamma, n, dt_share):
     # samples bit for bit, since (dt/2) (2k) rounds as dt k
     p = trap(Gamma)
     dt = dt_share * min(0.05 / p.omega0, 0.05 / p.alpha)
-    coarse = volterra.memory_kernel(p, UniformGrid(0.0, dt, n + 1)).values
-    fine = volterra.memory_kernel(p, UniformGrid(0.0, 0.5 * dt, 2 * n + 1)).values
+    coarse = volterra.memory_kernel(p, UniformGrid(dt, n + 1)).values
+    fine = volterra.memory_kernel(p, UniformGrid(0.5 * dt, 2 * n + 1)).values
     assert np.array_equal(coarse, fine[::2])
 
 

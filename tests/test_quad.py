@@ -1,6 +1,8 @@
 """Grid quadrature: running integrals, convolutions, and the ordered triple
 integrals of the order-4 quadrature reference."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -23,14 +25,16 @@ from reference import ordered_triple_direct, ordered_triple_factored, sample
 
 def test_grid_validation():
     with pytest.raises(GridError):
-        UniformGrid(0.0, -0.1, 10)
+        UniformGrid(-0.1, 10)
     with pytest.raises(GridError):
-        UniformGrid(0.0, 0.0, 10)
+        UniformGrid(0.0, 10)
     with pytest.raises(GridError):
-        UniformGrid(0.0, 0.1, 1)
-    g = UniformGrid(1.0, 0.5, 5)
-    assert g.t_end == pytest.approx(3.0)
-    np.testing.assert_allclose(g.times(), [1.0, 1.5, 2.0, 2.5, 3.0])
+        UniformGrid(0.1, 1)
+    # every grid starts at t = 0, so it holds a step and a size only
+    g = UniformGrid(0.5, 5)
+    assert [f.name for f in dataclasses.fields(g)] == ["dt", "n_points"]
+    assert g.t_end == 2.0
+    np.testing.assert_array_equal(g.times(), [0.0, 0.5, 1.0, 1.5, 2.0])
 
 
 def test_grid_for_covers():
@@ -61,7 +65,7 @@ def test_solver_entry_points_reject_bad_grids(arg, bad):
 
 
 def test_sampled_function_validation():
-    g = UniformGrid(0.0, 0.1, 4)
+    g = UniformGrid(0.1, 4)
     with pytest.raises(GridError):
         SampledFunction(g, np.zeros(5))
     with pytest.raises(GridError):
@@ -72,7 +76,7 @@ def test_sampled_function_validation():
 
 def test_cumulative_integral_linear_exact():
     # trapezoid integrates polynomials of degree <= 1 exactly
-    g = UniformGrid(0.0, 0.05, 201)
+    g = UniformGrid(0.05, 201)
     t = g.times()
     f = SampledFunction(g, 3.0 * t + 2.0)
     v = cumulative_integral(f)
@@ -81,7 +85,7 @@ def test_cumulative_integral_linear_exact():
 
 
 def test_cumulative_integral_linearity():
-    g = UniformGrid(0.0, 0.02, 300)
+    g = UniformGrid(0.02, 300)
     t = g.times()
     a = SampledFunction(g, np.cos(t))
     b = SampledFunction(g, t**2)
@@ -92,7 +96,7 @@ def test_cumulative_integral_linearity():
 
 
 def test_convolution_of_ones_is_t():
-    g = UniformGrid(0.0, 0.01, 500)
+    g = UniformGrid(0.01, 500)
     ones = SampledFunction(g, np.ones(g.n_points))
     v = iterated_convolution(ones, ones)
     assert v.values[0] == 0.0
@@ -101,7 +105,7 @@ def test_convolution_of_ones_is_t():
 
 def test_convolution_exponential():
     # exp(-tau) * 1 = 1 - exp(-t)
-    g = UniformGrid(0.0, 0.005, 800)
+    g = UniformGrid(0.005, 800)
     t = g.times()
     ker = SampledFunction(g, np.exp(-t))
     one = SampledFunction(g, np.ones_like(t))
@@ -129,7 +133,7 @@ def test_convolve_matches_direct_convolution(kinds, n, seed):
         return x + 1j * rng.standard_normal(n) if kind == "c" else x
 
     a, b = draw(kinds[0]), draw(kinds[1])
-    got = SampledFunction(UniformGrid(0.0, 1.0, n), a).convolve(b)
+    got = SampledFunction(UniformGrid(1.0, n), a).convolve(b)
     want = np.convolve(a, b)[:n]
     assert got.shape == (n,)
     assert np.iscomplexobj(got) == (kinds != "rr")
@@ -150,7 +154,7 @@ def test_pulsed_run_transforms_the_kernel_once(monkeypatch):
     # spectrum: one transform of the conj f samples at the kernel length
     scen = cli.parse_scenario(cli.BUILTIN_SCENARIOS["fig3"], "fig3")
     n_steps, dt = 500, scen.dt
-    grid = UniformGrid(0.0, dt, n_steps + 1)
+    grid = UniformGrid(dt, n_steps + 1)
     kernel = volterra.memory_kernel(scen.trap, grid)
     samples = kernel.values
     size = next_fast_len(2 * grid.n_points - 1)
@@ -168,7 +172,7 @@ def test_pulsed_run_transforms_the_kernel_once(monkeypatch):
 
 
 def test_convolution_bilinearity_and_grid_check():
-    g = UniformGrid(0.0, 0.01, 200)
+    g = UniformGrid(0.01, 200)
     t = g.times()
     a = SampledFunction(g, np.sin(3 * t))
     b = SampledFunction(g, np.cos(t))
@@ -177,7 +181,7 @@ def test_convolution_bilinearity_and_grid_check():
         SampledFunction(g, 2.0 * a.values + b.values), u).values
     rhs = 2.0 * iterated_convolution(a, u).values + iterated_convolution(b, u).values
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-    other = SampledFunction(UniformGrid(0.0, 0.02, 200), np.ones(200))
+    other = SampledFunction(UniformGrid(0.02, 200), np.ones(200))
     with pytest.raises(GridError):
         iterated_convolution(a, other)
 
@@ -242,7 +246,7 @@ def test_factored_refinement_is_second_order():
 
 
 def test_halving_difference_tracks_error():
-    g = UniformGrid(0.0, 0.01, 401)
+    g = UniformGrid(0.01, 401)
 
     def compute(grid):
         f = sample(lambda t: np.sin(2 * t), grid)

@@ -15,7 +15,7 @@ GAMMA_M_5E4 = 92.62263163409446
 
 
 def _grid(t_max, dt):
-    return UniformGrid(0.0, dt, int(round(t_max / dt)) + 1)
+    return UniformGrid(dt, int(round(t_max / dt)) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +117,7 @@ def test_series_rates_bit_identical_to_per_term_loop(order_max, grid_name):
                              "cw 21": (5e4, 0.1, 20), "cw 41": (5e4, 0.1, 40),
                              "fig7 half": (5e4, 8.0, 1600)}[grid_name]
     p = trap(Gamma)
-    grid = UniformGrid(0.0, t_max / model.gamma_markov_closed_form(p) / n_steps, n_steps + 1)
+    grid = UniformGrid(t_max / model.gamma_markov_closed_form(p) / n_steps, n_steps + 1)
     want = _series_rates_per_term(p, grid, order_max)
     got = tcl.tcl_series_rates(volterra.memory_kernel(p, grid), order_max)
     for order, (gamma, shift) in want.items():

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from atomlaser import ConfigError, GridError, NumericalFailure, model, volterra
+from atomlaser import ConfigError, NumericalFailure, model, tcl, volterra
 from atomlaser.quad import SampledFunction, UniformGrid, cumulative_integral
 from atomlaser.volterra import RATE_CUTOFF, AmplitudeTrajectory
 
-from conftest import amplitude, trap
-from reference import laplace_amplitude
+from conftest import OMEGA0, amplitude, trap
+from reference import decaying_pole, laplace_amplitude
 
 ALPHA = 2636.4295425
 GAMMA_M_5E4 = 92.62263163409446
@@ -73,14 +73,14 @@ def _assert_matches_reference(kernel):
 def test_matches_reference_march_on_trap_kernels(Gamma, grid_name, t_max_gamma, n_steps):
     p = trap(Gamma)
     dt = t_max_gamma / model.gamma_markov_closed_form(p) / n_steps
-    g = UniformGrid(0.0, dt, n_steps + 1)
+    g = UniformGrid(dt, n_steps + 1)
     _assert_matches_reference(SampledFunction(g, np.conj(model.correlation_f(p, g.times()))))
 
 
 def test_matches_reference_march_through_amplitude_collapse():
     # k(tau) = a exp(-(a - 3i) tau) with a >> 1 gives u ~ exp(-t): |u| falls
     # to ~6e-7, so the rates lose digits and the cutoff truncates them
-    g = UniformGrid(0.0, 14.0 / 2000, 2001)
+    g = UniformGrid(14.0 / 2000, 2001)
     kernel = SampledFunction(g, 50.0 * np.exp(-(50.0 - 3.0j) * g.times()))
     u_ref = _assert_matches_reference(kernel)
     assert 1e-7 < np.abs(u_ref).min() < RATE_CUTOFF
@@ -88,7 +88,7 @@ def test_matches_reference_march_through_amplitude_collapse():
 
 @pytest.mark.parametrize("n_points", [2, 3, 64, 65, 66, 129])
 def test_matches_reference_march_at_leaf_boundaries(n_points):
-    g = UniformGrid(0.0, 1e-3, n_points)
+    g = UniformGrid(1e-3, n_points)
     t = g.times()
     kernel = SampledFunction(g, 4e4 * np.exp(-300.0 * t) * (1.0 + 0.3j * np.cos(900.0 * t)))
     _assert_matches_reference(kernel)
@@ -117,7 +117,7 @@ def test_toeplitz_solve_matches_reference_march(leaves, offset, t_max, terms):
     # 64 k - 1, 64 k and 64 k + 1 unknowns u_1..u_{n-1}, up to 769, and the
     # examples above: reciprocals of n terms, by forward substitution alone
     # up to volterra.LEAF and by Newton doublings of odd and even sizes past it
-    g = UniformGrid(0.0, t_max / (64 * leaves + offset), 64 * leaves + offset + 1)
+    g = UniformGrid(t_max / (64 * leaves + offset), 64 * leaves + offset + 1)
     t = g.times()
     k = sum(a * np.exp(-(gam - 1j * w) * t) for a, gam, w in terms)
     kernel = SampledFunction(g, k + 0j)
@@ -164,6 +164,39 @@ def test_amplitude_converges_to_laplace_reference(Gamma):
     assert 3.8 < errors[1] / errors[2] < 4.2
 
 
+def test_rates_tend_to_the_decaying_pole():
+    # u = R exp(w_p t) + a branch-cut tail, so where the pole dominates the
+    # exact rate tends to -2 Re w_p, and the TCL series rates to its
+    # expansion in Gamma: order 2 to gamma_M, order 4 nearer the pole. At
+    # Gamma = 2e4, -2 Re w_p = 36.445 1/s and gamma_M lies 1.66e-2 above it.
+    # Relative to -2 Re w_p, means over whole trap periods read: exact at
+    # most 4.5e-3 off over periods 2-12 (gamma_M t = 0.3-3.6), until the
+    # algebraic tail takes over (+0.157 in the last period, gamma_M t = 8);
+    # order 2 at the end 7e-5 from gamma_M; order 4 at most 6.2e-4 off from
+    # period 5 on
+    p = trap(2e4)
+    gm = model.gamma_markov_closed_form(p)
+    pole = -2.0 * decaying_pole(p)[0].real
+    per, periods = 800, 27
+    kernel = volterra.memory_kernel(p, UniformGrid(2.0 * np.pi / OMEGA0 / per,
+                                                   periods * per + 1))
+
+    def period_means(gamma):
+        means = [gamma[i * per:(i + 1) * per + 1].mean() for i in range(periods)]
+        return np.array(means) / pole - 1.0
+
+    exact = period_means(volterra.exact_rates(volterra.solve_amplitude(p, kernel)).gamma.values)
+    rates = tcl.tcl_series_rates(kernel, 4)
+    order2 = period_means(rates.total_gamma(2).values)
+    order4 = period_means(rates.total_gamma(4).values)
+    markov = gm / pole - 1
+    assert 1.6e-2 < markov < 1.7e-2
+    assert np.abs(exact[1:12]).max() < 6e-3
+    assert 0.1 < exact[-1] < 0.25
+    assert abs(order2[-1] - markov) < 2e-4
+    assert np.abs(order4[4:]).max() < 8e-4
+
+
 def test_zero_coupling_is_free():
     traj = amplitude(trap(0.0), t_max=1e-3, dt=1e-6)
     np.testing.assert_allclose(traj.u, 1.0, atol=1e-14)
@@ -175,7 +208,7 @@ def test_zero_coupling_is_free():
 def test_constant_kernel_gives_cosine():
     # with kernel k(tau) = c the equation closes to u'' = -c u, so u = cos(sqrt(c) t)
     c = 400.0
-    g = UniformGrid(0.0, 2e-4, 5001)
+    g = UniformGrid(2e-4, 5001)
     kernel = SampledFunction(g, np.full(g.n_points, c, dtype=complex))
     u = volterra.solve_volterra(kernel, np.inf)
     udot = AmplitudeTrajectory(kernel, u).udot
@@ -278,21 +311,12 @@ def test_config_errors():
         amplitude(p, t_max=1e-2, dt=0.2 / p.omega0)
 
 
-def test_memory_kernel_starts_at_lag_zero():
-    # the kernel's samples are lags 0, dt, 2 dt, ...; a grid from t0 != 0
-    # would shift every memory integral that reads them
-    p = trap(5e4)
-    assert volterra.memory_kernel(p, UniformGrid(0.0, 1e-5, 101)).grid.t0 == 0.0
-    with pytest.raises(GridError, match="lag 0"):
-        volterra.memory_kernel(p, UniformGrid(1e-5, 1e-5, 101))
-
-
 def test_divergence_detection():
     # a negative constant kernel makes u'' = +|c| u, growing like cosh;
     # the growth guard must abort rather than return garbage. At c = -1e6
     # |u| passes 1.001 at step 1 and the solution overflows long before the
     # grid ends; the report still names step 1 and its finite |u|
-    g = UniformGrid(0.0, 2e-4, 5001)
+    g = UniformGrid(2e-4, 5001)
     step = re.compile(r"\|u\| = ([0-9.]+) at step (\d+);")
     for c in (-400.0, -1e6):
         kernel = SampledFunction(g, np.full(g.n_points, c, dtype=complex))
@@ -307,7 +331,7 @@ def test_amplitude_overshoot_names_its_step():
     # u'' = 100 u from u = 1 peaks at cosh(0.01) = 1 + 5.0e-5 on this grid:
     # inside the march's noise band of old, outside 1 + SANITY_TOL, so the
     # one growth check fails it and names the step where |u| first passes
-    g = UniformGrid(0.0, 1e-5, 101)
+    g = UniformGrid(1e-5, 101)
     kernel = SampledFunction(g, np.full(g.n_points, -100.0, dtype=complex))
     bound = 1.0 + volterra.SANITY_TOL
     assert bound < np.abs(reference_march(kernel)[0]).max() < 1.0 + 1e-3
@@ -322,7 +346,7 @@ def test_amplitude_overshoot_names_its_step():
 
 def test_singular_implicit_diagonal():
     # 1 + dt^2 k_0 / 4 = 0 for c = -1e8 at dt = 2e-4: no step can be taken
-    g = UniformGrid(0.0, 2e-4, 5001)
+    g = UniformGrid(2e-4, 5001)
     kernel = SampledFunction(g, np.full(g.n_points, -1e8, dtype=complex))
     with pytest.raises(NumericalFailure, match="implicit diagonal .* is zero"):
         volterra.solve_volterra(kernel, max_growth=1.001)
@@ -330,7 +354,7 @@ def test_singular_implicit_diagonal():
 
 def test_rate_truncation_when_amplitude_collapses():
     # synthetic decaying amplitude crossing the cutoff mid-grid
-    g = UniformGrid(0.0, 0.01, 400)
+    g = UniformGrid(0.01, 400)
     t = g.times()
     u = np.exp(-5.0 * t) + 0j          # falls below 1e-6 near t = 2.76
     traj = AmplitudeTrajectory(SampledFunction(g, np.zeros(g.n_points)), u)
@@ -343,7 +367,7 @@ def test_rate_truncation_when_amplitude_collapses():
 
 
 def test_rates_fail_when_amplitude_dead_from_start():
-    g = UniformGrid(0.0, 0.01, 50)
+    g = UniformGrid(0.01, 50)
     u = np.full(50, 1e-9, dtype=complex)
     traj = AmplitudeTrajectory(SampledFunction(g, np.zeros(50)), u)   # udot = 0
     with pytest.raises(NumericalFailure):
