@@ -548,7 +548,8 @@ def evolve(params, p0, t_max, dt):
     that each part balances, so G(t) does at every gamma(t) and Re r(t).
     The observables go into one (n_steps + 1, 5) table whose columns the
     trajectory's fields view. clipped_flux starts at p0.clipped, so a run
-    can continue from another's final_state.
+    can continue from another's final_state; the CLIP_WARN warning counts
+    only what this run clipped.
     """
     dim, n1p = params.dim, params.n1_max + 1
     box = (params.n0_max + 1, n1p)
@@ -642,9 +643,9 @@ def evolve(params, p0, t_max, dt):
                 f"negative probability {worst_neg:.3e} from a Lindblad-form generator; "
                 "refine dt"
             )
-    if clipped[-1] > CLIP_WARN:
+    if clipped[-1] - p0.clipped > CLIP_WARN:
         warnings.warn(
-            f"boundary clipping lost {clipped[-1]:.3e} probability; "
+            f"boundary clipping lost {clipped[-1] - p0.clipped:.3e} probability; "
             "enlarge n0_max/n1_max for trustworthy output",
             stacklevel=2,
         )

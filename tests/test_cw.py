@@ -643,14 +643,25 @@ def test_evolve_continues_from_a_clipped_state(order):
     p[0, 0] = 1.0 - 1e-3
     p0 = cw.DiagonalState(p, 1e-3)
     t_max = 0.1 / GAMMA_M_5E4
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")   # the small box clips past CLIP_WARN
+    # the small box clips past CLIP_WARN in each run; the warning names what
+    # that run clipped, not the mass its starting state had already lost
+    with pytest.warns(UserWarning, match="boundary clipping lost") as first:
         traj = cw.evolve(params, p0, t_max, t_max / 20)
+    with pytest.warns(UserWarning, match="boundary clipping lost") as second:
         again = cw.evolve(params, traj.final_state, t_max, t_max / 20)
-    for run, start in ((traj, p0), (again, traj.final_state)):
+    for run, start, caught in ((traj, p0, first), (again, traj.final_state, second)):
         assert run.clipped_flux[0] == start.clipped
         assert np.abs(run.prob_sum + run.clipped_flux - 1.0).max() <= 1e-12
+        lost = f"{run.clipped_flux[-1] - start.clipped:.3e}"
+        assert [f"lost {lost} probability" in str(w.message) for w in caught] == [True]
     assert again.clipped_flux[-1] > traj.clipped_flux[-1] > 1e-3
+    # a short run from the ground state, with 5e-3 already lost, clips about
+    # 1e-7 and does not warn
+    p[0, 0] = 1.0 - 5e-3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        brief = cw.evolve(params, cw.DiagonalState(p, 5e-3), t_max / 100, t_max / 2000)
+    assert 0.0 < brief.clipped_flux[-1] - 5e-3 < 1e-6
 
 
 def test_negativity_raises_for_lindblad_orders():

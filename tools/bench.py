@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """The benchmark trajectory: BENCH_<pr>.json files and A/B comparisons.
 
-    python3 tools/bench.py record --out BENCH_32.json [--seeds 1 2 3 4 5]
-    python3 tools/bench.py ab --base REV [--seeds 11 12 ... 20]
+    python3 tools/bench.py record --out BENCH_32.json
+    python3 tools/bench.py ab --base REV
 
-Both run `python3 perfbench/run.py --workload W --seed S --seconds 30
---trace 0` as it is, for each workload of BENCHMARK.json and each seed, and
-read the record it leaves in `.perfbench_results/W-seedS-trace0.json`.
+Both run `python3 perfbench/run.py --workload W --seed S --seconds SECONDS
+--trace 0` as it is, for every workload of BENCHMARK.json and each seed of
+RECORD_SEEDS (record) or AB_SEEDS (ab), and read the record it leaves in
+`.perfbench_results/W-seedS-trace0.json`.
 Every `__pycache__` under `src/` and `perfbench/` is cleared before each
 run, so that no run reads bytecode that another left (`setup_s` would
 otherwise depend on what ran in the checkout before), and the runs write
@@ -42,6 +43,9 @@ import tempfile
 
 from same_outputs import clone, git
 
+SECONDS = 30
+RECORD_SEEDS = (1, 2, 3, 4, 5)
+AB_SEEDS = tuple(range(11, 21))
 ENV_KEYS = ("commit", "src_sha256", "nproc", "cpus_usable", "blas", "blas_threads",
             "python", "numpy", "scipy")
 LIMITS = (
@@ -68,11 +72,11 @@ def clear_bytecode(tree):
                 dirnames.remove("__pycache__")
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seed):
     """The record perfbench/run.py of tree writes for one run."""
     clear_bytecode(tree)
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     if proc.returncode != 0:
@@ -118,16 +122,16 @@ def all_good(summary):
 
 def record(args, root, spec):
     summary, envs = {}, []
-    for w in args.workload or [w["name"] for w in spec["workloads"]]:
-        records = [run_once(root, w, seed, args.seconds) for seed in args.seeds]
+    for w in (w["name"] for w in spec["workloads"]):
+        records = [run_once(root, w, seed) for seed in RECORD_SEEDS]
         envs += [r["environment"] for r in records]
         summary[w] = summarize(records, spec["end_to_end"])
     env = {k: envs[0].get(k) for k in ENV_KEYS}
     if len({e["src_sha256"] for e in envs}) != 1:
         raise RunFailed("the sources changed while the runs were going")
     doc = {"command": "python3 perfbench/run.py --workload W --seed S "
-                      f"--seconds {args.seconds:g} --trace 0",
-           "seeds": args.seeds, "seconds": args.seconds, "environment": env,
+                      f"--seconds {SECONDS} --trace 0",
+           "seeds": list(RECORD_SEEDS), "seconds": SECONDS, "environment": env,
            "workloads": summary, "limits": list(LIMITS)}
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
@@ -142,20 +146,18 @@ def record(args, root, spec):
 
 def ab(args, root, spec):
     bounds = {m["name"]: m for m in spec["end_to_end"]}
-    report = {"base": None, "seeds": args.seeds, "seconds": args.seconds, "workloads": {}}
     ok = True
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as tmp:
         base = os.path.join(tmp, "base")
-        report["base"] = clone(root, args.base, base)
-        for w in args.workload or [w["name"] for w in spec["workloads"]]:
+        print(f"base {clone(root, args.base, base)}, head the working tree of {root}")
+        for w in (w["name"] for w in spec["workloads"]):
             runs = {"base": [], "head": []}
-            for i, seed in enumerate(args.seeds):
+            for i, seed in enumerate(AB_SEEDS):
                 order = (("base", base), ("head", root))
                 for side, tree in (order if i % 2 == 0 else order[::-1]):
-                    runs[side].append(run_once(tree, w, seed, args.seconds))
+                    runs[side].append(run_once(tree, w, seed))
             sides = {side: summarize(recs, spec["end_to_end"]) for side, recs in runs.items()}
             ok = ok and all_good(sides)
-            rows = {}
             print(f"{w}: " + ", ".join(f"{side} correct {s['correct']} failed {s['failed']}"
                                        for side, s in sides.items()))
             for name, m in bounds.items():
@@ -171,20 +173,11 @@ def ab(args, root, spec):
                                            >= min(sign * v for v in b["values"])):
                     verdict = "unresolved"
                 shown = abs(gap) > b["iqr"]
-                rows[name] = {"base_median": b["median"], "base_iqr": b["iqr"],
-                              "head_median": h["median"], "head_iqr": h["iqr"],
-                              "head_ahead": ahead, "pairs": len(args.seeds),
-                              "gap_shown": shown, "bound": verdict}
                 print(f"  {name}: base {b['median']:.4g} (IQR {b['iqr']:.3g}), head "
                       f"{h['median']:.4g} (IQR {h['iqr']:.3g}) {m['unit']}; head ahead in "
-                      f"{ahead} of {len(args.seeds)}; gap {gap:+.3g} "
+                      f"{ahead} of {len(AB_SEEDS)}; gap {gap:+.3g} "
                       f"{'shown' if shown else 'not shown (within the base IQR)'}; "
                       f"{m['bound']:.0%} bound: {verdict}")
-            report["workloads"][w] = {"sides": sides, "comparison": rows}
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=1)
-            fh.write("\n")
     return 0 if ok else 1
 
 
@@ -193,15 +186,8 @@ def main(argv=None):
     sub = ap.add_subparsers(dest="command", required=True)
     rec = sub.add_parser("record", help="write a BENCH_<pr>.json for the working tree")
     rec.add_argument("--out", required=True, help="the file to write, e.g. BENCH_32.json")
-    rec.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
     cmp_ = sub.add_parser("ab", help="compare the working tree with a base revision")
     cmp_.add_argument("--base", required=True, help="the revision to compare against")
-    cmp_.add_argument("--seeds", type=int, nargs="+", default=list(range(11, 21)))
-    cmp_.add_argument("--out", help="also write the comparison to this JSON file")
-    for p in (rec, cmp_):
-        p.add_argument("--seconds", type=float, default=30.0)
-        p.add_argument("--workload", action="append",
-                       help="a workload of BENCHMARK.json (repeatable; default: all)")
     args = ap.parse_args(argv)
     try:
         root = git("rev-parse", "--show-toplevel", cwd=os.getcwd())
