@@ -413,25 +413,24 @@ def _pulsed_columns(scen, kernel):
     # one kernel and one spectrum for the exact solve and the series rates
     traj = volterra.solve_amplitude(trap, kernel)
     columns = [("t_seconds", t), ("gammaM_t", gamma_m * t),
-               ("n_exact", volterra.occupation(traj).values),
+               ("n_exact", volterra.occupation(traj)),
                ("n_markov", np.exp(-gamma_m * t))]
 
     rates = tcl.tcl_series_rates(kernel, order_max=scen.tcl_order)
     for order in rates.orders():
-        occ = tcl.occupation_from_rates(rates, order)
-        columns.append((f"n_tcl{order}", occ.values))
+        columns.append((f"n_tcl{order}", tcl.occupation_from_rates(rates, order)))
 
     exact = None
     if scen.rates:
         exact = volterra.exact_rates(traj)
         gam = np.full(t.size, np.nan)
-        gam[: exact.gamma.values.size] = exact.gamma.values
+        gam[: exact.gamma.size] = exact.gamma
         columns.append(("gamma_exact", gam))
         columns.append(("gamma2", rates.gamma_by_order[2]))
         if scen.tcl_order >= 4:
-            columns.append(("gamma4_cum", rates.total_gamma(4).values))
+            columns.append(("gamma4_cum", rates.total_gamma(4)))
         if scen.tcl_order >= 6:
-            columns.append(("gamma6_cum", rates.total_gamma(6).values))
+            columns.append(("gamma6_cum", rates.total_gamma(6)))
     return columns, rates, exact
 
 

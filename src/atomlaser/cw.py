@@ -27,7 +27,7 @@ import numpy as np
 
 from . import model, tcl, volterra
 from .errors import GeneratorError, NumericalFailure, ParameterError
-from .quad import SampledFunction, UniformGrid, cumulative_integral, grid_for
+from .quad import UniformGrid, cumulative_integral, grid_for
 
 __all__ = [
     "CwParams",
@@ -110,7 +110,8 @@ class CwParams:
                 raise ParameterError(f"{name} must be an integer, got {size!r}")
         if self.n0_max < 1 or self.n1_max < 1:
             raise ParameterError("truncation bounds must be at least 1")
-        if self.order not in ORDERS:
+        # 4.0 == 4, but the series rates take only an integer order
+        if self.order not in ORDERS or not isinstance(self.order, (str, int, np.integer)):
             raise ParameterError(f"order must be one of {ORDERS}, got {self.order!r}")
         gm = model.gamma_markov_closed_form(self.trap)
         if gm > 0 and self.kappa1 <= gm:
@@ -160,8 +161,8 @@ class DiagonalState:
 
 
 def r_function(params, kernel):
-    """History weight of the output-collision cross term, on the grid of the
-    memory kernel conj f (volterra.memory_kernel of params.trap) it is handed.
+    """History weight of the output-collision cross term, an array on the
+    grid of kernel = volterra.memory_kernel(params.trap, grid), conj f.
 
     The double integral is read with the outer time t as its reference:
 
@@ -174,9 +175,8 @@ def r_function(params, kernel):
     tests/test_cw.py::test_linear_gain_limit_order4_nearest_exact pins this.
     """
     grid = kernel.grid
-    F = cumulative_integral(SampledFunction(grid, np.conj(kernel.values)))
-    F2 = cumulative_integral(F)
-    return SampledFunction(grid, params.Omega * (grid.times() * F.values - F2.values))
+    F = cumulative_integral(np.conj(kernel.values), grid.dt)
+    return params.Omega * (grid.times() * F - cumulative_integral(F, grid.dt))
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +569,9 @@ def evolve(params, p0, t_max, dt):
         gamma_h = np.full(half.n_points, model.gamma_markov_closed_form(params.trap))
     else:
         kernel = volterra.memory_kernel(params.trap, half)
-        gamma_h = tcl.tcl_series_rates(kernel, params.order).total_gamma().values
+        gamma_h = tcl.tcl_series_rates(kernel, params.order).total_gamma()
         if params.order == 4:
-            rr_h = r_function(params, kernel).values.real
+            rr_h = r_function(params, kernel).real
 
     static, out, oc = (_csr(d, tpl.shifts) for d in tpl.diags)
 

@@ -3,10 +3,11 @@
 Everything here is composite-trapezoid based (order dt^2). The memory kernel
 has unbounded derivatives as tau -> 0, which higher-order end-corrected rules
 handle poorly; second-order product integration is robust there and accuracy
-is controlled by grid halving instead. Every convolution is one FFT product
-with the spectrum a SampledFunction keeps of its samples. The ordered triple
-integrals of the order-4 quadrature route, which no run evaluates, are test
-references (`tests/reference.py`).
+is controlled by grid halving instead. The memory kernel is the one
+SampledFunction; every series derived from it is an array on its grid, and
+every convolution is one FFT product with the spectrum the kernel keeps of
+its samples. The ordered triple integrals of the order-4 quadrature route,
+which no run evaluates, are test references (`tests/reference.py`).
 """
 
 from bisect import bisect_left
@@ -95,17 +96,14 @@ class SampledFunction:
         return out.real if np.isrealobj(self.values) and np.isrealobj(x) else out
 
 
-def _cumtrapz(values, dt):
+def cumulative_integral(values, dt):
+    """Running integral from t = 0 of samples dt apart, composite trapezoid,
+    F(0) = 0."""
     out = np.empty_like(values)
     out[0] = 0.0
     np.cumsum(0.5 * (values[1:] + values[:-1]), out=out[1:])
     out[1:] *= dt
     return out
-
-
-def cumulative_integral(f):
-    """Running integral from t = 0, composite trapezoid, F(0) = 0."""
-    return SampledFunction(f.grid, _cumtrapz(f.values, f.grid.dt))
 
 
 @lru_cache(maxsize=None)
@@ -131,16 +129,16 @@ def next_fast_len(n):
     return lens[bisect_left(lens, n)]
 
 
-def iterated_convolution(kernel, u):
-    """v(t) = integral_0^t kernel(tau) u(t - tau) dtau by product trapezoid:
-    the full discrete convolution with the two endpoint samples downweighted
-    to half."""
-    if kernel.grid != u.grid:
-        raise GridError("operands live on different grids")
-    k, x = kernel.values, u.values
+def iterated_convolution(kernel, x):
+    """v(t) = integral_0^t kernel(tau) x(t - tau) dtau by product trapezoid,
+    for x sampled on the kernel's grid: the full discrete convolution with the
+    two endpoint samples downweighted to half."""
+    if x.shape != (kernel.grid.n_points,):
+        raise GridError(f"operand of shape {x.shape} is off the kernel's grid")
+    k = kernel.values
     out = kernel.grid.dt * (kernel.convolve(x) - 0.5 * k[0] * x - 0.5 * k * x[0])
     out[0] = 0.0  # exact for an empty interval; fft noise would leave ~1e-16
-    return SampledFunction(kernel.grid, out)
+    return out
 
 
 def shared_points_difference(fine, coarse):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure, ParameterError
-from .quad import SampledFunction, cumulative_integral, iterated_convolution
+from .quad import cumulative_integral, iterated_convolution
 
 __all__ = [
     "RateSeries",
@@ -27,6 +27,11 @@ __all__ = [
 ]
 
 BREAKDOWN_FLOOR = 0.1
+
+
+def _is_order(order, top=6):
+    """An integer 2, 4 or 6 up to top: 4.0 == 4, but range() takes no float."""
+    return isinstance(order, (int, np.integer)) and order in range(2, top + 1, 2)
 
 
 @dataclass
@@ -39,8 +44,8 @@ class RateSeries:
     order_max: int
 
     def __post_init__(self):
-        if self.order_max not in (2, 4, 6):
-            raise ParameterError(f"order_max must be 2, 4 or 6, got {self.order_max}")
+        if not _is_order(self.order_max):
+            raise ParameterError(f"order_max must be 2, 4 or 6, got {self.order_max!r}")
         for order in range(2, self.order_max + 1, 2):
             if order not in self.gamma_by_order or order not in self.S_by_order:
                 raise ParameterError(f"rate series is missing order {order}")
@@ -51,12 +56,12 @@ class RateSeries:
     def total_gamma(self, order_max=None):
         """Summed decay rate through the requested (default: highest) order."""
         top = self.order_max if order_max is None else order_max
-        if top > self.order_max or top not in (2, 4, 6):
-            raise ParameterError(f"order {top} not available (have {self.order_max})")
+        if not _is_order(top, self.order_max):
+            raise ParameterError(f"order {top!r} not available (have {self.order_max})")
         out = np.zeros(self.grid.n_points)
         for order in range(2, top + 1, 2):
             out = out + self.gamma_by_order[order]
-        return SampledFunction(self.grid, out)
+        return out
 
 
 def tcl_series_rates(kernel, order_max=6):
@@ -79,18 +84,17 @@ def tcl_series_rates(kernel, order_max=6):
     grid; every term reads its one spectrum. A pulsed run hands the same
     kernel to the exact solve, a cw run to cw.r_function.
     """
-    if order_max not in (2, 4, 6):
-        raise ParameterError(f"order_max must be 2, 4 or 6, got {order_max}")
+    if not _is_order(order_max):
+        raise ParameterError(f"order_max must be 2, 4 or 6, got {order_max!r}")
     m_max = order_max // 2
     grid = kernel.grid
-    u_terms = [SampledFunction(grid, np.ones(grid.n_points, dtype=complex))]
+    u_terms = [np.ones(grid.n_points, dtype=complex)]
     d_terms = []
     for m in range(m_max):
-        d = iterated_convolution(kernel, u_terms[-1])
-        d_terms.append(d.values)
+        d_terms.append(iterated_convolution(kernel, u_terms[-1]))
         if m + 1 < m_max:  # q_k reads U_1 .. U_{m_max - 1}
-            u_terms.append(cumulative_integral(d))
-    U = [((-1) ** m) * u_terms[m].values for m in range(m_max)]
+            u_terms.append(cumulative_integral(d_terms[-1], grid.dt))
+    U = [((-1) ** m) * u_terms[m] for m in range(m_max)]
     D = [((-1) ** (m + 1)) * d_terms[m] for m in range(m_max)]
     q = [D[0]]
     if m_max >= 2:
@@ -112,7 +116,7 @@ def occupation_from_rates(rates, order_max=None):
     series takes exp(-int gamma) beyond the float range.
     """
     order = rates.order_max if order_max is None else order_max
-    exponent = -cumulative_integral(rates.total_gamma(order)).values
+    exponent = -cumulative_integral(rates.total_gamma(order), rates.grid.dt)
     with np.errstate(over="ignore"):
         n = np.exp(exponent)
     if not np.all(np.isfinite(n)):
@@ -120,7 +124,7 @@ def occupation_from_rates(rates, order_max=None):
         raise NumericalFailure(
             f"order-{order} TCL occupation exp({exponent[j]:.3e}) leaves the float range "
             f"at t = {rates.grid.times()[j]:.6e} s; the series diverges on this horizon")
-    return SampledFunction(rates.grid, n)
+    return n
 
 
 def series_breakdown_index(rates):
@@ -138,11 +142,8 @@ def series_breakdown_index(rates):
     """
     if rates.order_max < 4:
         return None
-    W = {
-        order: cumulative_integral(
-            SampledFunction(rates.grid, rates.gamma_by_order[order])).values
-        for order in {2, rates.order_max - 2, rates.order_max}
-    }
+    W = {order: cumulative_integral(rates.gamma_by_order[order], rates.grid.dt)
+         for order in {2, rates.order_max - 2, rates.order_max}}
     hi = np.abs(W[rates.order_max])
     lo = np.maximum.accumulate(np.abs(W[rates.order_max - 2]))
     scale = np.maximum.accumulate(np.abs(W[2]))

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import model
 from .errors import ConfigError, NumericalFailure
-from .quad import SampledFunction, UniformGrid, next_fast_len
+from .quad import SampledFunction, next_fast_len
 
 __all__ = [
     "AmplitudeTrajectory",
@@ -76,8 +76,8 @@ class AmplitudeTrajectory:
 
 @dataclass
 class ExactRates:
-    gamma: SampledFunction
-    shift: SampledFunction
+    gamma: np.ndarray
+    shift: np.ndarray
     truncation_index: int | None  # None when the rates run to the end of the grid
 
 
@@ -169,8 +169,10 @@ def _first_growth(t, limit):
 
     FFT products bound every entry's error by rounding times the largest
     entry, so a huge one swamps the earlier ones. u_0..u_{m-1} read only
-    t_0..t_{m-1}: bisection finds the longest prefix whose amplitude stays
-    within limit.
+    t_0..t_{m-1}: bisection finds the shortest prefix whose amplitude passes
+    limit. Under rounding a prefix's entries change as it grows, so its last
+    entry need not be the one past limit: the step named is the first past
+    limit in that failing prefix, whose |u| therefore exceeds limit.
     """
     lo, hi = 1, t.size  # the amplitude on lo points stays within limit, on hi not
     while hi - lo > 1:
@@ -179,7 +181,9 @@ def _first_growth(t, limit):
             lo = mid
         else:
             hi = mid
-    return lo, float(np.abs(_amplitude(t[:hi])[lo]))
+    size = np.abs(_amplitude(t[:hi]))
+    j = 1 + int(np.argmin(size[1:] <= limit))
+    return j, float(size[j])
 
 
 def memory_kernel(params, grid):
@@ -202,8 +206,8 @@ def solve_amplitude(params, kernel):
 
 
 def occupation(traj):
-    """Normalized occupation n(t) = |u(t)|^2."""
-    return SampledFunction(traj.grid, np.abs(traj.u) ** 2)
+    """Normalized occupation n(t) = |u(t)|^2, an array on the trajectory's grid."""
+    return np.abs(traj.u) ** 2
 
 
 def exact_rates(traj):
@@ -212,22 +216,12 @@ def exact_rates(traj):
     gamma(t) = -2 Re(udot/u) and shift(t) = +2 Im(udot/u); the shift sign is
     fixed by matching the second-order perturbative shift (the running
     integral of psi) at weak coupling. If |u| falls below RATE_CUTOFF the
-    output stops there and truncation_index records where: the rate
+    arrays stop there and truncation_index records where: the rate
     genuinely diverges where the occupation collapses to zero.
     """
-    a = np.abs(traj.u)
-    below = np.nonzero(a < RATE_CUTOFF)[0]
-    if below.size:
-        idx = int(below[0])
-        if idx < 2:
-            raise NumericalFailure("amplitude vanished at the start of the grid")
-        grid = UniformGrid(traj.grid.dt, idx)
-        ratio = traj.udot[:idx] / traj.u[:idx]
-        tidx = idx
-    else:
-        grid = traj.grid
-        ratio = traj.udot / traj.u
-        tidx = None
-    gamma = SampledFunction(grid, -2.0 * ratio.real)
-    shift = SampledFunction(grid, 2.0 * ratio.imag)
-    return ExactRates(gamma, shift, tidx)
+    below = np.nonzero(np.abs(traj.u) < RATE_CUTOFF)[0]
+    tidx = int(below[0]) if below.size else None
+    if tidx is not None and tidx < 2:
+        raise NumericalFailure("amplitude vanished at the start of the grid")
+    ratio = traj.udot[:tidx] / traj.u[:tidx]
+    return ExactRates(-2.0 * ratio.real, 2.0 * ratio.imag, tidx)

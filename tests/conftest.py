@@ -47,12 +47,12 @@ def series_rates(params, grid, order_max=6):
 def halving_difference(compute, grid):
     """max |curve(dt) - curve(2 dt)| on shared points.
 
-    compute maps a grid to a SampledFunction. For an order-2 rule the true
+    compute maps a grid to an array on it. For an order-2 rule the true
     fine-grid error is about a third of this difference; tests use the raw
     difference as a conservative tolerance.
     """
     coarse = UniformGrid(2.0 * grid.dt, (grid.n_points + 1) // 2)
-    return shared_points_difference(compute(grid).values, compute(coarse).values)
+    return shared_points_difference(compute(grid), compute(coarse))
 
 
 def cw_params(t, order, n0_max=200, n1_max=60, N=20.3):

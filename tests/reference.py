@@ -102,7 +102,7 @@ from scipy.optimize import brentq
 from scipy.special import wofz
 
 from atomlaser import DomainError, GeneratorError, ParameterError, cw, model, tcl, volterra
-from atomlaser.quad import (SampledFunction, UniformGrid, _cumtrapz, cumulative_integral, grid_for,
+from atomlaser.quad import (SampledFunction, UniformGrid, cumulative_integral, grid_for,
                             iterated_convolution)
 
 TALBOT_NODES = 32
@@ -249,26 +249,24 @@ def ordered_triple_factored(a, b, pairing):
         outer-late: F_a(t) F2_b(t) - int_0^t F_a F_b
 
     with F the running integral, F2 the doubly-running integral and * the
-    convolution. Returns a SampledFunction on the shared grid.
+    convolution. Returns an array on the shared grid.
     """
     dt = a.grid.dt
-    fa = _cumtrapz(a.values, dt)
-    fb = _cumtrapz(b.values, dt)
-    f2b = _cumtrapz(fb, dt)
+    fa = cumulative_integral(a.values, dt)
+    fb = cumulative_integral(b.values, dt)
+    f2b = cumulative_integral(fb, dt)
     if pairing == "outer-mid":
-        vals = (fa * f2b - iterated_convolution(a, SampledFunction(a.grid, f2b)).values
-                - _cumtrapz(a.values * f2b, dt))
-    elif pairing == "outer-late":
-        vals = fa * f2b - _cumtrapz(fa * fb, dt)
-    else:
-        raise ParameterError(f"unknown pairing {pairing!r}")
-    return SampledFunction(a.grid, vals)
+        return fa * f2b - iterated_convolution(a, f2b) - cumulative_integral(a.values * f2b, dt)
+    if pairing == "outer-late":
+        return fa * f2b - cumulative_integral(fa * fb, dt)
+    raise ParameterError(f"unknown pairing {pairing!r}")
 
 
 def tcl2_rates(params, grid):
     """Second-order rate and shift: running integrals of phi and psi."""
-    gamma2 = cumulative_integral(sample(lambda t: phi(params, t), grid))
-    s2 = cumulative_integral(sample(lambda t: psi(params, t), grid))
+    t = grid.times()
+    gamma2 = cumulative_integral(phi(params, t), grid.dt)
+    s2 = cumulative_integral(psi(params, t), grid.dt)
     return gamma2, s2
 
 
@@ -278,16 +276,16 @@ def tcl4_rates(params, grid):
     psi_s = sample(lambda t: psi(params, t), grid)
 
     def mid(a, b):
-        return ordered_triple_factored(a, b, "outer-mid").values
+        return ordered_triple_factored(a, b, "outer-mid")
 
     def late(a, b):
-        return ordered_triple_factored(a, b, "outer-late").values
+        return ordered_triple_factored(a, b, "outer-late")
 
     gamma4 = 0.5 * (mid(phi_s, phi_s) + late(phi_s, phi_s)
                     - late(psi_s, psi_s) - mid(psi_s, psi_s))
     s4 = 0.5 * (mid(psi_s, phi_s) + mid(phi_s, psi_s)
                 + late(psi_s, phi_s) + late(phi_s, psi_s))
-    return SampledFunction(grid, gamma4), SampledFunction(grid, s4)
+    return gamma4, s4
 
 
 def tcl4_nested(params, t, dt):
@@ -318,16 +316,15 @@ class WaitingTime:
     so they are flagged rather than raised.
     """
 
-    F: SampledFunction
+    F: np.ndarray
     decreasing_steps: np.ndarray  # the reading holds when none is set
 
 
 def waiting_time(n):
-    if abs(n.values[0] - 1.0) > 1e-9:
+    if abs(n[0] - 1.0) > 1e-9:
         raise ParameterError("occupation must start at 1")
-    F = SampledFunction(n.grid, 1.0 - n.values)
-    dec = np.diff(F.values) < -1e-12
-    return WaitingTime(F, dec)
+    F = 1.0 - n
+    return WaitingTime(F, np.diff(F) < -1e-12)
 
 
 def asymptotic_gamma2(params, t):
@@ -388,15 +385,15 @@ def linear_gain_n0(trap, g, grid, n0_init=0.0):
     tilted = SampledFunction(grid, kernel.values * np.exp(-0.5 * g * t))
     w = volterra.solve_volterra(tilted, max_growth=1.0 + volterra.SANITY_TOL)
     v2 = np.exp(g * t) * np.abs(w) ** 2
-    return n0_init * v2 + g * cumulative_integral(SampledFunction(grid, v2)).values
+    return n0_init * v2 + g * cumulative_integral(v2, grid.dt)
 
 
 def inner_r_function(params, kernel):
     """The cross-term weight with the inner time as reference,
     Omega int_0^t dt1 int_0^t1 dt2 f(t1 - t2), where cw.r_function reads the
     outer one: the reading that diverges in the linear-gain limit."""
-    F = cumulative_integral(SampledFunction(kernel.grid, np.conj(kernel.values)))
-    return SampledFunction(kernel.grid, params.Omega * cumulative_integral(F).values)
+    F = cumulative_integral(np.conj(kernel.values), kernel.grid.dt)
+    return params.Omega * cumulative_integral(F, kernel.grid.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -666,10 +663,10 @@ def serial_banded_evolve(params, p0, t_max, dt):
     tpl = cw._templates_for(params)
     n_steps = grid_for(t_max, dt).n_points - 1
     kernel = volterra.memory_kernel(params.trap, UniformGrid(0.5 * dt, 2 * n_steps + 1))
-    gamma = tcl.tcl_series_rates(kernel, params.order).total_gamma().values
+    gamma = tcl.tcl_series_rates(kernel, params.order).total_gamma()
     rr = np.zeros(gamma.size)
     if params.order == 4:
-        rr = cw.r_function(params, kernel).values.real
+        rr = cw.r_function(params, kernel).real
     lower, upper = tpl.shifts[-1], -tpl.shifts[0]
     d_static, d_out, d_oc = tpl.diags
     h = 0.5 * dt

@@ -10,11 +10,7 @@ import numpy as np
 import pytest
 
 from atomlaser import model
-from atomlaser.quad import (
-    SampledFunction,
-    UniformGrid,
-    cumulative_integral,
-)
+from atomlaser.quad import UniformGrid, cumulative_integral
 from atomlaser.tcl import RateSeries, occupation_from_rates, series_breakdown_index
 from atomlaser.volterra import exact_rates, occupation
 
@@ -55,7 +51,7 @@ def test_criterion_01_markov_baseline():
         gm = model.gamma_markov_closed_form(p)
         grid = UniformGrid(0.05 / gm, 101)
         const = RateSeries(grid, {2: np.full(101, gm)}, {2: np.zeros(101)}, 2)
-        n = occupation_from_rates(const).values
+        n = occupation_from_rates(const)
         worst = max(worst, np.abs(n / np.exp(-gm * grid.times()) - 1.0).max())
         assert markov_constants_by_quadrature(p)[0] == pytest.approx(gm, rel=1e-3)
         assert gm / Gamma == pytest.approx(1.852452633e-3, rel=1e-6)
@@ -78,16 +74,14 @@ def test_criterion_03_series_vs_quadrature(trap5e4):
     q2, _ = tcl2_rates(trap5e4, grid)
     q4, _ = tcl4_rates(trap5e4, grid)
 
-    dev2 = np.abs(series.gamma_by_order[2] - q2.values).max()
-    dev4 = np.abs(series.gamma_by_order[4] - q4.values).max()
+    dev2 = np.abs(series.gamma_by_order[2] - q2).max()
+    dev4 = np.abs(series.gamma_by_order[4] - q4).max()
     est2 = (halving_difference(lambda g: tcl2_rates(trap5e4, g)[0], grid)
             + halving_difference(
-                lambda g: SampledFunction(
-                    g, series_rates(trap5e4, g, 2).gamma_by_order[2]), grid))
+                lambda g: series_rates(trap5e4, g, 2).gamma_by_order[2], grid))
     est4 = (halving_difference(lambda g: tcl4_rates(trap5e4, g)[0], grid)
             + halving_difference(
-                lambda g: SampledFunction(
-                    g, series_rates(trap5e4, g, 4).gamma_by_order[4]), grid))
+                lambda g: series_rates(trap5e4, g, 4).gamma_by_order[4], grid))
     ok = dev2 <= est2 and dev4 <= est4
     _verdict(3, ok, f"order-2 routes differ by {dev2:.2e} (allowed {est2:.2e}), "
                     f"order-4 by {dev4:.2e} (allowed {est4:.2e})")
@@ -96,10 +90,10 @@ def test_criterion_03_series_vs_quadrature(trap5e4):
 def test_criterion_04_moderate_coupling_occupations(trap5e4, fig2_traj):
     gm = model.gamma_markov_closed_form(trap5e4)
     t = fig2_traj.grid.times()
-    n_ex = occupation(fig2_traj).values
+    n_ex = occupation(fig2_traj)
     n_mk = np.exp(-gm * t)
     rates = series_rates(trap5e4, fig2_traj.grid, order_max=4)
-    n4 = occupation_from_rates(rates).values
+    n4 = occupation_from_rates(rates)
 
     mid = (gm * t >= 1.0) & (gm * t <= 3.0)
     dev_markov = (np.abs(n_ex - n_mk)[mid] / n_mk[mid]).max()
@@ -117,10 +111,10 @@ def test_criterion_05_order6_tracks_exact(trap1e5):
     grid = _grid(3.5 / gm, dt)
     traj = amplitude(trap1e5, grid.t_end, dt)
     assert traj.grid.n_points == grid.n_points
-    n_ex = occupation(traj).values
+    n_ex = occupation(traj)
     w_exact = -np.log(n_ex)
     rates = series_rates(trap1e5, grid, order_max=6)
-    w6 = cumulative_integral(rates.total_gamma(6)).values
+    w6 = cumulative_integral(rates.total_gamma(6), grid.dt)
     metric = (np.abs(w6 - w_exact) / np.maximum(w_exact, 1.0)).max()
     _verdict(5, metric <= 0.10,
              f"order-6 exponent tracks the exact one to {metric:.1%} (<= 10%)")
@@ -132,7 +126,7 @@ def test_criterion_06_collapse_revival_breakdown(trap1e6):
     grid = _grid(7.0 / gm, dt)
     traj = amplitude(trap1e6, grid.t_end, dt)
     t = traj.grid.times()
-    n_ex = occupation(traj).values
+    n_ex = occupation(traj)
 
     win = (gm * t >= 2.0) & (gm * t <= 5.0)
     i_min = np.flatnonzero(win)[np.argmin(n_ex[win])]
@@ -140,7 +134,7 @@ def test_criterion_06_collapse_revival_breakdown(trap1e6):
     collapse, revival = n_ex[i_min], n_ex[i_max]
 
     er = exact_rates(traj)
-    spike = er.gamma.values[win].max()
+    spike = er.gamma[win].max()
 
     srates = series_rates(trap1e6, _grid(7.0 / gm, 2e-6), order_max=6)
     idx = series_breakdown_index(srates)
@@ -164,7 +158,7 @@ def test_criterion_07_asymptotic_rate(trap5e4):
     win = OMEGA0 * t >= 50.0
     formula = asymptotic_gamma2(trap5e4, t[win])
     envelope = 2.0 * trap5e4.Gamma / np.sqrt(trap5e4.alpha * OMEGA0**2 * t[win])
-    metric = (np.abs(g2.values[win] - formula) / envelope).max()
+    metric = (np.abs(g2[win] - formula) / envelope).max()
     _verdict(7, metric <= 0.10,
              f"quadrature rate matches the asymptotic form to {metric:.2%} "
              "of the envelope on omega0 t in [50, 300]")
@@ -224,7 +218,7 @@ def test_criterion_10_conservation_suite(trap5e4, fig7_runs, fig2_traj):
 
     # pulsed solver converges at second order under grid halving
     t_shared = 0.00512
-    occs = [occupation(amplitude(trap5e4, t_shared, dt)).values
+    occs = [occupation(amplitude(trap5e4, t_shared, dt))
             for dt in (1.6e-5, 8e-6, 4e-6)]
     e1 = np.abs(occs[0] - occs[1][::2]).max()
     e2 = np.abs(occs[1] - occs[2][::2]).max()
@@ -232,8 +226,8 @@ def test_criterion_10_conservation_suite(trap5e4, fig7_runs, fig2_traj):
 
     # the occupation and the extracted rate tell one consistent story
     er = exact_rates(fig2_traj)
-    w = cumulative_integral(er.gamma).values
-    closure = np.abs(np.exp(-w) - occupation(fig2_traj).values).max()
+    w = cumulative_integral(er.gamma, fig2_traj.grid.dt)
+    closure = np.abs(np.exp(-w) - occupation(fig2_traj)).max()
 
     ok = (drift < 1e-9 and col_res < 1e-12 and 2.67 < ratio < 6.0
           and closure < 1e-4)

@@ -19,7 +19,7 @@ from scipy.sparse.linalg import spsolve
 from atomlaser import (ConfigError, GeneratorError, NumericalFailure, ParameterError, cw, model,
                        tcl, volterra)
 from atomlaser.cli import _run_calls
-from atomlaser.quad import SampledFunction, UniformGrid, cumulative_integral
+from atomlaser.quad import UniformGrid, cumulative_integral
 
 from conftest import OMEGA0, cw_params, evolve_here, trap
 from reference import (build_generator, inner_r_function, linear_gain_n0, reduced_cw_mean_n0,
@@ -50,6 +50,12 @@ def test_params_validation():
         cw.CwParams(trap=t, kappa1=10 * gm, Omega=gm, N=1.0, n0_max=0)
     with pytest.raises(ParameterError):
         cw.CwParams(trap=t, kappa1=10 * gm, Omega=gm, N=1.0, order=6)
+    # 4.0 == 4, but the series rates take only an integer order: rejected by
+    # name, not by a TypeError in evolve; a numpy integer is an order
+    for bad in (4.0, 2.0):
+        with pytest.raises(ParameterError, match=f"got {bad}"):
+            cw.CwParams(trap=t, kappa1=10 * gm, Omega=gm, N=1.0, order=bad)
+    assert cw.CwParams(trap=t, kappa1=10 * gm, Omega=gm, N=1.0, order=np.int64(4)).order == 4
     # a pump weaker than the output rate voids the elimination behind the model
     with pytest.warns(UserWarning):
         cw.CwParams(trap=t, kappa1=0.5 * gm, Omega=gm, N=1.0)
@@ -119,12 +125,12 @@ def test_r_outer_matches_single_integral_reduction():
     params = cw_params(t5, 4)
     g = UniformGrid(1e-5, 401)
     r = r_on(params, g)
-    assert r.values[0] == 0.0
+    assert r[0] == 0.0
     t = g.times()
     fv = model.correlation_f(t5, t)
     for j in (200, 400):
         oracle = params.Omega * np.trapezoid(t[: j + 1] * fv[: j + 1], dx=g.dt)
-        assert r.values[j] == pytest.approx(oracle, rel=1e-4)
+        assert r[j] == pytest.approx(oracle, rel=1e-4)
 
 
 def test_r_matches_double_quadrature():
@@ -137,7 +143,7 @@ def test_r_matches_double_quadrature():
     integrand = lambda y, x: model.correlation_f(t5, T - y)
     re = dblquad(lambda y, x: integrand(y, x).real, 0, T, 0, lambda x: x)[0]
     im = dblquad(lambda y, x: integrand(y, x).imag, 0, T, 0, lambda x: x)[0]
-    assert r.values[200] == pytest.approx(params.Omega * (re + 1j * im), rel=1e-4)
+    assert r[200] == pytest.approx(params.Omega * (re + 1j * im), rel=1e-4)
 
 
 def test_r_constant_kernel_quadratic():
@@ -146,20 +152,20 @@ def test_r_constant_kernel_quadratic():
     g = UniformGrid(0.01, 101)
     want = 3.0 * 0.25 * g.times() ** 2 / 2.0
     r = r_on(cw.CwParams(trap=toy, kappa1=1.0, Omega=3.0, N=1.0), g)
-    np.testing.assert_allclose(r.values.real, want, rtol=1e-4, atol=1e-12)
-    np.testing.assert_allclose(r.values.imag, 0.0, atol=1e-6)
+    np.testing.assert_allclose(r.real, want, rtol=1e-4, atol=1e-12)
+    np.testing.assert_allclose(r.imag, 0.0, atol=1e-6)
 
 
 def test_r_linear_in_omega_and_gamma():
     g = UniformGrid(1e-5, 101)
-    base = r_on(cw_params(trap(5e4), 4), g).values
+    base = r_on(cw_params(trap(5e4), 4), g)
     gm = GAMMA_M_5E4
     doubled_omega = cw.CwParams(trap=trap(5e4), kappa1=10 * gm, Omega=30 * gm, N=20.3)
-    np.testing.assert_allclose(r_on(doubled_omega, g).values, 2 * base,
+    np.testing.assert_allclose(r_on(doubled_omega, g), 2 * base,
                                rtol=1e-12)
     # doubling Gamma doubles f pointwise, with gm rescaled to keep Omega fixed
     same_omega = cw.CwParams(trap=trap(1e5), kappa1=10 * gm, Omega=15 * gm, N=20.3)
-    np.testing.assert_allclose(r_on(same_omega, g).values, 2 * base,
+    np.testing.assert_allclose(r_on(same_omega, g), 2 * base,
                                rtol=1e-12)
 
 
@@ -479,8 +485,8 @@ def test_time_dependent_implicit_stepper_matches_dense_recurrence(order):
     if order == "markov":
         gamma = [None] * kernel.grid.n_points
     else:
-        gamma = tcl.tcl_series_rates(kernel, order).total_gamma().values
-    r = cw.r_function(params, kernel).values
+        gamma = tcl.tcl_series_rates(kernel, order).total_gamma()
+    r = cw.r_function(params, kernel)
     gens = [build_generator(params, gamma[k], r[k]) for k in range(kernel.grid.n_points)]
     eye = np.eye(params.dim)
 
@@ -557,7 +563,7 @@ def test_singular_step_names_gbtrf_info(monkeypatch):
     leak[0] = -1.0 / dt
     gamma = np.full(2 * n_steps + 1, 0.5)
     gamma[14] = 1.0
-    rates = SimpleNamespace(total_gamma=lambda: SimpleNamespace(values=gamma))
+    rates = SimpleNamespace(total_gamma=lambda: gamma)
     monkeypatch.setattr(cw, "_templates_for",
                         lambda params: tpl._replace(diags=diags, leak_static=leak))
     monkeypatch.setattr(tcl, "tcl_series_rates", lambda kernel, order: rates)
@@ -759,7 +765,7 @@ def test_reduced_model_tracks_fig7_runs(fig7_runs, order):
         # the order-2 rate on the run's half-step grid, as evolve samples it
         half = UniformGrid(0.5 * (traj.times[1] - traj.times[0]), 2 * traj.times.size - 1)
         rates = tcl.tcl_series_rates(volterra.memory_kernel(params.trap, half), 2)
-        gamma = CubicSpline(half.times(), rates.total_gamma().values)
+        gamma = CubicSpline(half.times(), rates.total_gamma())
     m = reduced_cw_mean_n0(params, traj.times, gamma)
     assert np.abs(m - traj.mean_n0).max() <= 2e-3 * traj.mean_n0.max()
 
@@ -809,7 +815,7 @@ def test_order4_excess_grows_with_r(fig7_runs, stationary_default):
     mid, amp = _per_trap_period(times, fig7_runs[4].mean_n0 - fig7_runs[2].mean_n0, 3.0 / gm,
                                 times[-1])
     grid = UniformGrid(times[1] - times[0], times.size)
-    r = cw.r_function(cw_params(p, 4), volterra.memory_kernel(p, grid)).values.real
+    r = cw.r_function(cw_params(p, 4), volterra.memory_kernel(p, grid)).real
     _, r_amp = _per_trap_period(times, r, 3.0 / gm, times[-1])
     params, state = stationary_default
     n0, n1 = np.ogrid[: params.n0_max + 1, : params.n1_max + 1]
@@ -850,7 +856,7 @@ def test_linear_gain_reference_without_gain_is_the_pulsed_occupation():
     p = trap(5e4)
     grid = UniformGrid(8.0 / GAMMA_M_5E4 / 8000, 8001)
     pulsed = volterra.occupation(volterra.solve_amplitude(p, volterra.memory_kernel(p, grid)))
-    np.testing.assert_allclose(linear_gain_n0(p, 0.0, grid, n0_init=1.0), pulsed.values,
+    np.testing.assert_allclose(linear_gain_n0(p, 0.0, grid, n0_init=1.0), pulsed,
                                rtol=0.0, atol=1e-15)
 
 
@@ -892,14 +898,13 @@ def test_linear_gain_limit_order4_nearest_exact():
     kernel = volterra.memory_kernel(p, half)
     for order, traj in trajs.items():
         gamma = (np.full(half.n_points, gm) if order == "markov"
-                 else tcl.tcl_series_rates(kernel, order).total_gamma().values)
+                 else tcl.tcl_series_rates(kernel, order).total_gamma())
         cross = 0.0
         if order == 4:
-            cross = g * cw.r_function(params[4], kernel).values.real / params[4].Omega
+            cross = g * cw.r_function(params[4], kernel).real / params[4].Omega
         # dn/dt = (g + cross - gamma) n + g + 2 cross from n = 0
-        lam = cumulative_integral(SampledFunction(half, g + cross - gamma)).values
-        rate = np.exp(lam) * cumulative_integral(
-            SampledFunction(half, (g + 2.0 * cross) * np.exp(-lam))).values
+        lam = cumulative_integral(g + cross - gamma, half.dt)
+        rate = np.exp(lam) * cumulative_integral((g + 2.0 * cross) * np.exp(-lam), half.dt)
         gap = np.abs(traj.mean_n0 - rate[::2]).max() / rate.max()
         assert 1.8e-3 <= gap <= 2.6e-3, (order, gap)
 
@@ -919,9 +924,9 @@ def test_exact_oscillation_decays_faster_than_order2():
     t = grid.times()
     exact = linear_gain_n0(p, g, grid)
     # dn/dt = g (n + 1) - gamma_2(t) n from n = 0, by its integrating factor
-    gamma2 = tcl.tcl_series_rates(volterra.memory_kernel(p, grid), 2).total_gamma().values
-    lam = cumulative_integral(SampledFunction(grid, gamma2 - g)).values
-    order2 = g * np.exp(-lam) * cumulative_integral(SampledFunction(grid, np.exp(lam))).values
+    gamma2 = tcl.tcl_series_rates(volterra.memory_kernel(p, grid), 2).total_gamma()
+    lam = cumulative_integral(gamma2 - g, grid.dt)
+    order2 = g * np.exp(-lam) * cumulative_integral(np.exp(lam), grid.dt)
     markov = g / (gm - g) * -np.expm1(-(gm - g) * t)
     mid, amp_exact = _per_trap_period(t, exact - markov, 2.0 / gm, 19.0 / gm)
     _, amp_2 = _per_trap_period(t, order2 - markov, 2.0 / gm, 19.0 / gm)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from atomlaser import DomainError, ParameterError, model, tcl, volterra
-from atomlaser.quad import SampledFunction, UniformGrid, cumulative_integral, next_fast_len
+from atomlaser.quad import UniformGrid, cumulative_integral, next_fast_len
 from atomlaser.tcl import RateSeries
 
 from conftest import OMEGA0, amplitude, halving_difference, series_rates, trap
@@ -27,9 +27,9 @@ def test_order2_series_equals_quadrature():
     g = _grid(0.03, 1e-5)
     gamma2, s2 = tcl2_rates(p, g)
     series = series_rates(p, g, order_max=2)
-    np.testing.assert_allclose(series.gamma_by_order[2], gamma2.values,
+    np.testing.assert_allclose(series.gamma_by_order[2], gamma2,
                                rtol=1e-10, atol=1e-8)
-    np.testing.assert_allclose(series.S_by_order[2], s2.values,
+    np.testing.assert_allclose(series.S_by_order[2], s2,
                                rtol=1e-10, atol=1e-8)
 
 
@@ -41,10 +41,10 @@ def test_order4_series_matches_quadrature_within_grid_error():
         return tcl4_rates(p, grid)[0]
 
     def by_series(grid):
-        return SampledFunction(grid, series_rates(p, grid, 4).gamma_by_order[4])
+        return series_rates(p, grid, 4).gamma_by_order[4]
 
     est = halving_difference(by_tables, g) + halving_difference(by_series, g)
-    diff = np.max(np.abs(by_tables(g).values - by_series(g).values))
+    diff = np.max(np.abs(by_tables(g) - by_series(g)))
     assert diff <= est
 
 
@@ -56,10 +56,10 @@ def test_order4_shift_routes_agree():
         return tcl4_rates(p, grid)[1]
 
     def by_series(grid):
-        return SampledFunction(grid, series_rates(p, grid, 4).S_by_order[4])
+        return series_rates(p, grid, 4).S_by_order[4]
 
     est = halving_difference(by_tables, g) + halving_difference(by_series, g)
-    diff = np.max(np.abs(by_tables(g).values - by_series(g).values))
+    diff = np.max(np.abs(by_tables(g) - by_series(g)))
     assert diff <= est
 
 
@@ -74,8 +74,8 @@ def test_tcl4_cross_validation_path():
     n, ts = g.n_points, g.times()
     for j in np.unique(np.linspace(n // 2, n - 1, 3, dtype=int)):
         nested_g, nested_s = tcl4_nested(p, ts[j], g.dt)
-        assert abs(nested_g - gamma4.values[j]) <= 10.0 * est_g
-        assert abs(nested_s - s4.values[j]) <= 10.0 * est_s
+        assert abs(nested_g - gamma4[j]) <= 10.0 * est_g
+        assert abs(nested_s - s4[j]) <= 10.0 * est_s
 
 
 def _series_rates_per_term(params, grid, order_max):
@@ -93,7 +93,7 @@ def _series_rates_per_term(params, grid, order_max):
         d = dt * (full - 0.5 * k[0] * u - 0.5 * k * u[0])
         d[0] = 0.0
         d_terms.append(d)
-        u_terms.append(cumulative_integral(SampledFunction(grid, d)).values)
+        u_terms.append(cumulative_integral(d, dt))
     U = [((-1) ** m) * u_terms[m] for m in range(len(u_terms))]
     D = [((-1) ** (m + 1)) * d_terms[m] for m in range(len(d_terms))]
     q = [D[0]]
@@ -160,9 +160,9 @@ def test_constant_kernel_order4_quadrature():
     g = _grid(3.0, 0.002)
     t = g.times()
     gamma4, s4 = tcl4_rates(p, g)
-    np.testing.assert_allclose(gamma4.values, (2.0 / 3.0) * TOY_GAMMA**2 * t**3,
+    np.testing.assert_allclose(gamma4, (2.0 / 3.0) * TOY_GAMMA**2 * t**3,
                                rtol=1e-4, atol=1e-8)
-    assert np.max(np.abs(s4.values)) < 1e-5
+    assert np.max(np.abs(s4)) < 1e-5
 
 
 def test_coupling_strength_scaling():
@@ -188,7 +188,7 @@ def test_rate_oscillates_about_markov_value():
     gamma2, _ = tcl2_rates(p, g)
     t = g.times()
     w = (t >= 50.0 / OMEGA0) & (t <= (50.0 + 10.0 * np.pi) / OMEGA0)
-    s = np.sign(gamma2.values[w] - GAMMA_M_5E4)
+    s = np.sign(gamma2[w] - GAMMA_M_5E4)
     crossings = int(np.sum(s[1:] * s[:-1] < 0))
     assert 9 <= crossings <= 11
 
@@ -203,7 +203,7 @@ def test_asymptote_tracks_quadrature_rate():
     asym = asymptotic_gamma2(p, t[mask])
     envelope = 2.0 * p.Gamma / np.sqrt(p.alpha * OMEGA0**2 * t[mask])
     # measured 0.69% of the envelope; anything above 2% means a regression
-    assert np.max(np.abs(gamma2.values[mask] - asym) / envelope) < 0.02
+    assert np.max(np.abs(gamma2[mask] - asym) / envelope) < 0.02
 
 
 def test_asymptote_residual_decays_faster_than_envelope():
@@ -215,7 +215,7 @@ def test_asymptote_residual_decays_faster_than_envelope():
     gamma2, _ = tcl2_rates(p, g)
     t = g.times() * OMEGA0
     mask = t >= 50.0
-    res = gamma2.values[mask] - asymptotic_gamma2(p, g.times()[mask])
+    res = gamma2[mask] - asymptotic_gamma2(p, g.times()[mask])
     tm = t[mask]
     r_early = np.max(np.abs(res[(tm >= 50) & (tm <= 100)]))
     r_late = np.max(np.abs(res[(tm >= 200) & (tm <= 250)]))
@@ -246,7 +246,7 @@ def test_occupation_from_constant_rate():
     c = 0.7
     rates = RateSeries(g, {2: np.full(g.n_points, c)}, {2: np.zeros(g.n_points)}, 2)
     n = tcl.occupation_from_rates(rates)
-    np.testing.assert_allclose(n.values, np.exp(-c * g.times()), rtol=1e-4)
+    np.testing.assert_allclose(n, np.exp(-c * g.times()), rtol=1e-4)
 
 
 def test_rate_series_validation():
@@ -260,28 +260,38 @@ def test_rate_series_validation():
     with pytest.raises(ParameterError):
         full.total_gamma(6)
     assert list(full.orders()) == [2, 4]
+    # 4.0 == 4, but an order must be an integer: rejected by name, not by a
+    # TypeError from range(); a numpy integer is an order
+    with pytest.raises(ParameterError, match=r"got 4\.0"):
+        RateSeries(g, {2: z, 4: z}, {2: z, 4: z}, 4.0)
+    with pytest.raises(ParameterError, match=r"order 4\.0"):
+        full.total_gamma(4.0)
+    for bad in (4.0, 2.0):
+        with pytest.raises(ParameterError, match=f"got {bad}"):
+            tcl.tcl_series_rates(volterra.memory_kernel(trap(5e4), g), bad)
+    assert list(RateSeries(g, {2: z, 4: z}, {2: z, 4: z}, np.int64(4)).orders()) == [2, 4]
 
 
 def test_waiting_time_monotone_case():
     g = _grid(3.0, 0.01)
-    n = SampledFunction(g, np.exp(-g.times()))
+    n = np.exp(-g.times())
     wt = waiting_time(n)
     assert not wt.decreasing_steps.any()
-    np.testing.assert_allclose(wt.F.values, 1.0 - n.values)
+    np.testing.assert_allclose(wt.F, 1.0 - n)
 
 
 def test_waiting_time_flags_nonmonotone():
     g = _grid(3.0, 0.01)
     t = g.times()
     # rises right after t = 0, so F = 1 - n dips negative-slope there
-    n = SampledFunction(g, np.exp(-t) * (1.0 + 0.3 * np.sin(6 * t)))
+    n = np.exp(-t) * (1.0 + 0.3 * np.sin(6 * t))
     wt = waiting_time(n)
     assert wt.decreasing_steps.any()
 
 
 def test_waiting_time_rejects_unnormalized():
     g = _grid(1.0, 0.01)
-    n = SampledFunction(g, 0.9 * np.exp(-g.times()))
+    n = 0.9 * np.exp(-g.times())
     with pytest.raises(ParameterError):
         waiting_time(n)
 
@@ -298,7 +308,7 @@ def test_order6_occupation_close_to_exact():
     n_exact = volterra.occupation(traj)
     rates = series_rates(p, g, order_max=6)
     n6 = tcl.occupation_from_rates(rates)
-    assert np.max(np.abs(n6.values - n_exact.values)) <= 0.05
+    assert np.max(np.abs(n6 - n_exact)) <= 0.05
 
 
 def test_series_breakdown_at_strong_coupling():
@@ -335,7 +345,7 @@ def test_residual_beyond_order6_scales_as_fourth_power():
         g = _grid(t_fix, dt)
         traj = amplitude(p, t_max=t_fix, dt=dt)
         series = series_rates(p, g, order_max=6)
-        return volterra.exact_rates(traj).gamma.values[-1] - series.total_gamma().values[-1]
+        return volterra.exact_rates(traj).gamma[-1] - series.total_gamma()[-1]
 
     ratio = residual(1e4) / residual(5e3)
     assert 10.0 <= ratio <= 24.0
@@ -352,10 +362,10 @@ def test_occupation_ordering_at_figure_regime():
     t_probe = np.ceil(2.0 / gm / dt) * dt
     g = _grid(t_probe, dt)
     traj = amplitude(p, t_max=t_probe, dt=dt)
-    n_exact = volterra.occupation(traj).values[-1]
+    n_exact = volterra.occupation(traj)[-1]
     series = series_rates(p, g, 4)
-    n2 = tcl.occupation_from_rates(series, 2).values[-1]
-    n4 = tcl.occupation_from_rates(series, 4).values[-1]
+    n2 = tcl.occupation_from_rates(series, 2)[-1]
+    n4 = tcl.occupation_from_rates(series, 4)[-1]
     n_markov = np.exp(-gm * t_probe)
     assert n2 < n_markov < n4 < n_exact
     # order 2 is still the right magnitude: within 5% of Born-Markov here

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atomlaser import ConfigError, NumericalFailure, model, tcl, volterra
-from atomlaser.quad import SampledFunction, UniformGrid, cumulative_integral
+from atomlaser.quad import SampledFunction, UniformGrid, cumulative_integral, grid_for
 from atomlaser.volterra import RATE_CUTOFF, AmplitudeTrajectory
 
 from conftest import OMEGA0, amplitude, trap
@@ -62,7 +62,7 @@ def _assert_matches_reference(kernel):
     rates_ref = volterra.exact_rates(traj_ref)
     assert rates.truncation_index == rates_ref.truncation_index
     # exact_rates keeps only the samples with |u| >= RATE_CUTOFF
-    gam, gam_ref = rates.gamma.values, rates_ref.gamma.values
+    gam, gam_ref = rates.gamma, rates_ref.gamma
     assert np.abs(gam - gam_ref).max() <= 1e-9 * max(np.abs(gam_ref).max(), 1e-300)
     return u_ref
 
@@ -185,10 +185,10 @@ def test_rates_tend_to_the_decaying_pole():
         means = [gamma[i * per:(i + 1) * per + 1].mean() for i in range(periods)]
         return np.array(means) / pole - 1.0
 
-    exact = period_means(volterra.exact_rates(volterra.solve_amplitude(p, kernel)).gamma.values)
+    exact = period_means(volterra.exact_rates(volterra.solve_amplitude(p, kernel)).gamma)
     rates = tcl.tcl_series_rates(kernel, 4)
-    order2 = period_means(rates.total_gamma(2).values)
-    order4 = period_means(rates.total_gamma(4).values)
+    order2 = period_means(rates.total_gamma(2))
+    order4 = period_means(rates.total_gamma(4))
     markov = gm / pole - 1
     assert 1.6e-2 < markov < 1.7e-2
     assert np.abs(exact[1:12]).max() < 6e-3
@@ -202,7 +202,7 @@ def test_zero_coupling_is_free():
     np.testing.assert_allclose(traj.u, 1.0, atol=1e-14)
     np.testing.assert_allclose(traj.udot, 0.0, atol=1e-14)
     n = volterra.occupation(traj)
-    np.testing.assert_allclose(n.values, 1.0, atol=1e-14)
+    np.testing.assert_allclose(n, 1.0, atol=1e-14)
 
 
 def test_constant_kernel_gives_cosine():
@@ -237,7 +237,7 @@ def test_weak_coupling_matches_markov():
     traj = amplitude(p, t_max=t_max, dt=0.05 / ALPHA)
     n = volterra.occupation(traj)
     markov = np.exp(-gm * traj.grid.times())
-    assert np.max(np.abs(n.values - markov) / markov) < 0.02
+    assert np.max(np.abs(n - markov) / markov) < 0.02
 
 
 def test_strong_coupling_decays_slower_than_markov():
@@ -252,8 +252,8 @@ def test_exact_rates_zero_coupling():
     traj = amplitude(trap(0.0), t_max=1e-3, dt=1e-6)
     rates = volterra.exact_rates(traj)
     assert rates.truncation_index is None
-    np.testing.assert_allclose(rates.gamma.values, 0.0, atol=1e-14)
-    np.testing.assert_allclose(rates.shift.values, 0.0, atol=1e-14)
+    np.testing.assert_allclose(rates.gamma, 0.0, atol=1e-14)
+    np.testing.assert_allclose(rates.shift, 0.0, atol=1e-14)
 
 
 def test_exact_rate_early_slope():
@@ -262,8 +262,8 @@ def test_exact_rate_early_slope():
     t_probe = 2e-3 / ALPHA
     traj = amplitude(p, t_max=t_probe, dt=t_probe / 100)
     rates = volterra.exact_rates(traj)
-    t = rates.gamma.grid.times()[1:]
-    np.testing.assert_allclose(rates.gamma.values[1:], 2.0 * p.Gamma * t, rtol=5e-3)
+    t = traj.grid.times()[1:]
+    np.testing.assert_allclose(rates.gamma[1:], 2.0 * p.Gamma * t, rtol=5e-3)
 
 
 def test_rate_integral_reproduces_occupation():
@@ -271,9 +271,9 @@ def test_rate_integral_reproduces_occupation():
     p = trap(5e4)
     traj = amplitude(p, t_max=2.0 / GAMMA_M_5E4, dt=1e-5)
     rates = volterra.exact_rates(traj)
-    w = cumulative_integral(rates.gamma)
+    w = cumulative_integral(rates.gamma, traj.grid.dt)
     n = volterra.occupation(traj)
-    assert np.max(np.abs(np.exp(-w.values) - n.values)) < 1e-4
+    assert np.max(np.abs(np.exp(-w) - n)) < 1e-4
 
 
 def test_refinement_is_second_order():
@@ -296,7 +296,7 @@ def test_monotone_decay_at_moderate_coupling():
     p = trap(1e4)
     gm = model.gamma_markov_closed_form(p)
     traj = amplitude(p, t_max=2.0 / gm, dt=1.5e-5)
-    n = volterra.occupation(traj).values
+    n = volterra.occupation(traj)
     assert np.all(np.diff(n) <= 1e-12)
 
 
@@ -344,6 +344,18 @@ def test_amplitude_overshoot_names_its_step():
     assert int(step.search(str(fast.value)).group(2)) > 1
 
 
+def test_growth_report_names_an_amplitude_past_the_limit():
+    # at Gamma = 1e12 the amplitude overflows on this grid. The shortest
+    # prefix that passes the limit ends at step 5110, where FFT rounding
+    # leaves |u| = 0.906; the prefix first passes the limit at step 2642
+    p = trap(1e12)
+    kernel = volterra.memory_kernel(p, grid_for(0.1, 1e-5))
+    with pytest.raises(NumericalFailure) as err:
+        volterra.solve_amplitude(p, kernel)
+    size = re.search(r"\|u\| = (\S+) at step \d+;", str(err.value)).group(1)
+    assert float(size) > 1.0 + volterra.SANITY_TOL
+
+
 def test_singular_implicit_diagonal():
     # 1 + dt^2 k_0 / 4 = 0 for c = -1e8 at dt = 2e-4: no step can be taken
     g = UniformGrid(2e-4, 5001)
@@ -361,9 +373,9 @@ def test_rate_truncation_when_amplitude_collapses():
     traj.udot = -5.0 * u   # a prescribed derivative in place of the scheme's
     rates = volterra.exact_rates(traj)
     assert rates.truncation_index is not None
-    assert rates.gamma.grid.n_points == rates.truncation_index
-    assert rates.gamma.grid.t_end < g.t_end
-    np.testing.assert_allclose(rates.gamma.values, 10.0, rtol=1e-12)
+    assert rates.gamma.size == rates.truncation_index
+    assert rates.gamma.size < g.n_points
+    np.testing.assert_allclose(rates.gamma, 10.0, rtol=1e-12)
 
 
 def test_rates_fail_when_amplitude_dead_from_start():
